@@ -21,7 +21,7 @@ from .annotations import (
 )
 from .errors import Error, FormatError, ParameterError
 from .metrics import format_report, machine_lines, score_set
-from .ngrams import Corpus, NGramTable, build_table, codepoint_range_filter
+from .ngrams import Corpus, NGramTable, build_table, codepoint_range_filter, split_lines
 from .segmenter import TangoParams, segment
 from .sst import (
     BigramStats,
@@ -65,7 +65,7 @@ def _parse_orders(text: str) -> frozenset[int]:
 
 
 def _input_lines(path: str) -> list[str]:
-    lines = _read_text(path).splitlines()
+    lines = split_lines(_read_text(path))
     for lineno, line in enumerate(lines, start=1):
         if not line:
             raise FormatError("blank input line", line=lineno)

@@ -24,9 +24,22 @@ __all__ = [
     "extract_sequences",
     "load_table",
     "save_table",
+    "split_lines",
 ]
 
 FORMAT_HEADER = "tango-ngrams v1"
+
+
+def split_lines(text: str) -> list[str]:
+    """Lines of text broken at "\\n" only, a trailing "\\r" dropped.
+
+    The package writes lines ending in "\\n".  str.splitlines() would also
+    break inside a line at \\x0b, \\x0c, \\x1c-\\x1e, \\x85, \\u2028 and \\u2029.
+    """
+    lines = text.replace("\r\n", "\n").split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
 
 
 def extract_sequences(
@@ -46,7 +59,7 @@ def extract_sequences(
                 f"invalid UTF-8 at byte offset {exc.start}: {exc.reason}"
             ) from exc
     if char_filter is None:
-        return [line for line in text.splitlines() if line]
+        return [line for line in split_lines(text) if line]
     sequences = []
     run: list[str] = []
     for ch in text:
@@ -197,7 +210,7 @@ class NGramTable:
                 raise FormatError(
                     f"table is not valid UTF-8 at byte offset {exc.start}"
                 ) from exc
-        lines = payload.splitlines()
+        lines = split_lines(payload)
         if not lines or lines[0] != FORMAT_HEADER:
             found = lines[0] if lines else "<empty file>"
             raise FormatError(f"expected header {FORMAT_HEADER!r}, found {found!r}", line=1)
@@ -209,6 +222,8 @@ class NGramTable:
             corpus_size = int(lines[1].split(" ", 1)[1])
         except ValueError:
             raise FormatError("bad corpus_size value", line=2) from None
+        if corpus_size < 0:
+            raise FormatError("corpus_size must be >= 0", line=2)
         if not lines[2].startswith("orders "):
             raise FormatError("expected 'orders <comma-list>'", line=3)
         try:
@@ -236,6 +251,8 @@ class NGramTable:
                 )
             if cnt < 2:
                 raise FormatError("stored counts must be >= 2", line=lineno)
+            if gram in counts:
+                raise FormatError(f"duplicate gram {gram!r}", line=lineno)
             counts[gram] = cnt
         return cls(orders, counts, corpus_size)
 

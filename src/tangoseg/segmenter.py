@@ -7,6 +7,11 @@ averaged, and a gap becomes a boundary when the averaged vote is a strict
 local maximum, meets the threshold, or both, depending on the enabled
 conditions.
 
+One kernel serves segment, vote_profile, the per-gap functions and
+train_tango: it looks each n-gram window up once per order and reads every
+gap's comparisons from those counts.  One placement rule, local maximum
+or threshold, serves place_boundaries and train_tango.
+
 Edge conventions (pinned by tests):
   * only comparisons between existing n-grams are performed; the vote
     denominator is the number of comparisons actually made;
@@ -18,6 +23,8 @@ Edge conventions (pinned by tests):
     sequence) is never a local maximum.
 """
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .annotations import FlatSegmentation
@@ -83,6 +90,69 @@ def _check_location(seq: str, k: int):
         raise ParameterError(f"location {k} out of range 1..{len(seq) - 1}")
 
 
+def _gap_counts(seq: str, orders, table: NGramTable) -> list[list[tuple[int, int]]]:
+    """The vote kernel: per order, (affirmative, comparisons) at gaps 1..len-1.
+
+    Each order-n window seq[i:i+n] is looked up once, into c[i].  Gap k
+    compares its side windows c[k-n] and c[k] with the straddling windows
+    c[max(0, k-n+1) : min(k-1, len-n)+1]; windows outside the sequence take
+    no part.  A gap with a side window always has a straddling one.  With
+    the straddling counts sorted, the number a side count beats is one
+    bisection.
+    """
+    if not table.orders.issuperset(orders):
+        missing = sorted(set(orders) - table.orders)
+        raise UnsupportedOrderError(f"table does not cover orders {missing}")
+    counts = table.counts
+    length = len(seq)
+    rows = []
+    for n in orders:
+        c = [counts.get(seq[i : i + n], 1) for i in range(length - n + 1)]
+        last = length - n  # start of the last window
+        row = []
+        for k in range(1, length):
+            lo = k - n + 1
+            straddling = sorted(c[lo if lo > 0 else 0 : k if k <= last else last + 1])
+            if n <= k <= last:
+                both = bisect_left(straddling, c[k - n]) + bisect_left(straddling, c[k])
+                row.append((both, 2 * len(straddling)))
+            elif k <= last:
+                row.append((bisect_left(straddling, c[k]), len(straddling)))
+            elif k >= n:
+                row.append((bisect_left(straddling, c[k - n]), len(straddling)))
+            else:  # no side window fits the sequence
+                row.append((0, 0))
+        rows.append(row)
+    return rows
+
+
+def _order_votes(seq: str, orders, table: NGramTable) -> "list[list[float | None]]":
+    """Per order, the vote at every gap; None where the order has no evidence."""
+    return [[a / c if c else None for a, c in row] for row in _gap_counts(seq, orders, table)]
+
+
+def _mean_votes(rows) -> list[float]:
+    """Per gap, the mean of the rows' votes in row order, skipping None; 0
+    where no row has evidence."""
+    means = []
+    for gap in zip(*rows):
+        found = [v for v in gap if v is not None]
+        means.append(sum(found) / len(found) if found else 0.0)
+    return means
+
+
+def _boundaries(votes: list[float], use_local_max: bool, threshold: float) -> list[int]:
+    """The placement rule: locations (gap index + 1) whose vote is a strict
+    local maximum, if use_local_max, or meets the threshold."""
+    edge = -1.0 if len(votes) > 1 else 2.0  # votes lie in [0, 1]; a lone gap is no maximum
+    padded = [edge, *votes, edge]
+    return [
+        k
+        for k, (a, v, b) in enumerate(zip(padded, votes, padded[2:]), 1)
+        if (use_local_max and a < v > b) or v >= threshold
+    ]
+
+
 def order_vote_counts(seq: str, k: int, n: int, table: NGramTable) -> tuple[int, int]:
     """(affirmative comparisons, total comparisons) for one order at gap k.
 
@@ -92,49 +162,21 @@ def order_vote_counts(seq: str, k: int, n: int, table: NGramTable) -> tuple[int,
     both members fit the sequence are compared.
     """
     _check_location(seq, k)
-    if n not in table.orders:
-        raise UnsupportedOrderError(f"order {n} not in table orders {sorted(table.orders)}")
-    length = len(seq)
-    sides = []
-    if k >= n:
-        sides.append(seq[k - n : k])
-    if length - k >= n:
-        sides.append(seq[k : k + n])
-    straddling = [
-        seq[k - (n - j) : k + j]
-        for j in range(1, n)
-        if j <= length - k and n - j <= k
-    ]
-    if not sides or not straddling:
-        return 0, 0
-    side_counts = [table.count(g) for g in sides]
-    straddle_counts = [table.count(g) for g in straddling]
-    affirmative = sum(1 for s in side_counts for t in straddle_counts if s > t)
-    return affirmative, len(side_counts) * len(straddle_counts)
+    return _gap_counts(seq, (n,), table)[0][k - 1]
 
 
 def order_vote(seq: str, k: int, n: int, table: NGramTable) -> float:
     """Fraction of affirmative comparisons at gap k for order n; 0 when the
     order has no evidence there."""
     affirmative, comparisons = order_vote_counts(seq, k, n, table)
-    if comparisons == 0:
-        return 0.0
-    return affirmative / comparisons
+    return affirmative / comparisons if comparisons else 0.0
 
 
 def total_vote(seq: str, k: int, params: TangoParams, table: NGramTable) -> float:
     """Mean of the order votes over orders with evidence at gap k."""
-    if not params.orders <= table.orders:
-        missing = sorted(params.orders - table.orders)
-        raise UnsupportedOrderError(f"table does not cover orders {missing}")
-    votes = []
-    for n in params.sorted_orders:
-        affirmative, comparisons = order_vote_counts(seq, k, n, table)
-        if comparisons:
-            votes.append(affirmative / comparisons)
-    if not votes:
-        return 0.0
-    return sum(votes) / len(votes)
+    votes = vote_profile(seq, params.orders, table).votes
+    _check_location(seq, k)
+    return votes[k - 1]
 
 
 def vote_profile(
@@ -147,41 +189,17 @@ def vote_profile(
     orders = sorted(set(orders))
     if not orders:
         raise ParameterError("order set must be non-empty")
-    if not set(orders) <= table.orders:
-        missing = sorted(set(orders) - table.orders)
-        raise UnsupportedOrderError(f"table does not cover orders {missing}")
-    votes = []
-    per_order: "dict[int, list[float]] | None" = (
-        {n: [] for n in orders} if keep_per_order else None
-    )
-    for k in range(1, len(seq)):
-        found = []
-        for n in orders:
-            affirmative, comparisons = order_vote_counts(seq, k, n, table)
-            v = affirmative / comparisons if comparisons else 0.0
-            if per_order is not None:
-                per_order[n].append(v)
-            if comparisons:
-                found.append(v)
-        votes.append(sum(found) / len(found) if found else 0.0)
-    return VoteProfile(seq, votes, per_order)
+    rows = _order_votes(seq, orders, table)
+    per_order = None
+    if keep_per_order:
+        per_order = {n: [0.0 if v is None else v for v in row] for n, row in zip(orders, rows)}
+    return VoteProfile(seq, _mean_votes(rows), per_order)
 
 
 def place_boundaries(profile: VoteProfile, params: TangoParams) -> FlatSegmentation:
     """Apply the local-maximum / threshold rule to a vote profile."""
-    votes = profile.votes
-    last = len(votes) - 1
-    bounds = []
-    for i, v in enumerate(votes):
-        hit = False
-        if params.use_local_max and last > 0:
-            left_ok = i == 0 or v > votes[i - 1]
-            right_ok = i == last or v > votes[i + 1]
-            hit = left_ok and right_ok
-        if not hit and params.use_threshold and v >= params.threshold:
-            hit = True
-        if hit:
-            bounds.append(i + 1)
+    threshold = params.threshold if params.use_threshold else math.inf
+    bounds = _boundaries(profile.votes, params.use_local_max, threshold)
     return FlatSegmentation(profile.sequence, tuple(bounds))
 
 

@@ -25,7 +25,7 @@ from typing import Callable, Iterable, NamedTuple
 
 from .annotations import FlatSegmentation
 from .errors import FormatError, ParameterError, UndefinedStatisticError
-from .ngrams import Corpus
+from .ngrams import Corpus, split_lines
 
 __all__ = [
     "BigramStats",
@@ -332,7 +332,7 @@ def read_sst_params(source) -> SstParams:
     else:
         payload = Path(source).read_text(encoding="utf-8")
     values: dict[str, str] = {}
-    for lineno, line in enumerate(payload.splitlines(), start=1):
+    for lineno, line in enumerate(split_lines(payload), start=1):
         if not line.strip():
             continue
         key, sep, value = line.partition("=")
@@ -375,7 +375,7 @@ def load_stats(source, estimator: str = "mle") -> BigramStats:
         payload = Path(source).read_bytes()
     if isinstance(payload, bytes):
         payload = payload.decode("utf-8")
-    lines = payload.splitlines()
+    lines = split_lines(payload)
     if not lines or lines[0] != STATS_HEADER:
         found = lines[0] if lines else "<empty file>"
         raise FormatError(f"expected header {STATS_HEADER!r}, found {found!r}", line=1)
@@ -385,6 +385,8 @@ def load_stats(source, estimator: str = "mle") -> BigramStats:
         total = int(lines[1].split(" ", 1)[1])
     except ValueError:
         raise FormatError("bad total_chars value", line=2) from None
+    if total < 0:
+        raise FormatError("total_chars must be >= 0", line=2)
     unigrams: Counter = Counter()
     bigrams: Counter = Counter()
     for lineno, line in enumerate(lines[2:], start=3):
@@ -399,5 +401,8 @@ def load_stats(source, estimator: str = "mle") -> BigramStats:
         gram = parts[2]
         if order not in (1, 2) or len(gram) != order or cnt < 1:
             raise FormatError("bad stats entry", line=lineno)
-        (unigrams if order == 1 else bigrams)[gram] = cnt
+        entries = unigrams if order == 1 else bigrams
+        if gram in entries:
+            raise FormatError(f"duplicate gram {gram!r}", line=lineno)
+        entries[gram] = cnt
     return BigramStats(unigrams, bigrams, total, estimator)

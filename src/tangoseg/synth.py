@@ -14,6 +14,7 @@ from pathlib import Path
 
 from .annotations import TwoLevelAnnotation
 from .errors import FormatError, ParameterError
+from .ngrams import split_lines
 
 __all__ = [
     "LexiconEntry",
@@ -50,7 +51,7 @@ def read_lexicon(source) -> list[LexiconEntry]:
     else:
         payload = Path(source).read_text(encoding="utf-8")
     entries = []
-    for lineno, line in enumerate(payload.splitlines(), start=1):
+    for lineno, line in enumerate(split_lines(payload), start=1):
         if not line.strip():
             continue
         parts = line.split("\t")

@@ -12,6 +12,7 @@ rejected as criteria: a degenerate whole-sequence bracketing scores 100 on
 them.
 """
 
+import math
 import random
 from dataclasses import dataclass
 from itertools import combinations, product
@@ -23,8 +24,8 @@ import numpy as np
 from .annotations import TwoLevelAnnotation
 from .errors import FormatError, ParameterError, UnsupportedOrderError
 from .metrics import _prf
-from .ngrams import NGramTable
-from .segmenter import TangoParams, order_vote_counts
+from .ngrams import NGramTable, split_lines
+from .segmenter import TangoParams, _boundaries, _mean_votes, _order_votes
 from .sst import (
     BigramStats,
     SstParams,
@@ -134,18 +135,11 @@ def train_tango(
 
     golds = [set(_gold_brackets(ann, criterion)) for ann in train_set]
     gold_total = sum(len(g) for g in golds)
-    # per sequence, per order: (vote, has evidence) at each gap
-    order_votes = []
-    for ann in train_set:
-        seq = ann.sequence
-        per_order = {}
-        for n in TANGO_ORDER_POOL:
-            row = []
-            for k in range(1, len(seq)):
-                affirmative, comparisons = order_vote_counts(seq, k, n, table)
-                row.append((affirmative / comparisons if comparisons else 0.0, bool(comparisons)))
-            per_order[n] = row
-        order_votes.append(per_order)
+    # per sequence, per order: the vote at each gap, None without evidence
+    order_votes = [
+        dict(zip(TANGO_ORDER_POOL, _order_votes(ann.sequence, TANGO_ORDER_POOL, table)))
+        for ann in train_set
+    ]
 
     best = None
     grid = []
@@ -153,29 +147,11 @@ def train_tango(
     for subset, threshold in tango_grid():
         if subset != current_subset:
             current_subset = subset
-            combined = []
-            local_max = []
-            for per_order in order_votes:
-                n_gaps = len(per_order[TANGO_ORDER_POOL[0]])
-                votes = []
-                for i in range(n_gaps):
-                    found = [per_order[n][i][0] for n in subset if per_order[n][i][1]]
-                    votes.append(sum(found) / len(found) if found else 0.0)
-                combined.append(votes)
-                lm = set()
-                if use_local_max and n_gaps > 1:
-                    for i, v in enumerate(votes):
-                        left_ok = i == 0 or v > votes[i - 1]
-                        right_ok = i == n_gaps - 1 or v > votes[i + 1]
-                        if left_ok and right_ok:
-                            lm.add(i + 1)
-                local_max.append(lm)
+            combined = [_mean_votes([rows[n] for n in subset]) for rows in order_votes]
         matched = proposed = 0
-        for ann, votes, lm, gold in zip(train_set, combined, local_max, golds):
-            bounds = set(lm)
-            if use_threshold:
-                bounds.update(i + 1 for i, v in enumerate(votes) if v >= threshold)
-            edges = [0] + sorted(bounds) + [len(ann.sequence)]
+        for ann, votes, gold in zip(train_set, combined, golds):
+            bounds = _boundaries(votes, use_local_max, threshold if use_threshold else math.inf)
+            edges = [0, *bounds, len(ann.sequence)]
             proposed += len(edges) - 1
             matched += sum(1 for a, b in zip(edges, edges[1:]) if (a, b) in gold)
         score = _criterion_value(matched, proposed, gold_total, criterion)
@@ -316,7 +292,7 @@ def read_tango_params(
     else:
         payload = Path(source).read_text(encoding="utf-8")
     values: dict[str, str] = {}
-    for lineno, line in enumerate(payload.splitlines(), start=1):
+    for lineno, line in enumerate(split_lines(payload), start=1):
         if not line.strip():
             continue
         kkey, sep, value = line.partition("=")

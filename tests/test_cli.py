@@ -62,6 +62,16 @@ class TestBuildIndex:
         assert code == 0
         assert NGramTable.load(out).counts == {"AB": 2}
 
+    def test_filter_range_keeps_nel_inside_grams(self, tmp_path, capsys):
+        # U+0085 is in 0020-00FF; the saved table must load back whole
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("ab\x85ab\x85ab\n", encoding="utf-8")
+        out = tmp_path / "c.tab"
+        code, _, _ = run(capsys, "build-index", "--corpus", corpus, "--out", out,
+                         "--orders", "2", "--filter-range", "0020-00FF")
+        assert code == 0
+        assert NGramTable.load(out).counts == {"ab": 3, "b\x85": 2, "\x85a": 2}
+
     def test_requires_some_output(self, tmp_path, abab_corpus, capsys):
         code, _, err = run(capsys, "build-index", "--corpus", abab_corpus)
         assert code == 2
@@ -83,6 +93,16 @@ class TestSegment:
                            "--orders", "2,3", "--threshold", "0")
         assert code == 0
         assert out.splitlines() == ["|A|B|C|D|", "|W|X|"]
+
+    def test_unicode_line_separator_stays_in_its_line(self, tmp_path, index, capsys):
+        inp = tmp_path / "in.txt"
+        inp.write_text("abab\u2028cdcd\nABCD\n", encoding="utf-8")
+        code, out, _ = run(capsys, "segment", "--index", index, "--input", inp,
+                           "--orders", "2", "--threshold", "0.5")
+        assert code == 0
+        lines = out.split("\n")
+        assert lines[-1] == ""
+        assert [parse_flat(line).sequence for line in lines[:-1]] == ["abab\u2028cdcd", "ABCD"]
 
     def test_single_character_lines(self, tmp_path, index, capsys):
         inp = tmp_path / "in.txt"

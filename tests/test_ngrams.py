@@ -15,6 +15,7 @@ from tangoseg import (
     load_table,
     save_table,
 )
+from tangoseg.ngrams import split_lines
 
 from naive import naive_counts
 
@@ -28,6 +29,9 @@ class TestExtractSequences:
 
     def test_uppercase_filter(self):
         assert extract_sequences("xxABCyyA", str.isupper) == ["ABC", "A"]
+
+    def test_line_split_ignores_unicode_line_separators(self):
+        assert extract_sequences("a\u2028b\r\nc\x85d\n") == ["a\u2028b", "c\x85d"]
 
     def test_whitespace_only_lines_are_kept(self):
         assert extract_sequences(" \nx") == [" ", "x"]
@@ -47,6 +51,21 @@ class TestExtractSequences:
     def test_codepoint_filter_rejects_garbage(self):
         with pytest.raises(ParameterError):
             codepoint_range_filter("ZZ-QQ")
+
+
+class TestSplitLines:
+    def test_breaks_at_newline_only(self):
+        text = "a\x0bb\x0c\x1c\x1d\x1e\x85\u2028\u2029\nc"
+        assert split_lines(text) == ["a\x0bb\x0c\x1c\x1d\x1e\x85\u2028\u2029", "c"]
+
+    def test_final_newline_ends_last_line(self):
+        assert split_lines("") == []
+        assert split_lines("a\n") == ["a"]
+        assert split_lines("a\n\n") == ["a", ""]
+
+    def test_crlf_tolerated(self):
+        assert split_lines("a\r\nb\r\n") == ["a", "b"]
+        assert split_lines("a\rb") == ["a\rb"]
 
 
 class TestBuildTable:
@@ -178,6 +197,20 @@ class TestSaveLoad:
         payload = b"tango-ngrams v1\ncorpus_size 4\norders 2\n2\t2\tABC\n"
         with pytest.raises(FormatError, match="length"):
             load_table(io.BytesIO(payload))
+
+    def test_duplicate_gram_rejected(self):
+        payload = b"tango-ngrams v1\ncorpus_size 9\norders 2\n2\t2\tAB\n2\t3\tAB\n"
+        with pytest.raises(FormatError, match=r"duplicate gram 'AB' \(line 5\)"):
+            load_table(io.BytesIO(payload))
+
+    def test_negative_corpus_size_rejected(self):
+        payload = b"tango-ngrams v1\ncorpus_size -5\norders 2\n"
+        with pytest.raises(FormatError, match="line 2"):
+            load_table(io.BytesIO(payload))
+
+    def test_crlf_file_loads(self):
+        payload = b"tango-ngrams v1\r\ncorpus_size 4\r\norders 2\r\n2\t2\tAB\r\n"
+        assert load_table(io.BytesIO(payload)) == NGramTable({2}, {"AB": 2}, 4)
 
     def test_truncated_header(self):
         with pytest.raises(FormatError):

@@ -1,3 +1,4 @@
+import io
 import math
 import random
 
@@ -5,6 +6,7 @@ import pytest
 
 from tangoseg import (
     BigramStats,
+    FormatError,
     ParameterError,
     SstParams,
     UndefinedStatisticError,
@@ -257,6 +259,15 @@ class TestStatsFile:
         assert loaded.unigrams == stats.unigrams
         assert loaded.bigrams == stats.bigrams
         assert loaded.total_chars == stats.total_chars
+
+    def test_duplicate_gram_rejected(self):
+        payload = "tango-bigrams v1\ntotal_chars 4\n1\t2\tA\n1\t2\tB\n1\t1\tA\n"
+        with pytest.raises(FormatError, match=r"duplicate gram 'A' \(line 5\)"):
+            load_stats(io.StringIO(payload))
+
+    def test_negative_total_chars_rejected(self):
+        with pytest.raises(FormatError, match="line 2"):
+            load_stats(io.StringIO("tango-bigrams v1\ntotal_chars -1\n1\t2\tA\n"))
 
     def test_prominence_rule_thresholds(self):
         from tangoseg import ExtremumFeatures
