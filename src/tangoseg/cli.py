@@ -21,7 +21,14 @@ from .annotations import (
 )
 from .errors import Error, FormatError, ParameterError
 from .metrics import format_report, machine_lines, score_set
-from .ngrams import Corpus, NGramTable, build_table, codepoint_range_filter, split_lines
+from .ngrams import (
+    Corpus,
+    NGramTable,
+    build_table,
+    codepoint_range_filter,
+    read_source,
+    split_lines,
+)
 from .segmenter import TangoParams, segment
 from .sst import (
     BigramStats,
@@ -44,16 +51,6 @@ from .training import (
 __all__ = ["main"]
 
 
-def _read_text(path: str) -> str:
-    data = Path(path).read_bytes()
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise FormatError(
-            f"{path}: invalid UTF-8 at byte offset {exc.start}: {exc.reason}"
-        ) from exc
-
-
 def _parse_orders(text: str) -> frozenset[int]:
     try:
         orders = frozenset(int(p) for p in text.split(","))
@@ -65,7 +62,7 @@ def _parse_orders(text: str) -> frozenset[int]:
 
 
 def _input_lines(path: str) -> list[str]:
-    lines = split_lines(_read_text(path))
+    lines = split_lines(read_source(path))
     for lineno, line in enumerate(lines, start=1):
         if not line:
             raise FormatError("blank input line", line=lineno)
@@ -96,7 +93,7 @@ def cmd_build_index(args) -> int:
     if not args.out and not args.bigrams_out:
         raise ParameterError("nothing to do: give --out and/or --bigrams-out")
     char_filter = codepoint_range_filter(args.filter_range) if args.filter_range else None
-    corpus = Corpus.from_text(_read_text(args.corpus), char_filter)
+    corpus = Corpus.from_text(read_source(args.corpus), char_filter)
     if not corpus.sequences:
         raise ParameterError(f"{args.corpus}: no sequences extracted")
     print(f"corpus_size {corpus.total_chars}", file=sys.stderr)

@@ -3,16 +3,22 @@
 Counting is exact per order and never spans sequence boundaries.  Grams
 occurring exactly once are pruned from the table, and every lookup of a
 supported order returns at least 1, so unseen grams behave as if seen once.
-Counting sorts the order-n windows and run-length encodes them, which keeps
-the build at O(m log m) in total corpus characters and makes serialization
-order deterministic.
+
+One counting engine, ``_count_windows``, serves this table and the unpruned
+unigram/bigram counts of the sst baseline.  It works on the code points of
+the joined corpus as numpy arrays: each window gets a dense integer id built
+order by order from its prefix's id and its last code point, and one sort
+per order run-length encodes the ids into counts.  That keeps the build at
+O(m log m) per order in total corpus characters, with no Python object per
+window, and yields the grams of each order in string order.
 """
 
 import time
 from dataclasses import dataclass
-from itertools import groupby
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 from .errors import FormatError, ParameterError, UnsupportedOrderError
 
@@ -22,8 +28,7 @@ __all__ = [
     "build_table",
     "codepoint_range_filter",
     "extract_sequences",
-    "load_table",
-    "save_table",
+    "read_source",
     "split_lines",
 ]
 
@@ -42,6 +47,30 @@ def split_lines(text: str) -> list[str]:
     return lines
 
 
+def _decode_utf8(data: bytes) -> str:
+    """data decoded as UTF-8; FormatError naming the first bad byte offset."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(
+            f"invalid UTF-8 at byte offset {exc.start}: {exc.reason}"
+        ) from exc
+
+
+def read_source(source) -> str:
+    """Text of an open file (text or binary) or of a path, read as UTF-8.
+
+    A decoding error from a path names the path.
+    """
+    if hasattr(source, "read"):
+        payload = source.read()
+        return _decode_utf8(payload) if isinstance(payload, bytes) else payload
+    try:
+        return _decode_utf8(Path(source).read_bytes())
+    except FormatError as exc:
+        raise FormatError(f"{source}: {exc}") from exc
+
+
 def extract_sequences(
     text: "str | bytes", char_filter: "Callable[[str], bool] | None" = None
 ) -> list[str]:
@@ -52,12 +81,7 @@ def extract_sequences(
     order.  Byte input must be valid UTF-8.
     """
     if isinstance(text, bytes):
-        try:
-            text = text.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FormatError(
-                f"invalid UTF-8 at byte offset {exc.start}: {exc.reason}"
-            ) from exc
+        text = _decode_utf8(text)
     if char_filter is None:
         return [line for line in split_lines(text) if line]
     sequences = []
@@ -199,18 +223,7 @@ class NGramTable:
 
     @classmethod
     def load(cls, source) -> "NGramTable":
-        if hasattr(source, "read"):
-            payload = source.read()
-        else:
-            payload = Path(source).read_bytes()
-        if isinstance(payload, bytes):
-            try:
-                payload = payload.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise FormatError(
-                    f"table is not valid UTF-8 at byte offset {exc.start}"
-                ) from exc
-        lines = split_lines(payload)
+        lines = split_lines(read_source(source))
         if not lines or lines[0] != FORMAT_HEADER:
             found = lines[0] if lines else "<empty file>"
             raise FormatError(f"expected header {FORMAT_HEADER!r}, found {found!r}", line=1)
@@ -233,6 +246,7 @@ class NGramTable:
         if not orders or any(n < 2 for n in orders):
             raise FormatError("orders must all be >= 2", line=3)
         counts: dict[str, int] = {}
+        last_order, last_gram = 0, ""
         for lineno, line in enumerate(lines[3:], start=4):
             parts = line.split("\t", 2)
             if len(parts) != 3:
@@ -251,10 +265,73 @@ class NGramTable:
                 )
             if cnt < 2:
                 raise FormatError("stored counts must be >= 2", line=lineno)
-            if gram in counts:
-                raise FormatError(f"duplicate gram {gram!r}", line=lineno)
+            # the writer's order: orders ascending, grams increasing within one
+            if order < last_order or (order == last_order and gram <= last_gram):
+                if gram in counts:
+                    raise FormatError(f"duplicate gram {gram!r}", line=lineno)
+                raise FormatError(f"entry out of order after {last_gram!r}", line=lineno)
+            last_order, last_gram = order, gram
             counts[gram] = cnt
         return cls(orders, counts, corpus_size)
+
+
+# Every code point is below this radix, lone surrogates included.
+_RADIX = 0x110000
+
+
+def _count_windows(
+    sequences: Sequence[str], orders: Iterable[int], min_count: int
+) -> dict[int, dict[str, int]]:
+    """Count the order-n windows of every sequence, for each n in orders.
+
+    Returns ``{n: {gram: count}}`` holding the grams seen at least min_count
+    times, in string order.  Windows never cross sequence boundaries, and
+    sequences may hold any code point, separators included.
+
+    The window of order n at position i has the dense id of the pair (id of
+    its order n-1 prefix at i, code point at i+n-1) among all order-n
+    windows, so ids sort in string order and never exceed the window count.
+    A pair's int64 key, id * _RADIX + code point, thus cannot overflow for
+    any alphabet on corpora below 8e12 characters.
+    """
+    orders = set(orders)
+    out: dict[int, dict[str, int]] = {n: {} for n in sorted(orders)}
+    top = max(orders)
+    text = "".join(sequences)
+    codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), np.uint32)
+    lengths = np.fromiter(map(len, sequences), np.int64, len(sequences))
+    # characters left in its sequence from each position on, capped at top
+    left = np.repeat(np.cumsum(lengths), lengths)
+    left -= np.arange(len(codes))
+    left = np.minimum(left, top).astype(np.min_scalar_type(top))
+    # Start position, characters left and id of each window, kept in the
+    # sorted order of the previous order's keys: that order sorts the next
+    # keys by their prefix already, and the narrow dtypes and early deletes
+    # keep the build's peak memory at about four int64 arrays of the corpus.
+    pos = np.arange(len(codes), dtype=np.min_scalar_type(len(codes)))
+    ids = np.zeros(len(codes), np.int64)
+    for n in range(1, top + 1):
+        valid = left >= n
+        pos, left, ids = pos[valid], left[valid], ids[valid]
+        keys = ids * _RADIX
+        del ids
+        keys += codes[n - 1 :][pos]
+        order = np.argsort(keys)
+        keys, pos, left = keys[order], pos[order], left[order]
+        del order
+        run_start = np.empty(len(keys), bool)
+        run_start[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=run_start[1:])
+        del keys
+        ids = np.cumsum(run_start, dtype=np.int64)
+        ids -= 1
+        if n in orders:
+            starts = np.flatnonzero(run_start)
+            counts = np.diff(starts, append=len(run_start))
+            kept = counts >= min_count
+            grams = [text[i : i + n] for i in pos[starts[kept]].tolist()]
+            out[n] = dict(zip(grams, counts[kept].tolist()))
+    return out
 
 
 def build_table(corpus: Corpus, orders: Iterable[int]) -> NGramTable:
@@ -277,17 +354,8 @@ def build_table(corpus: Corpus, orders: Iterable[int]) -> NGramTable:
                     f"corpus sequence contains {bad!r}; the table format cannot store it"
                 )
     counts: dict[str, int] = {}
-    for n in orders:
-        windows = [
-            seq[i : i + n]
-            for seq in corpus.sequences
-            for i in range(len(seq) - n + 1)
-        ]
-        windows.sort()
-        for gram, group in groupby(windows):
-            c = sum(1 for _ in group)
-            if c >= 2:
-                counts[gram] = c
+    for grams in _count_windows(corpus.sequences, orders, 2).values():
+        counts.update(grams)
     return NGramTable(
         orders,
         counts,
@@ -295,11 +363,3 @@ def build_table(corpus: Corpus, orders: Iterable[int]) -> NGramTable:
         filter_description=corpus.filter_description,
         built_at=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     )
-
-
-def save_table(table: NGramTable, destination) -> int:
-    return table.save(destination)
-
-
-def load_table(source) -> NGramTable:
-    return NGramTable.load(source)

@@ -25,7 +25,7 @@ from typing import Callable, Iterable, NamedTuple
 
 from .annotations import FlatSegmentation
 from .errors import FormatError, ParameterError, UndefinedStatisticError
-from .ngrams import Corpus, split_lines
+from .ngrams import Corpus, _count_windows, read_source, split_lines
 
 __all__ = [
     "BigramStats",
@@ -99,17 +99,11 @@ class BigramStats:
     @classmethod
     def from_corpus(cls, corpus: "Corpus | Iterable[str]", estimator: str = "mle") -> "BigramStats":
         sequences = corpus.sequences if isinstance(corpus, Corpus) else list(corpus)
-        unigrams: Counter = Counter()
-        bigrams: Counter = Counter()
-        total = 0
-        for seq in sequences:
-            unigrams.update(seq)
-            total += len(seq)
-            for i in range(len(seq) - 1):
-                bigrams[seq[i : i + 2]] += 1
+        total = sum(map(len, sequences))
         if total == 0:
             raise ParameterError("corpus contains no characters")
-        return cls(unigrams, bigrams, total, estimator)
+        counts = _count_windows(sequences, (1, 2), 1)
+        return cls(Counter(counts[1]), Counter(counts[2]), total, estimator)
 
     def using(self, estimator: str) -> "BigramStats":
         """Same counts under a different estimator (counts are shared)."""
@@ -327,12 +321,8 @@ def write_sst_params(params: SstParams, destination) -> None:
 
 
 def read_sst_params(source) -> SstParams:
-    if hasattr(source, "read"):
-        payload = source.read()
-    else:
-        payload = Path(source).read_text(encoding="utf-8")
     values: dict[str, str] = {}
-    for lineno, line in enumerate(split_lines(payload), start=1):
+    for lineno, line in enumerate(split_lines(read_source(source)), start=1):
         if not line.strip():
             continue
         key, sep, value = line.partition("=")
@@ -369,13 +359,7 @@ def save_stats(stats: BigramStats, destination) -> int:
 
 
 def load_stats(source, estimator: str = "mle") -> BigramStats:
-    if hasattr(source, "read"):
-        payload = source.read()
-    else:
-        payload = Path(source).read_bytes()
-    if isinstance(payload, bytes):
-        payload = payload.decode("utf-8")
-    lines = split_lines(payload)
+    lines = split_lines(read_source(source))
     if not lines or lines[0] != STATS_HEADER:
         found = lines[0] if lines else "<empty file>"
         raise FormatError(f"expected header {STATS_HEADER!r}, found {found!r}", line=1)

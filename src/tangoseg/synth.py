@@ -10,11 +10,12 @@ driven by one seed, so corpora are reproducible.
 import random
 import string
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 
 from .annotations import TwoLevelAnnotation
 from .errors import FormatError, ParameterError
-from .ngrams import split_lines
+from .ngrams import read_source, split_lines
 
 __all__ = [
     "LexiconEntry",
@@ -46,12 +47,8 @@ class LexiconEntry:
 
 def read_lexicon(source) -> list[LexiconEntry]:
     """Read ``word<TAB>weight<TAB>role`` lines."""
-    if hasattr(source, "read"):
-        payload = source.read()
-    else:
-        payload = Path(source).read_text(encoding="utf-8")
     entries = []
-    for lineno, line in enumerate(split_lines(payload), start=1):
+    for lineno, line in enumerate(split_lines(read_source(source)), start=1):
         if not line.strip():
             continue
         parts = line.split("\t")
@@ -137,9 +134,10 @@ def generate_corpus(
     if not stems:
         raise ParameterError("lexicon has no stems")
     stem_words = [e.word for e in stems]
-    stem_weights = [e.weight for e in stems]
     suffix_words = [e.word for e in suffixes]
-    suffix_weights = [e.weight for e in suffixes]
+    # accumulated once: choices(words, weights) would redo it on every draw
+    stem_cum = list(accumulate(e.weight for e in stems))
+    suffix_cum = list(accumulate(e.weight for e in suffixes))
     rng = random.Random(seed)
     raw: list[str] = []
     annotations: list[TwoLevelAnnotation] = []
@@ -148,9 +146,9 @@ def generate_corpus(
         n_words = rng.randint(words_min, words_max)
         words = []
         for _ in range(n_words):
-            morphs = [rng.choices(stem_words, stem_weights)[0]]
+            morphs = [rng.choices(stem_words, cum_weights=stem_cum)[0]]
             if suffix_words and rng.random() < suffix_prob:
-                morphs.append(rng.choices(suffix_words, suffix_weights)[0])
+                morphs.append(rng.choices(suffix_words, cum_weights=suffix_cum)[0])
             words.append(morphs)
         ann = TwoLevelAnnotation.from_segments(words)
         raw.append(ann.sequence)

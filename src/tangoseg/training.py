@@ -24,7 +24,7 @@ import numpy as np
 from .annotations import TwoLevelAnnotation
 from .errors import FormatError, ParameterError, UnsupportedOrderError
 from .metrics import _prf
-from .ngrams import NGramTable, split_lines
+from .ngrams import NGramTable, read_source, split_lines
 from .segmenter import TangoParams, _boundaries, _mean_votes, _order_votes
 from .sst import (
     BigramStats,
@@ -287,12 +287,8 @@ def write_tango_params(params: TangoParams, destination) -> None:
 def read_tango_params(
     source, use_local_max: bool = True, use_threshold: bool = True
 ) -> TangoParams:
-    if hasattr(source, "read"):
-        payload = source.read()
-    else:
-        payload = Path(source).read_text(encoding="utf-8")
     values: dict[str, str] = {}
-    for lineno, line in enumerate(split_lines(payload), start=1):
+    for lineno, line in enumerate(split_lines(read_source(source)), start=1):
         if not line.strip():
             continue
         kkey, sep, value = line.partition("=")

@@ -324,6 +324,46 @@ class TestSynth:
         assert code == 2
 
 
+class TestNonUtf8Files:
+    """A file holding byte 0xff gives a message and exit status 2, not a traceback."""
+
+    @pytest.fixture
+    def bad(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"N=2\n\xff\n")
+        return path
+
+    @pytest.fixture
+    def seqs(self, tmp_path):
+        path = tmp_path / "in.txt"
+        path.write_text("ABCD\n")
+        return path
+
+    def check(self, capsys, *argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "bad.txt: invalid UTF-8 at byte offset 4" in err
+
+    def test_tango_params(self, tmp_path, bad, seqs, capsys):
+        index = tmp_path / "c.tab"
+        NGramTable({2}, {"AB": 2}, 4).save(index)
+        self.check(capsys, "segment", "--index", index, "--input", seqs, "--params", bad)
+
+    def test_sst_params(self, tmp_path, bad, seqs, capsys):
+        big = tmp_path / "c.big"
+        big.write_text("tango-bigrams v1\ntotal_chars 4\n1\t2\tA\n1\t2\tB\n2\t2\tAB\n")
+        self.check(capsys, "segment", "--algorithm", "sst", "--stats", big,
+                   "--input", seqs, "--params", bad)
+
+    def test_lexicon(self, tmp_path, bad, capsys):
+        self.check(capsys, "synth", "--lexicon", bad, "--sequences", "5",
+                   "--out-corpus", tmp_path / "c.txt")
+
+    def test_stats(self, bad, seqs, capsys):
+        self.check(capsys, "segment", "--algorithm", "sst", "--stats", bad,
+                   "--input", seqs, "--theta", "5", "--extremum", "0,0,0,0,0,0")
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         import subprocess

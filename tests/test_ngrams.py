@@ -12,8 +12,6 @@ from tangoseg import (
     build_table,
     codepoint_range_filter,
     extract_sequences,
-    load_table,
-    save_table,
 )
 from tangoseg.ngrams import split_lines
 
@@ -145,9 +143,9 @@ class TestCount:
 class TestSaveLoad:
     def roundtrip(self, table):
         buf = io.BytesIO()
-        save_table(table, buf)
+        table.save(buf)
         buf.seek(0)
-        return load_table(buf)
+        return NGramTable.load(buf)
 
     def test_roundtrip_abab(self):
         table = build_table(Corpus(["ABAB"]), {2})
@@ -186,32 +184,41 @@ class TestSaveLoad:
 
     def test_version_mismatch(self):
         with pytest.raises(FormatError, match="line 1"):
-            load_table(io.BytesIO(b"tango-ngrams v99\ncorpus_size 4\norders 2\n"))
+            NGramTable.load(io.BytesIO(b"tango-ngrams v99\ncorpus_size 4\norders 2\n"))
 
     def test_malformed_entry_reports_line(self):
         payload = b"tango-ngrams v1\ncorpus_size 4\norders 2\n2\t2\tAB\n2\tnope\tBA\n"
         with pytest.raises(FormatError, match="line 5"):
-            load_table(io.BytesIO(payload))
+            NGramTable.load(io.BytesIO(payload))
 
     def test_gram_length_mismatch(self):
         payload = b"tango-ngrams v1\ncorpus_size 4\norders 2\n2\t2\tABC\n"
         with pytest.raises(FormatError, match="length"):
-            load_table(io.BytesIO(payload))
+            NGramTable.load(io.BytesIO(payload))
 
     def test_duplicate_gram_rejected(self):
         payload = b"tango-ngrams v1\ncorpus_size 9\norders 2\n2\t2\tAB\n2\t3\tAB\n"
         with pytest.raises(FormatError, match=r"duplicate gram 'AB' \(line 5\)"):
-            load_table(io.BytesIO(payload))
+            NGramTable.load(io.BytesIO(payload))
+
+    @pytest.mark.parametrize("entries", [
+        b"2\t2\tBA\n2\t3\tAB\n",  # grams decreasing within an order
+        b"3\t2\tABC\n2\t3\tAB\n",  # orders descending
+    ])
+    def test_out_of_order_entries_rejected(self, entries):
+        payload = b"tango-ngrams v1\ncorpus_size 9\norders 2,3\n" + entries
+        with pytest.raises(FormatError, match=r"out of order.*\(line 5\)"):
+            NGramTable.load(io.BytesIO(payload))
 
     def test_negative_corpus_size_rejected(self):
         payload = b"tango-ngrams v1\ncorpus_size -5\norders 2\n"
         with pytest.raises(FormatError, match="line 2"):
-            load_table(io.BytesIO(payload))
+            NGramTable.load(io.BytesIO(payload))
 
     def test_crlf_file_loads(self):
         payload = b"tango-ngrams v1\r\ncorpus_size 4\r\norders 2\r\n2\t2\tAB\r\n"
-        assert load_table(io.BytesIO(payload)) == NGramTable({2}, {"AB": 2}, 4)
+        assert NGramTable.load(io.BytesIO(payload)) == NGramTable({2}, {"AB": 2}, 4)
 
     def test_truncated_header(self):
         with pytest.raises(FormatError):
-            load_table(io.BytesIO(b"tango-ngrams v1\ncorpus_size 4\n"))
+            NGramTable.load(io.BytesIO(b"tango-ngrams v1\ncorpus_size 4\n"))

@@ -1,14 +1,23 @@
-"""Property tests: the vote kernel against the naive oracle, and table round trips."""
+"""Property tests: the counting engine and the vote kernel against the naive
+oracle, and table round trips."""
 
 import io
+import random
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tangoseg import Corpus, NGramTable, build_table, order_vote_counts, vote_profile
+from tangoseg import (
+    BigramStats,
+    Corpus,
+    NGramTable,
+    build_table,
+    order_vote_counts,
+    vote_profile,
+)
 from tangoseg.segmenter import _gap_counts
 
-from naive import naive_order_vote, naive_total_votes, pruned_lookup
+from naive import naive_counts, naive_order_vote, naive_total_votes, pruned_lookup
 
 
 @st.composite
@@ -69,3 +78,67 @@ def test_table_save_load_roundtrip(corpus, orders):
     again = io.BytesIO()
     loaded.save(again)
     assert again.getvalue() == first.getvalue()
+
+
+def pruned_counts(sequences, orders):
+    return {
+        gram: c
+        for n in orders
+        for gram, c in naive_counts(sequences, n).items()
+        if c >= 2
+    }
+
+
+def assert_stats_match(sequences):
+    stats = BigramStats.from_corpus(sequences)
+    assert stats.unigrams == naive_counts(sequences, 1)
+    assert stats.bigrams == naive_counts(sequences, 2)
+    assert stats.total_chars == sum(map(len, sequences))
+
+
+def engine_corpora(separators):
+    """Lists of sequences, empty and one-character ones included, over a small
+    alphabet mixing ASCII, BMP, astral characters and lone surrogates."""
+    chars = st.one_of(
+        st.characters(max_codepoint=0x7F, exclude_characters="\t\n\r"),
+        st.characters(min_codepoint=0x80, max_codepoint=0xFFFF, exclude_categories=["Cs"]),
+        st.characters(min_codepoint=0x10000),
+        st.characters(categories=["Cs"]),
+        st.sampled_from(separators) if separators else st.nothing(),
+    )
+
+    @st.composite
+    def corpora(draw):
+        alphabet = draw(st.lists(chars, min_size=1, max_size=5, unique=True))
+        return draw(st.lists(st.text(st.sampled_from(alphabet), max_size=16), max_size=12))
+
+    return corpora()
+
+
+@settings(max_examples=300, deadline=None)
+@given(engine_corpora(""), st.sets(st.integers(2, 8), min_size=1))
+def test_build_table_counts_match_oracle(sequences, orders):
+    table = build_table(Corpus(sequences), orders)
+    assert table.counts == pruned_counts(sequences, orders)
+    assert table.corpus_size == sum(map(len, sequences))
+
+
+@settings(max_examples=300, deadline=None)
+@given(engine_corpora("\n\t\r"))
+def test_bigram_stats_counts_match_oracle(sequences):
+    assume(any(sequences))  # BigramStats rejects a corpus without characters
+    assert_stats_match(sequences)
+
+
+def test_engine_on_a_large_alphabet():
+    # more distinct characters than six packed 13-bit codes could hold
+    rng = random.Random(11)
+    ideographs = [chr(cp) for cp in range(0x4E00, 0x4E00 + 2000)]
+    rng.shuffle(ideographs)
+    sequences = ["".join(ideographs[i : i + 20]) for i in range(0, 2000, 20)]
+    common = ideographs[:300]
+    sequences += ["".join(rng.choices(common, k=rng.randint(1, 30))) for _ in range(400)]
+    assert len(set("".join(sequences))) > 1448
+    orders = range(2, 7)
+    assert build_table(Corpus(sequences), orders).counts == pruned_counts(sequences, orders)
+    assert_stats_match(sequences)

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from tangoseg import (
@@ -7,6 +9,7 @@ from tangoseg import (
     generate_corpus,
     make_zipf_lexicon,
     read_lexicon,
+    serialize_annotation,
     write_lexicon,
 )
 
@@ -65,6 +68,19 @@ class TestGenerateCorpus:
         second = generate_corpus(lexicon, sequences=20, seed=9)
         assert first == second
         assert first != generate_corpus(lexicon, sequences=20, seed=10)
+
+    @pytest.mark.parametrize("n_stems, digest", [
+        (50, "e99606ae1a8b8d5bd356c6eafce363b4adeb42393b5e4c01201984c7e1eb14c9"),
+        (2000, "09031e05da4c995bab9903efba94d311799f96e57e55484108cfdf5bdb3f1f83"),
+    ])
+    def test_seeded_corpus_is_pinned(self, n_stems, digest):
+        # digests of corpora drawn with choices(words, weights), before the
+        # weights were accumulated once: the draws must not change
+        raw, annotations = generate_corpus(make_zipf_lexicon(n_stems, 10, seed=3),
+                                           sequences=400, seed=7)
+        payload = "".join(r + "\n" for r in raw)
+        payload += "".join(serialize_annotation(a) + "\n" for a in annotations)
+        assert hashlib.sha256(payload.encode()).hexdigest() == digest
 
     def test_raw_matches_annotations(self, lexicon):
         raw, annotations = generate_corpus(lexicon, sequences=30, seed=3)
