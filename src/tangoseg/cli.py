@@ -10,7 +10,6 @@ and 2 on any error.
 
 import argparse
 import sys
-from pathlib import Path
 
 from . import __version__
 from .annotations import (
@@ -28,6 +27,7 @@ from .ngrams import (
     codepoint_range_filter,
     read_source,
     split_lines,
+    write_to,
 )
 from .segmenter import TangoParams, segment
 from .sst import (
@@ -81,12 +81,10 @@ def _read_annotations(path: str):
     return annotations
 
 
-def _write_output(path, lines):
-    payload = "".join(line + "\n" for line in lines)
-    if path:
-        Path(path).write_text(payload, encoding="utf-8")
-    else:
-        sys.stdout.write(payload)
+def _write_lines(path, lines: list[str]) -> None:
+    # one join and no string per line: synth writes its corpus while every
+    # annotation is still alive, which is the peak memory of a CLI chain
+    write_to(path or sys.stdout, "\n".join(lines) + "\n" if lines else "")
 
 
 def cmd_build_index(args) -> int:
@@ -160,7 +158,7 @@ def cmd_segment(args) -> int:
         stats = load_stats(args.stats, params.estimator)
         for line in _input_lines(args.input):
             out.append(serialize_flat(sst_segment(line, params, stats)))
-    _write_output(args.out, out)
+    _write_lines(args.out, out)
     print(f"segmented {len(out)} sequences", file=sys.stderr)
     return 0
 
@@ -192,7 +190,7 @@ def cmd_train(args) -> int:
         es = ",".join(f"{e:g}" for e in result.params.extremum_thresholds)
         described = f"theta={result.params.theta:g} e={es} estimator={result.params.estimator}"
     if args.grid_out:
-        Path(args.grid_out).write_text(grid_to_tsv(result), encoding="utf-8")
+        write_to(args.grid_out, grid_to_tsv(result))
     print(f"best {args.criterion} = {result.score:.4f} with {described}", file=sys.stderr)
     print(f"wrote parameters to {args.out}", file=sys.stderr)
     return 0
@@ -233,11 +231,9 @@ def cmd_synth(args) -> int:
         suffix_prob=args.suffix_prob,
     )
     if args.out_corpus:
-        Path(args.out_corpus).write_text("".join(s + "\n" for s in raw), encoding="utf-8")
+        _write_lines(args.out_corpus, raw)
     if args.out_annotations:
-        Path(args.out_annotations).write_text(
-            "".join(serialize_annotation(a) + "\n" for a in annotations), encoding="utf-8"
-        )
+        _write_lines(args.out_annotations, [serialize_annotation(a) for a in annotations])
     total = sum(len(s) for s in raw)
     print(f"generated {len(raw)} sequences, {total} characters", file=sys.stderr)
     return 0

@@ -11,6 +11,11 @@ order by order from its prefix's id and its last code point, and one sort
 per order run-length encodes the ids into counts.  That keeps the build at
 O(m log m) per order in total corpus characters, with no Python object per
 window, and yields the grams of each order in string order.
+
+Every file format of the package is read and written here once: lines
+(``split_lines``), files (``read_source``, ``write_to``), the count files of
+the table and of the bigram stats (``write_counts``, ``read_counts``) and
+``key=value`` parameter files (``read_key_values``).
 """
 
 import time
@@ -28,8 +33,12 @@ __all__ = [
     "build_table",
     "codepoint_range_filter",
     "extract_sequences",
+    "read_counts",
+    "read_key_values",
     "read_source",
     "split_lines",
+    "write_counts",
+    "write_to",
 ]
 
 FORMAT_HEADER = "tango-ngrams v1"
@@ -69,6 +78,126 @@ def read_source(source) -> str:
         return _decode_utf8(Path(source).read_bytes())
     except FormatError as exc:
         raise FormatError(f"{source}: {exc}") from exc
+
+
+def write_to(destination, payload: "str | bytes") -> None:
+    """Write payload to an open file, or to a path (text as UTF-8)."""
+    if hasattr(destination, "write"):
+        destination.write(payload)
+    elif isinstance(payload, bytes):
+        Path(destination).write_bytes(payload)
+    else:
+        Path(destination).write_text(payload, encoding="utf-8")
+
+
+def read_key_values(source) -> dict[str, str]:
+    """The ``key=value`` lines of a parameter file; blank lines are skipped."""
+    values: dict[str, str] = {}
+    for lineno, line in enumerate(split_lines(read_source(source)), start=1):
+        if not line.strip():
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise FormatError("expected key=value", line=lineno)
+        values[key.strip()] = value.strip()
+    return values
+
+
+def write_counts(
+    destination, header: str, keys: Sequence[str], orders: Iterable[int], counts: dict[str, int]
+) -> int:
+    """Write a count file; returns the bytes written.
+
+    The header and key lines come first, then one
+    ``<order>\\t<count>\\t<gram>`` line per entry of counts, orders
+    ascending and grams sorted within one.
+    A gram holding tab, newline or CR, or one UTF-8 cannot encode (a lone
+    surrogate), raises ParameterError before anything is written.
+    """
+    lines = [header, *keys]
+    for n in sorted(orders):
+        lines.extend(f"{n}\t{counts[g]}\t{g}" for g in sorted(g for g in counts if len(g) == n))
+    text = "\n".join(lines) + "\n"
+    entries = len(lines) - 1 - len(keys)
+    if "\r" in text or text.count("\t") != 2 * entries or text.count("\n") != len(lines):
+        raise ParameterError("a gram holds tab, newline or CR; the count format cannot store it")
+    del lines  # at most two copies of the entries stay alive while writing
+    try:
+        payload = text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        gram = text[text.rfind("\t", 0, exc.start) + 1 : text.index("\n", exc.start)]
+        raise ParameterError(f"gram {gram!r} cannot be encoded as UTF-8") from None
+    del text
+    write_to(destination, payload)
+    return len(payload)
+
+
+def read_counts(
+    source,
+    header: str,
+    size_key: str,
+    orders: "Iterable[int] | None" = None,
+    min_count: int = 1,
+) -> "tuple[int, frozenset[int], dict[str, int]]":
+    """Read a count file written by write_counts: (size, orders, counts).
+
+    After the header comes ``<size_key> <int>`` and, unless orders are given,
+    ``orders <comma-list>`` (orders >= 2).  Every entry needs a declared
+    order, a gram of that length and a count >= min_count, in the writer's
+    order; each error names its line.
+    """
+    lines = split_lines(read_source(source))
+    if not lines or lines[0] != header:
+        found = lines[0] if lines else "<empty file>"
+        raise FormatError(f"expected header {header!r}, found {found!r}", line=1)
+    if len(lines) < 2 or not lines[1].startswith(size_key + " "):
+        raise FormatError(f"expected '{size_key} <int>'", line=2)
+    try:
+        size = int(lines[1].split(" ", 1)[1])
+    except ValueError:
+        raise FormatError(f"bad {size_key} value", line=2) from None
+    if size < 0:
+        raise FormatError(f"{size_key} must be >= 0", line=2)
+    first = 2
+    if orders is None:
+        first = 3
+        if len(lines) < 3 or not lines[2].startswith("orders "):
+            raise FormatError("expected 'orders <comma-list>'", line=3)
+        try:
+            orders = [int(p) for p in lines[2].split(" ", 1)[1].split(",")]
+        except ValueError:
+            raise FormatError("bad orders list", line=3) from None
+        if any(n < 2 for n in orders):
+            raise FormatError("orders must all be >= 2", line=3)
+    orders = frozenset(orders)
+    counts: dict[str, int] = {}
+    last_order, last_gram = 0, ""
+    for lineno, line in enumerate(lines[first:], start=first + 1):
+        parts = line.split("\t", 2)
+        if len(parts) != 3:
+            raise FormatError("entry needs 3 tab-separated fields", line=lineno)
+        try:
+            order = int(parts[0])
+            cnt = int(parts[1])
+        except ValueError:
+            raise FormatError("non-integer order or count", line=lineno) from None
+        gram = parts[2]
+        if order not in orders:
+            raise FormatError(f"entry order {order} not declared", line=lineno)
+        if len(gram) != order:
+            raise FormatError(
+                f"gram length {len(gram)} does not match order {order}", line=lineno
+            )
+        if cnt < min_count:
+            raise FormatError(f"stored counts must be >= {min_count}", line=lineno)
+        # the writer's order: orders ascending, grams increasing within one
+        if order < last_order or (order == last_order and gram <= last_gram):
+            if gram in counts:
+                raise FormatError(f"duplicate gram {gram!r}", line=lineno)
+            raise FormatError(f"entry out of order after {last_gram!r}", line=lineno)
+        last_order, last_gram = order, gram
+        counts[gram] = cnt
+    return size, orders, counts
 
 
 def extract_sequences(
@@ -208,70 +337,15 @@ class NGramTable:
 
     def save(self, destination) -> int:
         """Write the versioned text format; returns bytes written."""
-        lines = [FORMAT_HEADER, f"corpus_size {self.corpus_size}"]
-        lines.append("orders " + ",".join(str(n) for n in sorted(self.orders)))
-        for n in sorted(self.orders):
-            grams = sorted(g for g in self.counts if len(g) == n)
-            for g in grams:
-                lines.append(f"{n}\t{self.counts[g]}\t{g}")
-        payload = ("\n".join(lines) + "\n").encode("utf-8")
-        if hasattr(destination, "write"):
-            destination.write(payload)
-        else:
-            Path(destination).write_bytes(payload)
-        return len(payload)
+        keys = [
+            f"corpus_size {self.corpus_size}",
+            "orders " + ",".join(str(n) for n in sorted(self.orders)),
+        ]
+        return write_counts(destination, FORMAT_HEADER, keys, self.orders, self.counts)
 
     @classmethod
     def load(cls, source) -> "NGramTable":
-        lines = split_lines(read_source(source))
-        if not lines or lines[0] != FORMAT_HEADER:
-            found = lines[0] if lines else "<empty file>"
-            raise FormatError(f"expected header {FORMAT_HEADER!r}, found {found!r}", line=1)
-        if len(lines) < 3:
-            raise FormatError("truncated table: missing corpus_size/orders lines", line=len(lines))
-        if not lines[1].startswith("corpus_size "):
-            raise FormatError("expected 'corpus_size <int>'", line=2)
-        try:
-            corpus_size = int(lines[1].split(" ", 1)[1])
-        except ValueError:
-            raise FormatError("bad corpus_size value", line=2) from None
-        if corpus_size < 0:
-            raise FormatError("corpus_size must be >= 0", line=2)
-        if not lines[2].startswith("orders "):
-            raise FormatError("expected 'orders <comma-list>'", line=3)
-        try:
-            orders = frozenset(int(p) for p in lines[2].split(" ", 1)[1].split(","))
-        except ValueError:
-            raise FormatError("bad orders list", line=3) from None
-        if not orders or any(n < 2 for n in orders):
-            raise FormatError("orders must all be >= 2", line=3)
-        counts: dict[str, int] = {}
-        last_order, last_gram = 0, ""
-        for lineno, line in enumerate(lines[3:], start=4):
-            parts = line.split("\t", 2)
-            if len(parts) != 3:
-                raise FormatError("entry needs 3 tab-separated fields", line=lineno)
-            try:
-                order = int(parts[0])
-                cnt = int(parts[1])
-            except ValueError:
-                raise FormatError("non-integer order or count", line=lineno) from None
-            gram = parts[2]
-            if order not in orders:
-                raise FormatError(f"entry order {order} not declared", line=lineno)
-            if len(gram) != order:
-                raise FormatError(
-                    f"gram length {len(gram)} does not match order {order}", line=lineno
-                )
-            if cnt < 2:
-                raise FormatError("stored counts must be >= 2", line=lineno)
-            # the writer's order: orders ascending, grams increasing within one
-            if order < last_order or (order == last_order and gram <= last_gram):
-                if gram in counts:
-                    raise FormatError(f"duplicate gram {gram!r}", line=lineno)
-                raise FormatError(f"entry out of order after {last_gram!r}", line=lineno)
-            last_order, last_gram = order, gram
-            counts[gram] = cnt
+        corpus_size, orders, counts = read_counts(source, FORMAT_HEADER, "corpus_size", min_count=2)
         return cls(orders, counts, corpus_size)
 
 

@@ -9,7 +9,7 @@ boundary candidates; six thresholds gate how pronounced a peak must be.
 
 The published description of this method leaves the exact meaning of its
 six extremum parameters open, so the peak test here is one concrete
-reconstruction, kept behind a replaceable rule function: a *primary* peak
+reconstruction, shared by the segmenter and its trainer: a *primary* peak
 is a strict local maximum of the profile and a *secondary* peak a weak one
 (plateaus allowed); each is accepted when its prominence (value above the
 higher adjacent minimum), rise from the nearest minimum on the left, and
@@ -20,12 +20,18 @@ Profile ends count as minima, so all gated quantities are non-negative.
 import math
 from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Callable, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .annotations import FlatSegmentation
 from .errors import FormatError, ParameterError, UndefinedStatisticError
-from .ngrams import Corpus, _count_windows, read_source, split_lines
+from .ngrams import (
+    Corpus,
+    _count_windows,
+    read_counts,
+    read_key_values,
+    write_counts,
+    write_to,
+)
 
 __all__ = [
     "BigramStats",
@@ -268,27 +274,23 @@ def extremum_features(values: "list[float]") -> list[ExtremumFeatures]:
     return feats
 
 
-def prominence_extremum_rule(feature: ExtremumFeatures, thresholds) -> bool:
-    """Default peak test: primary peaks gated by thresholds 1-3, secondary
-    peaks by thresholds 4-6, each as (prominence, rise, fall)."""
+def _peak_test(primary, secondary, rise, fall, prominence, thresholds):
+    """The peak rule: primary peaks gated by thresholds 1-3, secondary peaks
+    by thresholds 4-6, each as (prominence, rise, fall).  Works alike on
+    scalars and on numpy arrays of features."""
     e1, e2, e3, e4, e5, e6 = thresholds
-    height = min(feature.rise, feature.fall)
-    if feature.primary and height >= e1 and feature.rise >= e2 and feature.fall >= e3:
-        return True
-    if feature.secondary and height >= e4 and feature.rise >= e5 and feature.fall >= e6:
-        return True
-    return False
+    return (primary & (prominence >= e1) & (rise >= e2) & (fall >= e3)) | (
+        secondary & (prominence >= e4) & (rise >= e5) & (fall >= e6)
+    )
 
 
-ExtremumRule = Callable[[ExtremumFeatures, tuple], bool]
+def prominence_extremum_rule(feature: ExtremumFeatures, thresholds) -> bool:
+    """The peak rule on one position's features; prominence is the smaller
+    of rise and fall."""
+    return _peak_test(*feature, min(feature.rise, feature.fall), thresholds)
 
 
-def sst_segment(
-    seq: str,
-    params: SstParams,
-    stats: BigramStats,
-    extremum_rule: ExtremumRule = prominence_extremum_rule,
-) -> FlatSegmentation:
+def sst_segment(seq: str, params: SstParams, stats: BigramStats) -> FlatSegmentation:
     """Boundary at gap k iff mi < theta there and the dts peak test passes.
 
     Only interior gaps (two characters of context on each side) can become
@@ -301,7 +303,7 @@ def sst_segment(
     bounds = []
     for i, feature in enumerate(feats):
         k = i + 2
-        if not extremum_rule(feature, params.extremum_thresholds):
+        if not prominence_extremum_rule(feature, params.extremum_thresholds):
             continue
         if mutual_information(stats, seq[k - 1], seq[k]) < params.theta:
             bounds.append(k)
@@ -313,22 +315,11 @@ def write_sst_params(params: SstParams, destination) -> None:
     lines = [f"theta={params.theta:g}"]
     lines += [f"e{i + 1}={e:g}" for i, e in enumerate(params.extremum_thresholds)]
     lines.append(f"estimator={params.estimator}")
-    payload = "\n".join(lines) + "\n"
-    if hasattr(destination, "write"):
-        destination.write(payload)
-    else:
-        Path(destination).write_text(payload, encoding="utf-8")
+    write_to(destination, "\n".join(lines) + "\n")
 
 
 def read_sst_params(source) -> SstParams:
-    values: dict[str, str] = {}
-    for lineno, line in enumerate(split_lines(read_source(source)), start=1):
-        if not line.strip():
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise FormatError("expected key=value", line=lineno)
-        values[key.strip()] = value.strip()
+    values = read_key_values(source)
     try:
         theta = float(values["theta"])
         thresholds = tuple(float(values[f"e{i}"]) for i in range(1, 7))
@@ -342,51 +333,13 @@ def read_sst_params(source) -> SstParams:
 
 def save_stats(stats: BigramStats, destination) -> int:
     """Versioned text sidecar with raw unigram and bigram counts."""
-    for gram in stats.unigrams:
-        if gram in ("\t", "\n", "\r"):
-            raise ParameterError("corpus characters include tab/newline; cannot serialize")
-    lines = [STATS_HEADER, f"total_chars {stats.total_chars}"]
-    for ch in sorted(stats.unigrams):
-        lines.append(f"1\t{stats.unigrams[ch]}\t{ch}")
-    for gram in sorted(stats.bigrams):
-        lines.append(f"2\t{stats.bigrams[gram]}\t{gram}")
-    payload = ("\n".join(lines) + "\n").encode("utf-8")
-    if hasattr(destination, "write"):
-        destination.write(payload)
-    else:
-        Path(destination).write_bytes(payload)
-    return len(payload)
+    counts = {**stats.unigrams, **stats.bigrams}
+    keys = [f"total_chars {stats.total_chars}"]
+    return write_counts(destination, STATS_HEADER, keys, (1, 2), counts)
 
 
 def load_stats(source, estimator: str = "mle") -> BigramStats:
-    lines = split_lines(read_source(source))
-    if not lines or lines[0] != STATS_HEADER:
-        found = lines[0] if lines else "<empty file>"
-        raise FormatError(f"expected header {STATS_HEADER!r}, found {found!r}", line=1)
-    if len(lines) < 2 or not lines[1].startswith("total_chars "):
-        raise FormatError("expected 'total_chars <int>'", line=2)
-    try:
-        total = int(lines[1].split(" ", 1)[1])
-    except ValueError:
-        raise FormatError("bad total_chars value", line=2) from None
-    if total < 0:
-        raise FormatError("total_chars must be >= 0", line=2)
-    unigrams: Counter = Counter()
-    bigrams: Counter = Counter()
-    for lineno, line in enumerate(lines[2:], start=3):
-        parts = line.split("\t", 2)
-        if len(parts) != 3:
-            raise FormatError("entry needs 3 tab-separated fields", line=lineno)
-        try:
-            order = int(parts[0])
-            cnt = int(parts[1])
-        except ValueError:
-            raise FormatError("non-integer order or count", line=lineno) from None
-        gram = parts[2]
-        if order not in (1, 2) or len(gram) != order or cnt < 1:
-            raise FormatError("bad stats entry", line=lineno)
-        entries = unigrams if order == 1 else bigrams
-        if gram in entries:
-            raise FormatError(f"duplicate gram {gram!r}", line=lineno)
-        entries[gram] = cnt
+    total, _, counts = read_counts(source, STATS_HEADER, "total_chars", orders=(1, 2))
+    unigrams = Counter({g: c for g, c in counts.items() if len(g) == 1})
+    bigrams = Counter({g: c for g, c in counts.items() if len(g) == 2})
     return BigramStats(unigrams, bigrams, total, estimator)

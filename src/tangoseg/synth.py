@@ -11,11 +11,10 @@ import random
 import string
 from dataclasses import dataclass
 from itertools import accumulate
-from pathlib import Path
 
 from .annotations import TwoLevelAnnotation
 from .errors import FormatError, ParameterError
-from .ngrams import read_source, split_lines
+from .ngrams import read_source, split_lines, write_to
 
 __all__ = [
     "LexiconEntry",
@@ -66,11 +65,7 @@ def read_lexicon(source) -> list[LexiconEntry]:
 
 def write_lexicon(entries, destination) -> None:
     # str() keeps the full float so read(write(x)) round-trips exactly
-    payload = "".join(f"{e.word}\t{e.weight}\t{e.role}\n" for e in entries)
-    if hasattr(destination, "write"):
-        destination.write(payload)
-    else:
-        Path(destination).write_text(payload, encoding="utf-8")
+    write_to(destination, "".join(f"{e.word}\t{e.weight}\t{e.role}\n" for e in entries))
 
 
 def make_zipf_lexicon(

@@ -16,7 +16,6 @@ import math
 import random
 from dataclasses import dataclass
 from itertools import combinations, product
-from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
@@ -24,11 +23,12 @@ import numpy as np
 from .annotations import TwoLevelAnnotation
 from .errors import FormatError, ParameterError, UnsupportedOrderError
 from .metrics import _prf
-from .ngrams import NGramTable, read_source, split_lines
+from .ngrams import NGramTable, read_key_values, write_to
 from .segmenter import TangoParams, _boundaries, _mean_votes, _order_votes
 from .sst import (
     BigramStats,
     SstParams,
+    _peak_test,
     dts_profile,
     extremum_features,
     mutual_information,
@@ -171,7 +171,7 @@ def train_sst(
 
     Mutual-information values and peak features are computed once per
     sequence; each of the 78125 settings is then a vectorized
-    re-thresholding.  Uses the default peak rule.
+    re-thresholding with the segmenter's peak rule.
     """
     validate_criterion(criterion)
     if not train_set:
@@ -182,10 +182,7 @@ def train_sst(
     base_mask = np.zeros(ext_len, dtype=bool)
     positions = []
     mi_vals = []
-    primary = []
-    secondary = []
-    rise = []
-    fall = []
+    features = []
     gold_starts = []
     gold_ends = []
     gold_total = 0
@@ -195,16 +192,11 @@ def train_sst(
         length = len(seq)
         base_mask[offset] = True
         base_mask[offset + length] = True
-        values = dts_profile(seq, stats)
-        feats = extremum_features(values)
-        for i, feature in enumerate(feats):
-            k = i + 2
+        feats = extremum_features(dts_profile(seq, stats))
+        for k in range(2, len(feats) + 2):
             positions.append(offset + k)
             mi_vals.append(mutual_information(stats, seq[k - 1], seq[k]))
-            primary.append(feature.primary)
-            secondary.append(feature.secondary)
-            rise.append(feature.rise)
-            fall.append(feature.fall)
+        features += feats
         for b in _gold_brackets(ann, criterion):
             gold_starts.append(offset + b.start)
             gold_ends.append(offset + b.end)
@@ -213,10 +205,8 @@ def train_sst(
 
     positions = np.asarray(positions, dtype=np.int64)
     mi_vals = np.asarray(mi_vals, dtype=np.float64)
-    primary = np.asarray(primary, dtype=bool)
-    secondary = np.asarray(secondary, dtype=bool)
-    rise = np.asarray(rise, dtype=np.float64)
-    fall = np.asarray(fall, dtype=np.float64)
+    primary, secondary, rise, fall = np.array(features, dtype=np.float64).reshape(-1, 4).T
+    primary, secondary = primary != 0, secondary != 0
     prominence = np.minimum(rise, fall)
     gold_starts = np.asarray(gold_starts, dtype=np.int64)
     gold_ends = np.asarray(gold_ends, dtype=np.int64)
@@ -224,11 +214,7 @@ def train_sst(
     best = None
     grid = []
     for theta, es in sst_grid():
-        e1, e2, e3, e4, e5, e6 = es
-        ok = (mi_vals < theta) & (
-            (primary & (prominence >= e1) & (rise >= e2) & (fall >= e3))
-            | (secondary & (prominence >= e4) & (rise >= e5) & (fall >= e6))
-        )
+        ok = (mi_vals < theta) & _peak_test(primary, secondary, rise, fall, prominence, es)
         mask = base_mask.copy()
         mask[positions[ok]] = True
         csum = np.cumsum(mask)
@@ -274,27 +260,14 @@ def split_heldout(
 
 def write_tango_params(params: TangoParams, destination) -> None:
     """Key=value parameter file: ``N=2,4`` and ``t=0.4``."""
-    payload = (
-        "N=" + ",".join(str(n) for n in params.sorted_orders) + "\n"
-        f"t={params.threshold:g}\n"
-    )
-    if hasattr(destination, "write"):
-        destination.write(payload)
-    else:
-        Path(destination).write_text(payload, encoding="utf-8")
+    orders = ",".join(str(n) for n in params.sorted_orders)
+    write_to(destination, f"N={orders}\nt={params.threshold:g}\n")
 
 
 def read_tango_params(
     source, use_local_max: bool = True, use_threshold: bool = True
 ) -> TangoParams:
-    values: dict[str, str] = {}
-    for lineno, line in enumerate(split_lines(read_source(source)), start=1):
-        if not line.strip():
-            continue
-        kkey, sep, value = line.partition("=")
-        if not sep:
-            raise FormatError("expected key=value", line=lineno)
-        values[kkey.strip()] = value.strip()
+    values = read_key_values(source)
     try:
         orders = frozenset(int(p) for p in values["N"].split(","))
         threshold = float(values["t"])

@@ -210,6 +210,19 @@ class TestSaveLoad:
         with pytest.raises(FormatError, match=r"out of order.*\(line 5\)"):
             NGramTable.load(io.BytesIO(payload))
 
+    def test_lone_surrogate_rejected_before_writing(self):
+        table = build_table(Corpus(["\ud800ab\ud800ab"]), {2})
+        buf = io.BytesIO()
+        with pytest.raises(ParameterError, match=r"gram '\\ud800a'"):
+            table.save(buf)
+        assert buf.getvalue() == b""
+
+    def test_unstorable_gram_rejected_before_writing(self):
+        buf = io.BytesIO()
+        with pytest.raises(ParameterError, match="tab, newline or CR"):
+            NGramTable({2}, {"A\t": 2}, 4).save(buf)
+        assert buf.getvalue() == b""
+
     def test_negative_corpus_size_rejected(self):
         payload = b"tango-ngrams v1\ncorpus_size -5\norders 2\n"
         with pytest.raises(FormatError, match="line 2"):

@@ -1,5 +1,5 @@
 """Property tests: the counting engine and the vote kernel against the naive
-oracle, and table round trips."""
+oracle, table round trips, and annotation parse/serialize round trips."""
 
 import io
 import random
@@ -11,8 +11,13 @@ from tangoseg import (
     BigramStats,
     Corpus,
     NGramTable,
+    TwoLevelAnnotation,
     build_table,
     order_vote_counts,
+    parse_annotation,
+    parse_flat,
+    serialize_annotation,
+    serialize_flat,
     vote_profile,
 )
 from tangoseg.segmenter import _gap_counts
@@ -142,3 +147,20 @@ def test_engine_on_a_large_alphabet():
     orders = range(2, 7)
     assert build_table(Corpus(sequences), orders).counts == pruned_counts(sequences, orders)
     assert_stats_match(sequences)
+
+
+# Nested non-empty segments of any text the bracket and pipe formats can hold.
+annotated_words = st.lists(
+    st.lists(st.text(st.characters(exclude_characters="[]|"), min_size=1, max_size=6),
+             min_size=1, max_size=3),
+    min_size=1, max_size=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(annotated_words)
+def test_annotation_parse_serialize_roundtrip(words):
+    ann = TwoLevelAnnotation.from_segments(words)
+    assert parse_annotation(serialize_annotation(ann)) == ann
+    for flat in (ann.word_segmentation, ann.morpheme_segmentation):
+        assert parse_flat(serialize_flat(flat)) == flat

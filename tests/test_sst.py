@@ -211,16 +211,6 @@ class TestSstSegment:
                     b = sst_segment(seq, SstParams(theta, es, "ele"), ele)
                     assert a.boundaries == b.boundaries
 
-    def test_custom_extremum_rule_is_honoured(self):
-        stats = BigramStats.from_corpus(["ABCDE"] * 4 + ["EDCBA"] * 3)
-        params = SstParams(5.0, (0.0,) * 6)
-        everything = lambda feature, thresholds: True
-        seg = sst_segment("ABCDE", params, stats, extremum_rule=everything)
-        expected = tuple(
-            k for k in (2, 3) if mutual_information(stats, "ABCDE"[k - 1], "ABCDE"[k]) < 5.0
-        )
-        assert seg.boundaries == expected
-
 
 class TestSstParams:
     def test_rejects_negative_theta(self):
@@ -264,6 +254,30 @@ class TestStatsFile:
         payload = "tango-bigrams v1\ntotal_chars 4\n1\t2\tA\n1\t2\tB\n1\t1\tA\n"
         with pytest.raises(FormatError, match=r"duplicate gram 'A' \(line 5\)"):
             load_stats(io.StringIO(payload))
+
+    @pytest.mark.parametrize("entries", [
+        "1\t2\tB\n1\t2\tA\n",  # grams decreasing within an order
+        "2\t2\tAB\n1\t2\tA\n",  # order 2 before order 1
+    ])
+    def test_out_of_order_entries_rejected(self, entries):
+        payload = "tango-bigrams v1\ntotal_chars 4\n" + entries
+        with pytest.raises(FormatError, match=r"out of order.*\(line 4\)"):
+            load_stats(io.StringIO(payload))
+
+    def test_lone_surrogate_rejected_before_writing(self):
+        stats = BigramStats.from_corpus(["\ud800ab\ud800ab"])
+        buf = io.BytesIO()
+        with pytest.raises(ParameterError, match=r"'\\ud800'"):
+            save_stats(stats, buf)
+        assert buf.getvalue() == b""
+
+    @pytest.mark.parametrize("separator", ["\t", "\n", "\r"])
+    def test_unstorable_character_rejected_before_writing(self, separator):
+        stats = BigramStats.from_corpus(["ab" + separator + "ab"])
+        buf = io.BytesIO()
+        with pytest.raises(ParameterError, match="tab, newline or CR"):
+            save_stats(stats, buf)
+        assert buf.getvalue() == b""
 
     def test_negative_total_chars_rejected(self):
         with pytest.raises(FormatError, match="line 2"):
