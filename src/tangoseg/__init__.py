@@ -33,15 +33,12 @@ from .metrics import (
     BracketClass,
     ScoreReport,
     SequenceScore,
-    bracket_rates,
     classify_bracket,
     f_measure,
     format_report,
     machine_lines,
-    morpheme_scores,
     score_sequence,
     score_set,
-    word_scores,
 )
 from .ngrams import (
     Corpus,
@@ -53,11 +50,8 @@ from .ngrams import (
 from .segmenter import (
     TangoParams,
     VoteProfile,
-    order_vote,
-    order_vote_counts,
     place_boundaries,
     segment,
-    total_vote,
     vote_profile,
 )
 from .sst import (
@@ -65,7 +59,6 @@ from .sst import (
     DtsTerms,
     ExtremumFeatures,
     SstParams,
-    dts,
     dts_profile,
     dts_terms,
     extremum_features,
@@ -121,11 +114,9 @@ __all__ = [
     "UndefinedStatisticError",
     "UnsupportedOrderError",
     "VoteProfile",
-    "bracket_rates",
     "build_table",
     "classify_bracket",
     "codepoint_range_filter",
-    "dts",
     "dts_profile",
     "dts_terms",
     "extract_sequences",
@@ -137,10 +128,7 @@ __all__ = [
     "load_stats",
     "machine_lines",
     "make_zipf_lexicon",
-    "morpheme_scores",
     "mutual_information",
-    "order_vote",
-    "order_vote_counts",
     "parse_annotation",
     "parse_flat",
     "place_boundaries",
@@ -158,11 +146,9 @@ __all__ = [
     "sst_grid",
     "sst_segment",
     "tango_grid",
-    "total_vote",
     "train_sst",
     "train_tango",
     "vote_profile",
-    "word_scores",
     "write_lexicon",
     "write_sst_params",
     "write_tango_params",

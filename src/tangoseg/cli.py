@@ -146,9 +146,7 @@ def cmd_segment(args) -> int:
             raise ParameterError("--index is required for the tango algorithm")
         params = _tango_params_from_args(args)
         table = NGramTable.load(args.index)
-        if not params.orders <= table.orders:
-            missing = sorted(params.orders - table.orders)
-            raise ParameterError(f"index does not cover orders {missing}")
+        table.require_orders(params.orders)
         for line in _input_lines(args.input):
             out.append(serialize_flat(segment(line, params, table)))
     else:

@@ -22,15 +22,12 @@ __all__ = [
     "BracketClass",
     "ScoreReport",
     "SequenceScore",
-    "bracket_rates",
     "classify_bracket",
     "f_measure",
     "format_report",
     "machine_lines",
-    "morpheme_scores",
     "score_sequence",
     "score_set",
-    "word_scores",
 ]
 
 
@@ -92,19 +89,6 @@ def _check_aligned(pred: FlatSegmentation, gold: TwoLevelAnnotation):
         raise AlignmentError(
             f"segmentation covers {pred.sequence!r} but annotation covers {gold.sequence!r}"
         )
-
-
-def word_scores(pred: FlatSegmentation, gold: TwoLevelAnnotation) -> tuple[float, float, float]:
-    """(precision, recall, F) of proposed brackets against word brackets,
-    as percentages."""
-    _check_aligned(pred, gold)
-    return _prf(*_match_counts(pred, gold.words))
-
-
-def morpheme_scores(pred: FlatSegmentation, gold: TwoLevelAnnotation) -> tuple[float, float, float]:
-    """(precision, recall, F) against the flattened morpheme brackets."""
-    _check_aligned(pred, gold)
-    return _prf(*_match_counts(pred, gold.morpheme_brackets))
 
 
 @dataclass
@@ -291,12 +275,6 @@ def score_set(pairs) -> ScoreReport:
     if not pairs:
         raise ParameterError("cannot score an empty set")
     return ScoreReport([score_sequence(p, g) for p, g in pairs])
-
-
-def bracket_rates(pairs) -> tuple[float, float]:
-    """(compatible rate, all-compatible rate) over a list of pairs."""
-    report = score_set(pairs)
-    return report.compatible_rate, report.all_compatible_rate
 
 
 _METRIC_FIELDS = (

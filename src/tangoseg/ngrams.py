@@ -18,7 +18,6 @@ the table and of the bigram stats (``write_counts``, ``read_counts``) and
 ``key=value`` parameter files (``read_key_values``).
 """
 
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -81,13 +80,23 @@ def read_source(source) -> str:
 
 
 def write_to(destination, payload: "str | bytes") -> None:
-    """Write payload to an open file, or to a path (text as UTF-8)."""
+    """Write payload to an open file, or to a path (text as UTF-8).
+
+    Text is encoded before a path is opened, so text UTF-8 cannot encode (a
+    lone surrogate) raises ParameterError and leaves the file as it was.
+    """
     if hasattr(destination, "write"):
         destination.write(payload)
-    elif isinstance(payload, bytes):
-        Path(destination).write_bytes(payload)
-    else:
-        Path(destination).write_text(payload, encoding="utf-8")
+        return
+    if isinstance(payload, str):
+        try:
+            payload = payload.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ParameterError(
+                f"{destination}: character {payload[exc.start]!r} at offset {exc.start} "
+                "cannot be encoded as UTF-8"
+            ) from None
+    Path(destination).write_bytes(payload)
 
 
 def read_key_values(source) -> dict[str, str]:
@@ -234,7 +243,6 @@ class codepoint_range_filter:
     """
 
     def __init__(self, spec: str):
-        self.spec = spec
         self.ranges = []
         for part in spec.split(","):
             part = part.strip()
@@ -256,17 +264,12 @@ class codepoint_range_filter:
         cp = ord(ch)
         return any(lo <= cp <= hi for lo, hi in self.ranges)
 
-    @property
-    def description(self) -> str:
-        return "codepoints " + self.spec
-
 
 @dataclass
 class Corpus:
     """A list of character sequences extracted from raw training text."""
 
     sequences: list[str]
-    filter_description: "str | None" = None
 
     @classmethod
     def from_text(
@@ -274,10 +277,7 @@ class Corpus:
         text: "str | bytes",
         char_filter: "Callable[[str], bool] | None" = None,
     ) -> "Corpus":
-        description = getattr(char_filter, "description", None)
-        if char_filter is not None and description is None:
-            description = repr(char_filter)
-        return cls(extract_sequences(text, char_filter), description)
+        return cls(extract_sequences(text, char_filter))
 
     @property
     def total_chars(self) -> int:
@@ -288,22 +288,13 @@ class NGramTable:
     """Immutable pruned count table over a fixed set of n-gram orders.
 
     Safe for concurrent readers once built.  Equality compares orders,
-    counts, and corpus size; build metadata is ignored.
+    counts, and corpus size.
     """
 
-    def __init__(
-        self,
-        orders: Iterable[int],
-        counts: dict[str, int],
-        corpus_size: int,
-        filter_description: "str | None" = None,
-        built_at: "str | None" = None,
-    ):
+    def __init__(self, orders: Iterable[int], counts: dict[str, int], corpus_size: int):
         self.orders = frozenset(orders)
         self.counts = counts
         self.corpus_size = corpus_size
-        self.filter_description = filter_description
-        self.built_at = built_at
 
     def __eq__(self, other):
         if not isinstance(other, NGramTable):
@@ -328,6 +319,12 @@ class NGramTable:
                 f"order {len(gram)} not in table orders {sorted(self.orders)}"
             )
         return self.counts.get(gram, 1)
+
+    def require_orders(self, orders: Iterable[int]) -> None:
+        """UnsupportedOrderError naming the orders this table does not cover."""
+        missing = sorted(set(orders) - self.orders)
+        if missing:
+            raise UnsupportedOrderError(f"table does not cover orders {missing}")
 
     def distinct_per_order(self) -> dict[int, int]:
         out = {n: 0 for n in sorted(self.orders)}
@@ -430,10 +427,4 @@ def build_table(corpus: Corpus, orders: Iterable[int]) -> NGramTable:
     counts: dict[str, int] = {}
     for grams in _count_windows(corpus.sequences, orders, 2).values():
         counts.update(grams)
-    return NGramTable(
-        orders,
-        counts,
-        corpus.total_chars,
-        filter_description=corpus.filter_description,
-        built_at=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-    )
+    return NGramTable(orders, counts, corpus.total_chars)

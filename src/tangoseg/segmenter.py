@@ -7,10 +7,12 @@ averaged, and a gap becomes a boundary when the averaged vote is a strict
 local maximum, meets the threshold, or both, depending on the enabled
 conditions.
 
-One kernel serves segment, vote_profile, the per-gap functions and
-train_tango: it looks each n-gram window up once per order and reads every
-gap's comparisons from those counts.  One placement rule, local maximum
-or threshold, serves place_boundaries and train_tango.
+One kernel serves segment, vote_profile and train_tango: it looks each
+n-gram window up once per order and reads every gap's comparisons from
+those counts.  vote_profile is the one public entry to the votes: its
+``votes[k-1]`` is the total vote at gap k, and with keep_per_order its
+``per_order[n][k-1]`` is order n's vote there.  One placement rule, local
+maximum or threshold, serves place_boundaries and train_tango.
 
 Edge conventions (pinned by tests):
   * only comparisons between existing n-grams are performed; the vote
@@ -28,17 +30,14 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from .annotations import FlatSegmentation
-from .errors import ParameterError, UnsupportedOrderError
+from .errors import ParameterError
 from .ngrams import NGramTable
 
 __all__ = [
     "TangoParams",
     "VoteProfile",
-    "order_vote",
-    "order_vote_counts",
     "place_boundaries",
     "segment",
-    "total_vote",
     "vote_profile",
 ]
 
@@ -85,13 +84,15 @@ class VoteProfile:
             raise ParameterError("votes must lie in [0, 1]")
 
 
-def _check_location(seq: str, k: int):
-    if not 1 <= k <= len(seq) - 1:
-        raise ParameterError(f"location {k} out of range 1..{len(seq) - 1}")
-
-
 def _gap_counts(seq: str, orders, table: NGramTable) -> list[list[tuple[int, int]]]:
     """The vote kernel: per order, (affirmative, comparisons) at gaps 1..len-1.
+
+    Row i belongs to orders[i]; its entry k-1 counts, at gap k, the
+    comparisons in which a side n-gram (the n characters ending at k, or the
+    n starting at k+1) outnumbers a straddling one, and all comparisons
+    made.  Only pairs whose both members fit the sequence are compared, so
+    a gap no order-n side window fits gets (0, 0).  A table that does not
+    cover every order raises UnsupportedOrderError.
 
     Each order-n window seq[i:i+n] is looked up once, into c[i].  Gap k
     compares its side windows c[k-n] and c[k] with the straddling windows
@@ -100,9 +101,7 @@ def _gap_counts(seq: str, orders, table: NGramTable) -> list[list[tuple[int, int
     the straddling counts sorted, the number a side count beats is one
     bisection.
     """
-    if not table.orders.issuperset(orders):
-        missing = sorted(set(orders) - table.orders)
-        raise UnsupportedOrderError(f"table does not cover orders {missing}")
+    table.require_orders(orders)
     counts = table.counts
     length = len(seq)
     rows = []
@@ -153,39 +152,15 @@ def _boundaries(votes: list[float], use_local_max: bool, threshold: float) -> li
     ]
 
 
-def order_vote_counts(seq: str, k: int, n: int, table: NGramTable) -> tuple[int, int]:
-    """(affirmative comparisons, total comparisons) for one order at gap k.
-
-    The non-straddling n-grams are the n characters ending at k and the n
-    characters starting at k+1; a straddling n-gram leaves j of its
-    characters right of the gap, for each j in 1..n-1.  Only pairs whose
-    both members fit the sequence are compared.
-    """
-    _check_location(seq, k)
-    return _gap_counts(seq, (n,), table)[0][k - 1]
-
-
-def order_vote(seq: str, k: int, n: int, table: NGramTable) -> float:
-    """Fraction of affirmative comparisons at gap k for order n; 0 when the
-    order has no evidence there."""
-    affirmative, comparisons = order_vote_counts(seq, k, n, table)
-    return affirmative / comparisons if comparisons else 0.0
-
-
-def total_vote(seq: str, k: int, params: TangoParams, table: NGramTable) -> float:
-    """Mean of the order votes over orders with evidence at gap k."""
-    votes = vote_profile(seq, params.orders, table).votes
-    _check_location(seq, k)
-    return votes[k - 1]
-
-
 def vote_profile(
     seq: str,
     orders,
     table: NGramTable,
     keep_per_order: bool = False,
 ) -> VoteProfile:
-    """Total vote at every gap; optionally retains per-order votes."""
+    """Total vote at every gap: votes[k-1] is the mean vote at gap k over the
+    orders with evidence there, 0 where none has.  With keep_per_order,
+    per_order[n][k-1] is order n's vote at gap k, 0 without evidence."""
     orders = sorted(set(orders))
     if not orders:
         raise ParameterError("order set must be non-empty")

@@ -17,6 +17,7 @@ fall to the nearest minimum on the right meet the respective thresholds.
 Profile ends count as minima, so all gated quantities are non-negative.
 """
 
+import copy
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -38,7 +39,6 @@ __all__ = [
     "DtsTerms",
     "ExtremumFeatures",
     "SstParams",
-    "dts",
     "dts_profile",
     "dts_terms",
     "extremum_features",
@@ -115,13 +115,9 @@ class BigramStats:
         """Same counts under a different estimator (counts are shared)."""
         if estimator == self.estimator:
             return self
-        out = BigramStats.__new__(BigramStats)
-        out.unigrams = self.unigrams
-        out.bigrams = self.bigrams
-        out.total_chars = self.total_chars
-        out.total_bigrams = self.total_bigrams
         if estimator not in ESTIMATORS:
             raise ParameterError(f"estimator must be one of {ESTIMATORS}")
+        out = copy.copy(self)
         out.estimator = estimator
         return out
 
@@ -214,15 +210,11 @@ def dts_terms(stats: BigramStats, c: str, d: str, w: str, x: str) -> DtsTerms:
     return DtsTerms(left - right, left, right, left_degen, right_degen)
 
 
-def dts(stats: BigramStats, c: str, d: str, w: str, x: str) -> float:
-    return dts_terms(stats, c, d, w, x).value
-
-
 def dts_profile(seq: str, stats: BigramStats) -> list[float]:
     """dts value at each interior gap k = 2 .. len-2 (gaps with a full
     two-character context on both sides)."""
     return [
-        dts(stats, seq[k - 2], seq[k - 1], seq[k], seq[k + 1])
+        dts_terms(stats, seq[k - 2], seq[k - 1], seq[k], seq[k + 1]).value
         for k in range(2, len(seq) - 1)
     ]
 

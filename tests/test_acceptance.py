@@ -16,9 +16,8 @@ from tangoseg import (
     ParameterError,
     TangoParams,
     VoteProfile,
-    bracket_rates,
     build_table,
-    dts,
+    dts_terms,
     generate_corpus,
     make_zipf_lexicon,
     mutual_information,
@@ -194,7 +193,7 @@ def test_sst_formula_checks():
             assert mutual_information(independent, d, w) == 0.0
 
     symmetric = BigramStats.from_corpus(["ABCD"] * 3 + ["BADC"] * 2)
-    assert dts(symmetric, "A", "B", "C", "D") == 0.0
+    assert dts_terms(symmetric, "A", "B", "C", "D").value == 0.0
 
     rng = random.Random(768)
     checked = 0
@@ -215,7 +214,7 @@ def test_sst_formula_checks():
                 assert got_mi == want_mi
             else:
                 assert got_mi == pytest.approx(want_mi, abs=1e-9)
-            assert dts(stats, c, d, w, x) == pytest.approx(
+            assert dts_terms(stats, c, d, w, x).value == pytest.approx(
                 oracle.dts(c, d, w, x), abs=1e-9
             )
             checked += 1
@@ -281,7 +280,8 @@ def test_degenerate_optimization_warning():
         parse_annotation("[[a][b]][cd][[e][fg]]"),
     ]
     pairs = [(FlatSegmentation(g.sequence, ()), g) for g in gold]
-    assert bracket_rates(pairs) == (100.0, 100.0)
+    report = score_set(pairs)
+    assert (report.compatible_rate, report.all_compatible_rate) == (100.0, 100.0)
 
     lexicon = make_zipf_lexicon(5, 1, seed=400)
     raw, _ = generate_corpus(lexicon, sequences=30, seed=401)

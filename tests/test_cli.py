@@ -138,6 +138,14 @@ class TestSegment:
         code, _, err = run(capsys, "segment", "--index", index, "--input", inp,
                            "--orders", "7", "--threshold", "0.5")
         assert code == 2
+        assert "orders [7]" in err
+
+    def test_unsupported_order_rejected_before_reading_input(self, tmp_path, index, capsys):
+        code, _, err = run(capsys, "segment", "--index", index,
+                           "--input", tmp_path / "missing.txt",
+                           "--orders", "2,7", "--threshold", "0.5")
+        assert code == 2
+        assert "orders [7]" in err
 
     def test_params_file_conflicts_with_inline_params(self, tmp_path, index, capsys):
         inp = tmp_path / "in.txt"

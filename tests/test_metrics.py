@@ -9,55 +9,50 @@ from tangoseg import (
     FlatSegmentation,
     ParameterError,
     TwoLevelAnnotation,
-    bracket_rates,
     classify_bracket,
     f_measure,
     format_report,
     machine_lines,
-    morpheme_scores,
     parse_annotation,
     parse_flat,
     score_sequence,
     score_set,
-    word_scores,
 )
 from tangoseg.metrics import _prf
 
 
 class TestWordScores:
     def test_word_level_match(self, figure_gold):
-        assert word_scores(parse_flat("|database|system|"), figure_gold) == (100.0, 100.0, 100.0)
+        score = score_sequence(parse_flat("|database|system|"), figure_gold)
+        assert score.word_prf == (100.0, 100.0, 100.0)
 
     def test_oversegmented(self, figure_gold):
-        p, r, f = word_scores(parse_flat("|data|base|system|"), figure_gold)
+        p, r, f = score_sequence(parse_flat("|data|base|system|"), figure_gold).word_prf
         assert p == pytest.approx(100 / 3)
         assert r == 50.0
         assert f == f_measure(p, r)
 
     def test_identity_prediction(self, figure_gold):
         pred = figure_gold.word_segmentation
-        assert word_scores(pred, figure_gold) == (100.0, 100.0, 100.0)
+        assert score_sequence(pred, figure_gold).word_prf == (100.0, 100.0, 100.0)
 
     def test_sequence_mismatch(self, figure_gold):
         with pytest.raises(AlignmentError):
-            word_scores(FlatSegmentation("other", ()), figure_gold)
+            score_sequence(FlatSegmentation("other", ()), figure_gold)
 
 
 class TestMorphemeScores:
     def test_word_level_prediction(self, figure_gold):
-        p, r, _ = morpheme_scores(parse_flat("|database|system|"), figure_gold)
+        p, r, _ = score_sequence(parse_flat("|database|system|"), figure_gold).morpheme_prf
         assert (p, r) == (50.0, pytest.approx(100 / 3))
 
     def test_divided_morphemes(self, figure_gold):
-        p, r, _ = morpheme_scores(parse_flat("|database|sys|tem|"), figure_gold)
+        p, r, _ = score_sequence(parse_flat("|database|sys|tem|"), figure_gold).morpheme_prf
         assert (p, r) == (0.0, 0.0)
 
     def test_exact_morpheme_level(self, figure_gold):
-        assert morpheme_scores(parse_flat("|data|base|system|"), figure_gold) == (
-            100.0,
-            100.0,
-            100.0,
-        )
+        score = score_sequence(parse_flat("|data|base|system|"), figure_gold)
+        assert score.morpheme_prf == (100.0, 100.0, 100.0)
 
 
 class TestFigureErrorCounts:
@@ -117,22 +112,24 @@ class TestClassifyBracket:
 class TestBracketRates:
     def test_perfect_predictions(self, figure_gold):
         pairs = [(figure_gold.word_segmentation, figure_gold)] * 3
-        assert bracket_rates(pairs) == (100.0, 100.0)
+        report = score_set(pairs)
+        assert (report.compatible_rate, report.all_compatible_rate) == (100.0, 100.0)
 
     def test_figure_row_five(self, figure_gold):
         pairs = [(parse_flat("|database|sys|tem|"), figure_gold)]
-        compatible, all_compatible = bracket_rates(pairs)
-        assert compatible == pytest.approx(100 / 3)
-        assert all_compatible == 0.0
+        report = score_set(pairs)
+        assert report.compatible_rate == pytest.approx(100 / 3)
+        assert report.all_compatible_rate == 0.0
 
     def test_degenerate_whole_sequence_scores_perfect(self, figure_gold):
         # the reason these rates are inadmissible as training criteria
         pairs = [(FlatSegmentation(figure_gold.sequence, ()), figure_gold)]
-        assert bracket_rates(pairs) == (100.0, 100.0)
+        report = score_set(pairs)
+        assert (report.compatible_rate, report.all_compatible_rate) == (100.0, 100.0)
 
     def test_empty_set_rejected(self):
         with pytest.raises(ParameterError):
-            bracket_rates([])
+            score_set([])
 
 
 class TestReport:

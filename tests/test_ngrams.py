@@ -44,7 +44,6 @@ class TestExtractSequences:
     def test_codepoint_range_filter(self):
         f = codepoint_range_filter("41-5A")
         assert extract_sequences("xxABCyyA", f) == ["ABC", "A"]
-        assert f.description == "codepoints 41-5A"
 
     def test_codepoint_filter_rejects_garbage(self):
         with pytest.raises(ParameterError):
@@ -138,6 +137,11 @@ class TestCount:
     def test_unsupported_order_raises(self, table):
         with pytest.raises(UnsupportedOrderError):
             table.count("ABC")
+
+    def test_require_orders_names_the_missing(self, table):
+        table.require_orders({2})
+        with pytest.raises(UnsupportedOrderError, match=r"orders \[3, 5\]"):
+            table.require_orders({2, 5, 3})
 
 
 class TestSaveLoad:

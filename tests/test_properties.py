@@ -13,14 +13,12 @@ from tangoseg import (
     NGramTable,
     TwoLevelAnnotation,
     build_table,
-    order_vote_counts,
     parse_annotation,
     parse_flat,
     serialize_annotation,
     serialize_flat,
     vote_profile,
 )
-from tangoseg.segmenter import _gap_counts
 
 from naive import naive_counts, naive_order_vote, naive_total_votes, pruned_lookup
 
@@ -46,17 +44,6 @@ def test_vote_profile_matches_oracle(instance):
     for n in orders:
         expected = [naive_order_vote(seq, k, n, look) for k in range(1, len(seq))]
         assert profile.per_order[n] == [0.0 if v is None else v for v in expected]
-
-
-@settings(max_examples=200, deadline=None)
-@given(vote_instances())
-def test_order_vote_counts_reads_kernel_rows(instance):
-    corpus, seq, orders = instance
-    table = build_table(Corpus(corpus), orders)
-    rows = _gap_counts(seq, sorted(orders), table)
-    for n, row in zip(sorted(orders), rows):
-        assert len(row) == len(seq) - 1
-        assert [order_vote_counts(seq, k, n, table) for k in range(1, len(seq))] == row
 
 
 # Any character the table format can hold: everything but tab, newline and

@@ -10,13 +10,11 @@ from tangoseg import (
     UnsupportedOrderError,
     VoteProfile,
     build_table,
-    order_vote,
-    order_vote_counts,
     place_boundaries,
     segment,
-    total_vote,
     vote_profile,
 )
+from tangoseg.segmenter import _gap_counts
 
 from naive import naive_boundaries, naive_total_votes, pruned_lookup
 
@@ -29,36 +27,29 @@ class TestOrderVote:
     def test_all_equal_counts_vote_zero(self):
         # empty table: every lookup is 1, strict comparison never holds
         table = NGramTable({2, 3}, {}, 0)
-        for k in range(1, 8):
-            assert order_vote("ABCDEFGH", k, 2, table) == 0.0
-            assert order_vote("ABCDEFGH", k, 3, table) == 0.0
+        for n in (2, 3):
+            assert vote_profile("ABCDEFGH", {n}, table).votes == [0.0] * 7
 
     def test_separator_location_unanimous(self, toy_table):
         # ABCD and WXYZ each seen 9 times, straddling 4-grams unseen
-        assert order_vote("ABCDWXYZ", 4, 4, toy_table) == 1.0
-        assert order_vote_counts("ABCDWXYZ", 4, 4, toy_table) == (6, 6)
+        assert vote_profile("ABCDWXYZ", {4}, toy_table).votes[3] == 1.0
+        assert _gap_counts("ABCDWXYZ", (4,), toy_table)[0][3] == (6, 6)
 
     def test_edge_gap_uses_existing_grams_only(self):
         table = build_table(Corpus(["BCBC", "ABX"]), {2})
         # at gap 1 of ABCD only the right 2-gram exists; one comparison
-        affirmative, comparisons = order_vote_counts("ABCD", 1, 2, table)
+        affirmative, comparisons = _gap_counts("ABCD", (2,), table)[0][0]
         assert comparisons == 1
         assert affirmative == int(table.count("BC") > table.count("AB"))
 
     def test_no_pairs_returns_zero(self):
         table = NGramTable({2}, {}, 0)
-        assert order_vote_counts("AB", 1, 2, table) == (0, 0)
-        assert order_vote("AB", 1, 2, table) == 0.0
-
-    def test_location_out_of_range(self, toy_table):
-        with pytest.raises(ParameterError):
-            order_vote("ABCD", 4, 2, toy_table)
-        with pytest.raises(ParameterError):
-            order_vote("ABCD", 0, 2, toy_table)
+        assert _gap_counts("AB", (2,), table) == [[(0, 0)]]
+        assert vote_profile("AB", {2}, table).votes == [0.0]
 
     def test_unsupported_order(self, toy_table):
         with pytest.raises(UnsupportedOrderError):
-            order_vote("ABCDWXYZ", 4, 7, toy_table)
+            vote_profile("ABCDWXYZ", {7}, toy_table)
 
     def test_votes_bounded(self, toy_table):
         rng = random.Random(5)
@@ -66,16 +57,13 @@ class TestOrderVote:
             seq = "".join(rng.choice("ABCDWXYZ") for _ in range(rng.randint(2, 12)))
             k = rng.randint(1, len(seq) - 1)
             n = rng.choice((2, 3, 4))
-            assert 0.0 <= order_vote(seq, k, n, toy_table) <= 1.0
+            assert 0.0 <= vote_profile(seq, {n}, toy_table).votes[k - 1] <= 1.0
 
 
 class TestTotalVote:
     def test_singleton_order_equals_order_vote(self, toy_table):
-        params = TangoParams(frozenset({4}), 0.5)
-        for k in range(1, 8):
-            assert total_vote("ABCDWXYZ", k, params, toy_table) == order_vote(
-                "ABCDWXYZ", k, 4, toy_table
-            )
+        profile = vote_profile("ABCDWXYZ", {4}, toy_table, keep_per_order=True)
+        assert profile.votes == profile.per_order[4]
 
     def test_mean_of_order_votes(self):
         # n=2 vote 1.0 (CD, WX both beat the unseen DW); n=4 vote 3/6:
@@ -86,23 +74,23 @@ class TestTotalVote:
             "CDWX": 5, "DWXY": 99,
         }
         table = NGramTable({2, 4}, counts, 200)
-        assert order_vote("ABCDWXYZ", 4, 2, table) == 1.0
-        assert order_vote("ABCDWXYZ", 4, 4, table) == 0.5
-        params = TangoParams(frozenset({2, 4}), 0.5)
-        assert total_vote("ABCDWXYZ", 4, params, table) == 0.75
+        profile = vote_profile("ABCDWXYZ", {2, 4}, table, keep_per_order=True)
+        assert profile.per_order[2][3] == 1.0
+        assert profile.per_order[4][3] == 0.5
+        assert profile.votes[3] == 0.75
 
     def test_orders_without_evidence_excluded(self, toy_table):
         # order 6 never fits a 3-char sequence; order 2 stands alone
-        short = TangoParams(frozenset({2, 6}), 0.5)
-        only2 = TangoParams(frozenset({2}), 0.5)
-        assert total_vote("ABC", 1, short, toy_table) == total_vote("ABC", 1, only2, toy_table)
+        short = vote_profile("ABC", {2, 6}, toy_table)
+        only2 = vote_profile("ABC", {2}, toy_table)
+        assert short.votes == only2.votes
 
     def test_no_evidence_at_all_zero(self, toy_table):
-        assert total_vote("AB", 1, TangoParams(frozenset({6}), 0.5), toy_table) == 0.0
+        assert vote_profile("AB", {6}, toy_table).votes == [0.0]
 
     def test_order_not_in_table(self, toy_table):
-        with pytest.raises(UnsupportedOrderError):
-            total_vote("ABCD", 1, TangoParams(frozenset({7}), 0.5), toy_table)
+        with pytest.raises(UnsupportedOrderError, match=r"\[7\]"):
+            segment("ABCD", TangoParams(frozenset({2, 7}), 0.5), toy_table)
 
     def test_matches_naive_formula_on_random_sequences(self, toy_table):
         rng = random.Random(11)

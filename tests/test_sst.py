@@ -10,7 +10,6 @@ from tangoseg import (
     ParameterError,
     SstParams,
     UndefinedStatisticError,
-    dts,
     dts_profile,
     dts_terms,
     extremum_features,
@@ -54,6 +53,16 @@ class TestMutualInformation:
         assert value < 0.0
         assert math.isfinite(value)
 
+    def test_using_shares_counts_under_another_estimator(self):
+        stats = BigramStats.from_corpus(["ABAB", "CD"])
+        ele = stats.using("ele")
+        assert (stats.estimator, ele.estimator) == ("mle", "ele")
+        assert ele.bigrams is stats.bigrams and ele.unigrams is stats.unigrams
+        assert (ele.total_chars, ele.total_bigrams) == (6, 4)
+        assert stats.using("mle") is stats
+        with pytest.raises(ParameterError):
+            stats.using("map")
+
     def test_log_decomposition_identity(self):
         rng = random.Random(61)
         lines = ["".join(rng.choice("ABCDE") for _ in range(30)) for _ in range(20)]
@@ -93,7 +102,7 @@ class TestDts:
             naive = NaiveBigramModel(lines, estimator)
             for _ in range(100):
                 c, d, w, x = (rng.choice("ABCDEF") for _ in range(4))
-                assert dts(stats, c, d, w, x) == pytest.approx(
+                assert dts_terms(stats, c, d, w, x).value == pytest.approx(
                     naive.dts(c, d, w, x), abs=1e-9
                 )
 
@@ -121,7 +130,7 @@ class TestDts:
     def test_unseen_conditioning_character_raises_under_mle(self):
         stats = BigramStats.from_corpus(["ABAB"])
         with pytest.raises(UndefinedStatisticError):
-            dts(stats, "A", "Z", "B", "A")
+            dts_terms(stats, "A", "Z", "B", "A")
 
 
 class TestExtremumFeatures:

@@ -37,6 +37,14 @@ class TestLexicon:
         write_lexicon(lexicon, path)
         assert read_lexicon(path) == lexicon
 
+    def test_unencodable_word_leaves_file_untouched(self, tmp_path):
+        path = tmp_path / "lex.tsv"
+        write_lexicon(make_zipf_lexicon(3, 1, seed=1), path)
+        before = path.read_bytes()
+        with pytest.raises(ParameterError, match="cannot be encoded"):
+            write_lexicon([LexiconEntry("\ud800x", 1.0, "stem")], path)
+        assert path.read_bytes() == before
+
     def test_read_rejects_bad_role(self, tmp_path):
         path = tmp_path / "lex.tsv"
         path.write_text("ab\t1.0\tprefix\n")
