@@ -57,14 +57,12 @@ from .segmenter import (
 from .sst import (
     BigramStats,
     DtsTerms,
-    ExtremumFeatures,
     SstParams,
     dts_profile,
     dts_terms,
     extremum_features,
     load_stats,
     mutual_information,
-    prominence_extremum_rule,
     read_sst_params,
     save_stats,
     sst_segment,
@@ -99,7 +97,6 @@ __all__ = [
     "Corpus",
     "DtsTerms",
     "Error",
-    "ExtremumFeatures",
     "FlatSegmentation",
     "FormatError",
     "LexiconEntry",
@@ -132,7 +129,6 @@ __all__ = [
     "parse_annotation",
     "parse_flat",
     "place_boundaries",
-    "prominence_extremum_rule",
     "read_lexicon",
     "read_sst_params",
     "read_tango_params",

@@ -100,7 +100,8 @@ def write_to(destination, payload: "str | bytes") -> None:
 
 
 def read_key_values(source) -> dict[str, str]:
-    """The ``key=value`` lines of a parameter file; blank lines are skipped."""
+    """The ``key=value`` lines of a parameter file; blank lines are skipped
+    and a key may appear once."""
     values: dict[str, str] = {}
     for lineno, line in enumerate(split_lines(read_source(source)), start=1):
         if not line.strip():
@@ -108,7 +109,10 @@ def read_key_values(source) -> dict[str, str]:
         key, sep, value = line.partition("=")
         if not sep:
             raise FormatError("expected key=value", line=lineno)
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key in values:
+            raise FormatError(f"duplicate key {key!r}", line=lineno)
+        values[key] = value.strip()
     return values
 
 
@@ -315,9 +319,7 @@ class NGramTable:
         """Occurrences of gram in the training corpus; unseen and pruned
         singletons both report 1."""
         if len(gram) not in self.orders:
-            raise UnsupportedOrderError(
-                f"order {len(gram)} not in table orders {sorted(self.orders)}"
-            )
+            self.require_orders((len(gram),))
         return self.counts.get(gram, 1)
 
     def require_orders(self, orders: Iterable[int]) -> None:

@@ -9,12 +9,19 @@ boundary candidates; six thresholds gate how pronounced a peak must be.
 
 The published description of this method leaves the exact meaning of its
 six extremum parameters open, so the peak test here is one concrete
-reconstruction, shared by the segmenter and its trainer: a *primary* peak
-is a strict local maximum of the profile and a *secondary* peak a weak one
-(plateaus allowed); each is accepted when its prominence (value above the
-higher adjacent minimum), rise from the nearest minimum on the left, and
-fall to the nearest minimum on the right meet the respective thresholds.
-Profile ends count as minima, so all gated quantities are non-negative.
+reconstruction: a *primary* peak is a strict local maximum of the profile
+and a *secondary* peak a weak one (plateaus allowed); each is accepted when
+its prominence (value above the higher adjacent minimum), rise from the
+nearest minimum on the left, and fall to the nearest minimum on the right
+meet the respective thresholds.  Profile ends count as minima, so all gated
+quantities are non-negative.
+
+One array engine serves sst_segment and train_sst: _gap_features gives a
+sequence's mutual information and peak features as arrays over its
+interior gaps, and _peak_test is the one peak rule.  sst_segment applies it
+with one parameter setting; train_sst broadcasts it over blocks of grid
+settings.  dts_terms and mutual_information stay scalar: they are the
+formulas the oracle checks term by term.
 """
 
 import copy
@@ -22,6 +29,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
+
+import numpy as np
 
 from .annotations import FlatSegmentation
 from .errors import FormatError, ParameterError, UndefinedStatisticError
@@ -37,14 +46,12 @@ from .ngrams import (
 __all__ = [
     "BigramStats",
     "DtsTerms",
-    "ExtremumFeatures",
     "SstParams",
     "dts_profile",
     "dts_terms",
     "extremum_features",
     "load_stats",
     "mutual_information",
-    "prominence_extremum_rule",
     "read_sst_params",
     "save_stats",
     "sst_segment",
@@ -65,15 +72,16 @@ class SstParams:
     estimator: str = "mle"
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "extremum_thresholds", tuple(float(e) for e in self.extremum_thresholds)
-        )
-        if self.theta < 0:
-            raise ParameterError("theta must be non-negative")
+        object.__setattr__(self, "extremum_thresholds", tuple(map(float, self.extremum_thresholds)))
+        # written as "not >= 0" so that NaN fails too
+        if not self.theta >= 0:
+            raise ParameterError(f"theta must be non-negative, got {self.theta}")
         if len(self.extremum_thresholds) != 6:
             raise ParameterError("exactly six extremum thresholds required")
-        if any(e < 0 for e in self.extremum_thresholds):
-            raise ParameterError("extremum thresholds must be non-negative")
+        if not all(e >= 0 for e in self.extremum_thresholds):
+            raise ParameterError(
+                f"extremum thresholds must be non-negative, got {self.extremum_thresholds}"
+            )
         if self.estimator not in ESTIMATORS:
             raise ParameterError(f"estimator must be one of {ESTIMATORS}")
 
@@ -219,67 +227,49 @@ def dts_profile(seq: str, stats: BigramStats) -> list[float]:
     ]
 
 
-class ExtremumFeatures(NamedTuple):
-    """Peak shape of one profile position."""
-
-    primary: bool
-    secondary: bool
-    rise: float
-    fall: float
-
-
-def _is_minimum(values, i) -> bool:
-    # profile ends always count as minima
-    if i == 0 or i == len(values) - 1:
-        return True
-    return values[i] <= values[i - 1] and values[i] <= values[i + 1]
-
-
-def extremum_features(values: "list[float]") -> list[ExtremumFeatures]:
+def extremum_features(values) -> "tuple[np.ndarray, ...]":
     """Classify every profile position and measure its rise and fall.
 
-    Rise (fall) is the drop from the position's value to the nearest local
-    minimum on the left (right); at weak maxima both are non-negative.
-    A position with no neighbours is neither kind of peak.
+    Returns the arrays (primary, secondary, rise, fall).  Rise (fall) is the
+    drop from the position's value to the nearest local minimum on the left
+    (right); profile ends count as minima, and at weak maxima both are
+    non-negative.  A position with no neighbours is neither kind of peak.
     """
-    m = len(values)
-    feats = []
-    for i, v in enumerate(values):
-        if m == 1:
-            feats.append(ExtremumFeatures(False, False, 0.0, 0.0))
-            continue
-        left_strict = i == 0 or v > values[i - 1]
-        right_strict = i == m - 1 or v > values[i + 1]
-        left_weak = i == 0 or v >= values[i - 1]
-        right_weak = i == m - 1 or v >= values[i + 1]
-        primary = left_strict and right_strict
-        secondary = left_weak and right_weak
-        j = i - 1
-        while j > 0 and not _is_minimum(values, j):
-            j -= 1
-        rise = v - values[j] if i > 0 else 0.0
-        j = i + 1
-        while j < m - 1 and not _is_minimum(values, j):
-            j += 1
-        fall = v - values[j] if i < m - 1 else 0.0
-        feats.append(ExtremumFeatures(primary, secondary, rise, fall))
-    return feats
+    v = np.asarray(values, dtype=np.float64)
+    m = len(v)
+    # an end is compared with its one neighbour; a lone position is no peak
+    edge = np.full(min(m, 1), m > 1)
+    primary = np.concatenate((edge, v[1:] > v[:-1])) & np.concatenate((v[:-1] > v[1:], edge))
+    secondary = np.concatenate((edge, v[1:] >= v[:-1])) & np.concatenate((v[:-1] >= v[1:], edge))
+    is_min = np.ones(m, dtype=bool)
+    is_min[1:-1] = (v[1:-1] <= v[:-2]) & (v[1:-1] <= v[2:])
+    pos = np.arange(m)
+    # the nearest minimum at or before (after) each position
+    left = np.maximum.accumulate(np.where(is_min, pos, 0))
+    right = np.minimum.accumulate(np.where(is_min, pos, m - 1)[::-1])[::-1]
+    rise = np.zeros(m)
+    rise[1:] = v[1:] - v[left[:-1]]
+    fall = np.zeros(m)
+    fall[:-1] = v[:-1] - v[right[1:]]
+    return primary, secondary, rise, fall
 
 
-def _peak_test(primary, secondary, rise, fall, prominence, thresholds):
+def _gap_features(seq: str, stats: BigramStats) -> "tuple[np.ndarray, ...]":
+    """(mi, primary, secondary, rise, fall) at the interior gaps k = 2 .. len-2."""
+    mi = [mutual_information(stats, seq[k - 1], seq[k]) for k in range(2, len(seq) - 1)]
+    return (np.array(mi, dtype=np.float64), *extremum_features(dts_profile(seq, stats)))
+
+
+def _peak_test(primary, secondary, rise, fall, thresholds):
     """The peak rule: primary peaks gated by thresholds 1-3, secondary peaks
-    by thresholds 4-6, each as (prominence, rise, fall).  Works alike on
-    scalars and on numpy arrays of features."""
+    by thresholds 4-6, each as (prominence, rise, fall), where prominence is
+    the smaller of rise and fall.  The thresholds broadcast against the
+    feature arrays, so columns of thresholds test many settings at once."""
     e1, e2, e3, e4, e5, e6 = thresholds
+    prominence = np.minimum(rise, fall)
     return (primary & (prominence >= e1) & (rise >= e2) & (fall >= e3)) | (
         secondary & (prominence >= e4) & (rise >= e5) & (fall >= e6)
     )
-
-
-def prominence_extremum_rule(feature: ExtremumFeatures, thresholds) -> bool:
-    """The peak rule on one position's features; prominence is the smaller
-    of rise and fall."""
-    return _peak_test(*feature, min(feature.rise, feature.fall), thresholds)
 
 
 def sst_segment(seq: str, params: SstParams, stats: BigramStats) -> FlatSegmentation:
@@ -289,17 +279,9 @@ def sst_segment(seq: str, params: SstParams, stats: BigramStats) -> FlatSegmenta
     boundaries, so sequences shorter than five characters come back whole.
     The params' estimator is applied to the statistics.
     """
-    stats = stats.using(params.estimator)
-    values = dts_profile(seq, stats)
-    feats = extremum_features(values)
-    bounds = []
-    for i, feature in enumerate(feats):
-        k = i + 2
-        if not prominence_extremum_rule(feature, params.extremum_thresholds):
-            continue
-        if mutual_information(stats, seq[k - 1], seq[k]) < params.theta:
-            bounds.append(k)
-    return FlatSegmentation(seq, tuple(bounds))
+    mi, *peaks = _gap_features(seq, stats.using(params.estimator))
+    ok = (mi < params.theta) & _peak_test(*peaks, params.extremum_thresholds)
+    return FlatSegmentation(seq, tuple((np.flatnonzero(ok) + 2).tolist()))
 
 
 def write_sst_params(params: SstParams, destination) -> None:

@@ -10,12 +10,17 @@ prefer the lexicographically smallest parameter vector.  Training scores
 are micro-averaged over the training set.  Compatible-brackets rates are
 rejected as criteria: a degenerate whole-sequence bracketing scores 100 on
 them.
+
+Both trainers score their grids the same way: each setting becomes one
+boolean row holding the training sequences' boundaries end to end, and one
+routine, _BoundaryRows.scores, matches a block of rows against the gold
+brackets.  The best setting is the first maximum in grid order.
 """
 
 import math
 import random
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import accumulate, combinations
 from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
@@ -25,14 +30,7 @@ from .errors import FormatError, ParameterError
 from .metrics import _prf
 from .ngrams import NGramTable, read_key_values, write_to
 from .segmenter import TangoParams, _boundaries, _mean_votes, _order_votes
-from .sst import (
-    BigramStats,
-    SstParams,
-    _peak_test,
-    dts_profile,
-    extremum_features,
-    mutual_information,
-)
+from .sst import BigramStats, SstParams, _gap_features, _peak_test
 
 __all__ = [
     "CRITERIA",
@@ -61,6 +59,10 @@ TANGO_THRESHOLDS = tuple(i / 20 for i in range(20, 0, -1))
 SST_THETAS = (0.0, 1.25, 2.5, 3.75, 5.0)
 SST_EXTREMUM_VALUES = (0.0, 50.0, 100.0, 150.0, 200.0)
 
+# boundary-row cells scored at once; bounds train_sst's memory whatever the
+# training set's size
+_CELL_BUDGET = 1 << 20
+
 
 def validate_criterion(criterion: str) -> str:
     if criterion not in CRITERIA:
@@ -84,6 +86,51 @@ def _gold_brackets(ann: TwoLevelAnnotation, criterion: str):
     return ann.words if criterion.startswith("word") else ann.morpheme_brackets
 
 
+class _BoundaryRows:
+    """The training sequences laid end to end in one boolean row per setting.
+
+    Sequence i owns columns offsets[i] .. offsets[i] + len; a set column is
+    a boundary, and both ends of every sequence are always set.
+    """
+
+    def __init__(self, train_set: Sequence[TwoLevelAnnotation], criterion: str):
+        lengths = [len(ann.sequence) for ann in train_set]
+        self.offsets = list(accumulate([0] + [n + 1 for n in lengths[:-1]]))
+        self.width = sum(lengths) + len(lengths)
+        self.ends = self.offsets + [o + n for o, n in zip(self.offsets, lengths)]
+        gold = [
+            (o + b.start, o + b.end)
+            for o, ann in zip(self.offsets, train_set)
+            for b in _gold_brackets(ann, criterion)
+        ]
+        self.gold_starts, self.gold_ends = np.array(gold, dtype=np.int64).reshape(-1, 2).T
+        self.criterion = criterion
+
+    def blank(self, n: int) -> np.ndarray:
+        """n rows with only the sequence ends set."""
+        rows = np.zeros((n, self.width), dtype=bool)
+        rows[:, self.ends] = True
+        return rows
+
+    def scores(self, rows: np.ndarray) -> np.ndarray:
+        """The criterion score of each row.
+
+        A gold bracket is matched when both its ends are set and no column
+        strictly between them is.  The score is computed once per distinct
+        (matched, proposed) pair.
+        """
+        starts, ends = self.gold_starts, self.gold_ends
+        csum = np.cumsum(rows, axis=1, dtype=np.int32)
+        matched = (rows[:, starts] & rows[:, ends] & (csum[:, ends - 1] == csum[:, starts])).sum(1)
+        proposed = rows.sum(1) - len(self.offsets)
+        keys, inverse = np.unique(matched * (self.width + 1) + proposed, return_inverse=True)
+        values = [
+            _criterion_value(*divmod(int(key), self.width + 1), len(starts), self.criterion)
+            for key in keys
+        ]
+        return np.array(values)[inverse]
+
+
 @dataclass
 class TrainResult:
     """Best parameters with their training score and the full grid table."""
@@ -103,12 +150,18 @@ def tango_grid() -> "Iterable[tuple[tuple[int, ...], float]]":
                 yield subset, t
 
 
+def _sst_vectors() -> np.ndarray:
+    """The sst grid as one (theta, e1 .. e6) row per setting, in ascending
+    lexicographic order."""
+    axes = (SST_THETAS, *[SST_EXTREMUM_VALUES] * 6)
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+
+
 def sst_grid() -> "Iterable[tuple[float, tuple[float, ...]]]":
     """All 78125 (theta, extremum thresholds) settings in ascending
     lexicographic order of the parameter vector."""
-    for theta in SST_THETAS:
-        for es in product(SST_EXTREMUM_VALUES, repeat=6):
-            yield theta, es
+    for theta, *es in _sst_vectors().tolist():
+        yield theta, tuple(es)
 
 
 def train_tango(
@@ -131,33 +184,29 @@ def train_tango(
     if not (use_local_max or use_threshold):
         raise ParameterError("at least one boundary condition must be enabled")
 
-    golds = [set(_gold_brackets(ann, criterion)) for ann in train_set]
-    gold_total = sum(len(g) for g in golds)
+    layout = _BoundaryRows(train_set, criterion)
     # per sequence, per order: the vote at each gap, None without evidence
     order_votes = [
         dict(zip(TANGO_ORDER_POOL, _order_votes(ann.sequence, TANGO_ORDER_POOL, table)))
         for ann in train_set
     ]
 
-    best = None
-    grid = []
+    settings = list(tango_grid())
+    rows = layout.blank(len(settings))
     current_subset = None
-    for subset, threshold in tango_grid():
+    for row, (subset, threshold) in zip(rows, settings):
         if subset != current_subset:
             current_subset = subset
-            combined = [_mean_votes([rows[n] for n in subset]) for rows in order_votes]
-        matched = proposed = 0
-        for ann, votes, gold in zip(train_set, combined, golds):
+            combined = [_mean_votes([votes[n] for n in subset]) for votes in order_votes]
+        for offset, votes in zip(layout.offsets, combined):
             bounds = _boundaries(votes, use_local_max, threshold if use_threshold else math.inf)
-            edges = [0, *bounds, len(ann.sequence)]
-            proposed += len(edges) - 1
-            matched += sum(1 for a, b in zip(edges, edges[1:]) if (a, b) in gold)
-        score = _criterion_value(matched, proposed, gold_total, criterion)
-        params = TangoParams(frozenset(subset), threshold, use_local_max, use_threshold)
-        grid.append((params, score))
-        if best is None or score > best[1]:
-            best = (params, score)
-    return TrainResult(best[0], best[1], grid)
+            row[[offset + k for k in bounds]] = True
+    scores = layout.scores(rows).tolist()
+    grid = [
+        (TangoParams(frozenset(subset), threshold, use_local_max, use_threshold), score)
+        for (subset, threshold), score in zip(settings, scores)
+    ]
+    return TrainResult(*grid[int(np.argmax(scores))], grid)
 
 
 def train_sst(
@@ -168,67 +217,34 @@ def train_sst(
     """Grid search for the bigram-statistics segmenter.
 
     Mutual-information values and peak features are computed once per
-    sequence; each of the 78125 settings is then a vectorized
-    re-thresholding with the segmenter's peak rule.
+    sequence by the segmenter's engine; the segmenter's peak rule then
+    tests blocks of the 78125 settings at once, one boundary row each.
     """
     validate_criterion(criterion)
     if not train_set:
         raise ParameterError("training set is empty")
 
-    n_seqs = len(train_set)
-    ext_len = sum(len(ann.sequence) + 1 for ann in train_set)
-    base_mask = np.zeros(ext_len, dtype=bool)
-    positions = []
-    mi_vals = []
-    features = []
-    gold_starts = []
-    gold_ends = []
-    gold_total = 0
-    offset = 0
-    for ann in train_set:
-        seq = ann.sequence
-        length = len(seq)
-        base_mask[offset] = True
-        base_mask[offset + length] = True
-        feats = extremum_features(dts_profile(seq, stats))
-        for k in range(2, len(feats) + 2):
-            positions.append(offset + k)
-            mi_vals.append(mutual_information(stats, seq[k - 1], seq[k]))
-        features += feats
-        for b in _gold_brackets(ann, criterion):
-            gold_starts.append(offset + b.start)
-            gold_ends.append(offset + b.end)
-            gold_total += 1
-        offset += length + 1
+    layout = _BoundaryRows(train_set, criterion)
+    features = [_gap_features(ann.sequence, stats) for ann in train_set]
+    mi, *peaks = (np.concatenate(column) for column in zip(*features))
+    positions = np.concatenate(
+        [offset + 2 + np.arange(len(f[0])) for offset, f in zip(layout.offsets, features)]
+    )
 
-    positions = np.asarray(positions, dtype=np.int64)
-    mi_vals = np.asarray(mi_vals, dtype=np.float64)
-    primary, secondary, rise, fall = np.array(features, dtype=np.float64).reshape(-1, 4).T
-    primary, secondary = primary != 0, secondary != 0
-    prominence = np.minimum(rise, fall)
-    gold_starts = np.asarray(gold_starts, dtype=np.int64)
-    gold_ends = np.asarray(gold_ends, dtype=np.int64)
-
-    best = None
-    grid = []
-    for theta, es in sst_grid():
-        ok = (mi_vals < theta) & _peak_test(primary, secondary, rise, fall, prominence, es)
-        mask = base_mask.copy()
-        mask[positions[ok]] = True
-        csum = np.cumsum(mask)
-        matched_vec = (
-            mask[gold_starts]
-            & mask[gold_ends]
-            & ((csum[gold_ends - 1] - csum[gold_starts]) == 0)
-        )
-        matched = int(matched_vec.sum())
-        proposed = int(ok.sum()) + n_seqs
-        score = _criterion_value(matched, proposed, gold_total, criterion)
-        params = SstParams(theta, es, stats.estimator)
-        grid.append((params, score))
-        if best is None or score > best[1]:
-            best = (params, score)
-    return TrainResult(best[0], best[1], grid)
+    vectors = _sst_vectors()
+    scores = np.empty(len(vectors))
+    step = max(1, _CELL_BUDGET // layout.width)
+    for lo in range(0, len(vectors), step):
+        theta, *es = vectors[lo : lo + step, :, None].transpose(1, 0, 2)
+        rows = layout.blank(len(theta))
+        rows[:, positions] = (mi < theta) & _peak_test(*peaks, es)
+        scores[lo : lo + step] = layout.scores(rows)
+    scores = scores.tolist()
+    grid = [
+        (SstParams(theta, es, stats.estimator), score)
+        for (theta, *es), score in zip(vectors.tolist(), scores)
+    ]
+    return TrainResult(*grid[int(np.argmax(scores))], grid)
 
 
 def split_heldout(

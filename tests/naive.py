@@ -71,6 +71,38 @@ def naive_boundaries(votes, t, use_local_max=True, use_threshold=True):
     return bounds
 
 
+def naive_extremum_features(values):
+    """Per profile position, (strict peak, weak peak, rise, fall): the peak
+    kinds compare the position with each neighbour it has, and rise (fall)
+    walks left (right) to the nearest local minimum; profile ends count as
+    minima, and a position with no neighbours is no peak."""
+    m = len(values)
+
+    def is_minimum(j):
+        if j == 0 or j == m - 1:
+            return True
+        return values[j] <= values[j - 1] and values[j] <= values[j + 1]
+
+    out = []
+    for i, v in enumerate(values):
+        neighbours = [values[j] for j in (i - 1, i + 1) if 0 <= j < m]
+        primary = bool(neighbours) and all(v > x for x in neighbours)
+        secondary = bool(neighbours) and all(v >= x for x in neighbours)
+        rise = fall = 0.0
+        if i > 0:
+            j = i - 1
+            while not is_minimum(j):
+                j -= 1
+            rise = v - values[j]
+        if i < m - 1:
+            j = i + 1
+            while not is_minimum(j):
+                j += 1
+            fall = v - values[j]
+        out.append((primary, secondary, rise, fall))
+    return out
+
+
 class NaiveBigramModel:
     """Explicit unigram/bigram probability model for checking statistics."""
 

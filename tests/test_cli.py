@@ -2,7 +2,15 @@ from pathlib import Path
 
 import pytest
 
-from tangoseg import NGramTable, load_stats, parse_flat, read_sst_params
+from tangoseg import (
+    NGramTable,
+    load_stats,
+    parse_annotation,
+    parse_flat,
+    read_sst_params,
+    sst_grid,
+    train_sst,
+)
 from tangoseg.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -185,6 +193,22 @@ class TestSegment:
         assert code == 0
         assert out2 == out
 
+    @pytest.mark.parametrize("params", [
+        ["--theta", "nan"],
+        ["--theta", "5", "--extremum", "0,0,nan,0,0,0"],
+        ["--params", "sst.params"],
+    ])
+    def test_sst_nan_parameter_exits_2(self, tmp_path, monkeypatch, params, capsys):
+        monkeypatch.chdir(tmp_path)
+        Path("c.big").write_text("tango-bigrams v1\ntotal_chars 4\n1\t2\tA\n1\t2\tB\n2\t2\tAB\n")
+        Path("in.txt").write_text("ABAB\n")
+        Path("sst.params").write_text("theta=nan\n" + "".join(f"e{i}=0\n" for i in range(1, 7)))
+        code, out, err = run(capsys, "segment", "--algorithm", "sst", "--stats", "c.big",
+                             "--input", "in.txt", *params)
+        assert code == 2
+        assert out == ""
+        assert "must be non-negative" in err
+
 
 class TestTrainAndEvaluate:
     def test_train_tango_writes_params(self, tmp_path, capsys):
@@ -208,12 +232,26 @@ class TestTrainAndEvaluate:
         assert run(capsys, "build-index", "--corpus", DATA / "toy_corpus.txt",
                    "--bigrams-out", big)[0] == 0
         params = tmp_path / "sst.params"
+        grid = tmp_path / "grid.tsv"
         code, _, err = run(capsys, "train", "--algorithm", "sst", "--stats", big,
                            "--train", DATA / "toy_gold.txt",
-                           "--criterion", "word-f", "--out", params)
+                           "--criterion", "word-f", "--out", params,
+                           "--grid-out", grid)
         assert code == 0
         loaded = read_sst_params(params)
         assert loaded.estimator == "mle"
+        # the grid dump: one row per setting, in sst_grid order, with the
+        # library's scores
+        lines = grid.read_text().splitlines()
+        assert lines[0] == "theta\te1\te2\te3\te4\te5\te6\tscore"
+        assert len(lines) == 78126
+        rows = [line.split("\t") for line in lines[1:]]
+        assert [tuple(map(float, row[:7])) for row in rows] == [
+            (theta, *es) for theta, es in sst_grid()
+        ]
+        gold = [parse_annotation(line) for line in (DATA / "toy_gold.txt").read_text().splitlines()]
+        result = train_sst(gold, load_stats(big), "word-f")
+        assert [row[7] for row in rows] == [f"{score:.6f}" for _, score in result.grid]
 
     def test_inadmissible_criterion_exits_2(self, tmp_path, capsys):
         index = tmp_path / "toy.tab"

@@ -143,6 +143,13 @@ class TestCount:
         with pytest.raises(UnsupportedOrderError, match=r"orders \[3, 5\]"):
             table.require_orders({2, 5, 3})
 
+    def test_count_and_require_orders_give_one_message(self, table):
+        with pytest.raises(UnsupportedOrderError) as by_count:
+            table.count("ABC")
+        with pytest.raises(UnsupportedOrderError) as by_check:
+            table.require_orders({3})
+        assert str(by_count.value) == str(by_check.value) == "table does not cover orders [3]"
+
 
 class TestSaveLoad:
     def roundtrip(self, table):

@@ -1,5 +1,6 @@
-"""Property tests: the counting engine and the vote kernel against the naive
-oracle, table round trips, and annotation parse/serialize round trips."""
+"""Property tests: the counting engine, the vote kernel and the sst peak
+features against the naive oracle, table round trips, and annotation
+parse/serialize round trips."""
 
 import io
 import random
@@ -13,6 +14,7 @@ from tangoseg import (
     NGramTable,
     TwoLevelAnnotation,
     build_table,
+    extremum_features,
     parse_annotation,
     parse_flat,
     serialize_annotation,
@@ -20,7 +22,13 @@ from tangoseg import (
     vote_profile,
 )
 
-from naive import naive_counts, naive_order_vote, naive_total_votes, pruned_lookup
+from naive import (
+    naive_counts,
+    naive_extremum_features,
+    naive_order_vote,
+    naive_total_votes,
+    pruned_lookup,
+)
 
 
 @st.composite
@@ -44,6 +52,14 @@ def test_vote_profile_matches_oracle(instance):
     for n in orders:
         expected = [naive_order_vote(seq, k, n, look) for k in range(1, len(seq))]
         assert profile.per_order[n] == [0.0 if v is None else v for v in expected]
+
+
+# profile values from a small set, so that plateaus and ties are common
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([-2.5, -1.0, 0.0, 0.5, 3.0]), max_size=14))
+def test_extremum_features_match_oracle(values):
+    columns = [column.tolist() for column in extremum_features(values)]
+    assert list(zip(*columns)) == naive_extremum_features(values)
 
 
 # Any character the table format can hold: everything but tab, newline and

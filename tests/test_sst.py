@@ -2,6 +2,7 @@ import io
 import math
 import random
 
+import numpy as np
 import pytest
 
 from tangoseg import (
@@ -15,14 +16,20 @@ from tangoseg import (
     extremum_features,
     load_stats,
     mutual_information,
-    prominence_extremum_rule,
     read_sst_params,
     save_stats,
     sst_segment,
     write_sst_params,
 )
 
+from tangoseg.sst import _peak_test
+
 from naive import NaiveBigramModel
+
+
+def feature_columns(values):
+    """extremum_features as Python lists: primary, secondary, rise, fall."""
+    return [column.tolist() for column in extremum_features(values)]
 
 
 class TestMutualInformation:
@@ -135,38 +142,39 @@ class TestDts:
 
 class TestExtremumFeatures:
     def test_interior_peak(self):
-        feats = extremum_features([0.0, 3.0, 1.0])
-        assert feats[1] == (True, True, 3.0, 2.0)
+        columns = feature_columns([0.0, 3.0, 1.0])
+        assert [column[1] for column in columns] == [True, True, 3.0, 2.0]
 
     def test_plateau_is_secondary_only(self):
-        feats = extremum_features([0.0, 2.0, 2.0, 0.0])
-        assert feats[1].primary is False
-        assert feats[1].secondary is True
-        assert feats[2].secondary is True
+        primary, secondary, _, _ = feature_columns([0.0, 2.0, 2.0, 0.0])
+        assert primary[1] is False
+        assert secondary[1] is True
+        assert secondary[2] is True
 
     def test_endpoint_uses_single_neighbour(self):
-        feats = extremum_features([5.0, 3.0])
-        assert feats[0].primary is True
-        assert feats[0].rise == 0.0
-        assert feats[0].fall == 2.0
-        assert feats[1].primary is False
+        primary, _, rise, fall = feature_columns([5.0, 3.0])
+        assert primary[0] is True
+        assert rise[0] == 0.0
+        assert fall[0] == 2.0
+        assert primary[1] is False
 
     def test_single_position_never_a_peak(self):
-        assert extremum_features([9.9]) == [(False, False, 0.0, 0.0)]
+        assert feature_columns([9.9]) == [[False], [False], [0.0], [0.0]]
 
     def test_rise_measured_to_nearest_minimum(self):
-        feats = extremum_features([0.0, 4.0, 2.0, 5.0, 1.0])
-        assert feats[3].rise == 3.0
-        assert feats[3].fall == 4.0
+        _, _, rise, fall = feature_columns([0.0, 4.0, 2.0, 5.0, 1.0])
+        assert rise[3] == 3.0
+        assert fall[3] == 4.0
 
     def test_rise_and_fall_nonnegative_at_weak_maxima(self):
         rng = random.Random(73)
         for _ in range(300):
             values = [rng.uniform(-5, 5) for _ in range(rng.randint(1, 12))]
-            for f in extremum_features(values):
-                if f.secondary:
-                    assert f.rise >= 0.0
-                    assert f.fall >= 0.0
+            _, secondary, rise, fall = feature_columns(values)
+            for i, weak_peak in enumerate(secondary):
+                if weak_peak:
+                    assert rise[i] >= 0.0
+                    assert fall[i] >= 0.0
 
 
 class TestSstSegment:
@@ -184,11 +192,11 @@ class TestSstSegment:
         for _ in range(20):
             seq = "".join(rng.choice("ABCDE") for _ in range(12))
             values = dts_profile(seq, stats)
-            feats = extremum_features(values)
+            _, secondary, _, _ = feature_columns(values)
             expected = tuple(
                 i + 2
-                for i, f in enumerate(feats)
-                if f.secondary and mutual_information(stats, seq[i + 1], seq[i + 2]) < 5.0
+                for i, weak_peak in enumerate(secondary)
+                if weak_peak and mutual_information(stats, seq[i + 1], seq[i + 2]) < 5.0
             )
             assert sst_segment(seq, params, stats).boundaries == expected
 
@@ -234,6 +242,14 @@ class TestSstParams:
         with pytest.raises(ParameterError):
             SstParams(0.0, (0.0,) * 5)
 
+    @pytest.mark.parametrize("theta, thresholds", [
+        (math.nan, (0.0,) * 6),
+        (0.0, (0.0, 0.0, math.nan, 0.0, 0.0, 0.0)),
+    ])
+    def test_rejects_nan(self, theta, thresholds):
+        with pytest.raises(ParameterError, match="non-negative"):
+            SstParams(theta, thresholds)
+
     def test_rejects_unknown_estimator(self):
         with pytest.raises(ParameterError):
             SstParams(0.0, (0.0,) * 6, estimator="map")
@@ -243,6 +259,11 @@ class TestSstParams:
         path = tmp_path / "sst.params"
         write_sst_params(params, path)
         assert read_sst_params(path) == params
+
+    def test_params_file_repeated_key_rejected(self):
+        payload = "theta=1\ntheta=2\n" + "".join(f"e{i}=0\n" for i in range(1, 7))
+        with pytest.raises(FormatError, match=r"duplicate key 'theta' \(line 2\)"):
+            read_sst_params(io.StringIO(payload))
 
 
 class TestStatsFile:
@@ -293,11 +314,13 @@ class TestStatsFile:
             load_stats(io.StringIO("tango-bigrams v1\ntotal_chars -1\n1\t2\tA\n"))
 
     def test_prominence_rule_thresholds(self):
-        from tangoseg import ExtremumFeatures
+        def rule(primary, secondary, thresholds):
+            # one position with rise 60 and fall 40, so prominence 40
+            features = ([primary], [secondary], [60.0], [40.0])
+            [passed] = _peak_test(*map(np.array, features), thresholds)
+            return passed
 
-        peak = ExtremumFeatures(True, True, 60.0, 40.0)
-        assert prominence_extremum_rule(peak, (40.0, 50.0, 30.0, 200.0, 200.0, 200.0))
-        assert not prominence_extremum_rule(peak, (45.0, 50.0, 30.0, 200.0, 200.0, 200.0))
-        secondary_only = ExtremumFeatures(False, True, 60.0, 40.0)
-        assert prominence_extremum_rule(secondary_only, (200.0,) * 3 + (0.0,) * 3)
-        assert not prominence_extremum_rule(secondary_only, (0.0,) * 3 + (200.0,) * 3)
+        assert rule(True, True, (40.0, 50.0, 30.0, 200.0, 200.0, 200.0))
+        assert not rule(True, True, (45.0, 50.0, 30.0, 200.0, 200.0, 200.0))
+        assert rule(False, True, (200.0,) * 3 + (0.0,) * 3)
+        assert not rule(False, True, (0.0,) * 3 + (200.0,) * 3)

@@ -5,6 +5,7 @@ import pytest
 from tangoseg import (
     BigramStats,
     Corpus,
+    FormatError,
     ParameterError,
     SstParams,
     TangoParams,
@@ -255,6 +256,12 @@ class TestParamsFiles:
         write_tango_params(params, path)
         assert path.read_text() == "N=2,4\nt=0.4\n"
         assert read_tango_params(path) == params
+
+    def test_repeated_key_rejected(self, tmp_path):
+        path = tmp_path / "tango.params"
+        path.write_text("N=2\nN=3\nt=0.5\n")
+        with pytest.raises(FormatError, match=r"duplicate key 'N' \(line 2\)"):
+            read_tango_params(path)
 
     def test_flags_applied_at_read_time(self, tmp_path):
         path = tmp_path / "tango.params"
