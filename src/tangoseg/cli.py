@@ -13,6 +13,7 @@ import sys
 
 from . import __version__
 from .annotations import (
+    TwoLevelAnnotation,
     parse_annotation,
     parse_flat,
     serialize_annotation,
@@ -39,7 +40,7 @@ from .sst import (
     sst_segment,
     write_sst_params,
 )
-from .synth import generate_corpus, read_lexicon
+from .synth import _draw_words, read_lexicon
 from .training import (
     grid_to_tsv,
     read_tango_params,
@@ -82,8 +83,8 @@ def _read_annotations(path: str):
 
 
 def _write_lines(path, lines: list[str]) -> None:
-    # one join and no string per line: synth writes its corpus while every
-    # annotation is still alive, which is the peak memory of a CLI chain
+    # one join and no string per line: the lines stay alive while the payload
+    # is built, and synth holds both of its outputs' lines until it writes
     write_to(path or sys.stdout, "\n".join(lines) + "\n" if lines else "")
 
 
@@ -219,19 +220,17 @@ def cmd_synth(args) -> int:
     if not args.out_corpus and not args.out_annotations:
         raise ParameterError("nothing to do: give --out-corpus and/or --out-annotations")
     lexicon = read_lexicon(args.lexicon)
-    raw, annotations = generate_corpus(
-        lexicon,
-        sequences=args.sequences,
-        target_chars=args.target_chars,
-        seed=args.seed,
-        words_min=args.words_min,
-        words_max=args.words_max,
-        suffix_prob=args.suffix_prob,
-    )
+    raw, gold = [], []
+    for words in _draw_words(lexicon, args.sequences, args.target_chars, args.seed,
+                             args.words_min, args.words_max, args.suffix_prob):
+        raw.append("".join(map("".join, words)))
+        if args.out_annotations:
+            gold.append(serialize_annotation(TwoLevelAnnotation.from_segments(words)))
+    # every line is built before the first write, so a failure writes no file
     if args.out_corpus:
         _write_lines(args.out_corpus, raw)
     if args.out_annotations:
-        _write_lines(args.out_annotations, [serialize_annotation(a) for a in annotations])
+        _write_lines(args.out_annotations, gold)
     total = sum(len(s) for s in raw)
     print(f"generated {len(raw)} sequences, {total} characters", file=sys.stderr)
     return 0

@@ -7,8 +7,10 @@ spans stem plus suffix, the morpheme brackets split them.  All sampling is
 driven by one seed, so corpora are reproducible.
 """
 
+import math
 import random
 import string
+from bisect import bisect
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -38,8 +40,8 @@ class LexiconEntry:
     def __post_init__(self):
         if not self.word:
             raise ParameterError("lexicon word must be non-empty")
-        if self.weight <= 0:
-            raise ParameterError(f"weight for {self.word!r} must be positive")
+        if not (math.isfinite(self.weight) and self.weight > 0):
+            raise ParameterError(f"weight for {self.word!r} must be finite and positive")
         if self.role not in ROLES:
             raise ParameterError(f"role must be one of {ROLES}, got {self.role!r}")
 
@@ -103,6 +105,51 @@ def make_zipf_lexicon(
     return entries
 
 
+def _draw_words(lexicon, sequences, target_chars, seed, words_min, words_max, suffix_prob):
+    """Yield the sequences of generate_corpus as nested morpheme strings, e.g.
+    [["data", "base"], ["system"]].  Each stem and suffix is drawn as
+    rng.choices(words, cum_weights=cum)[0] draws it, minus its one-item list."""
+    if (sequences is None) == (target_chars is None):
+        raise ParameterError("specify exactly one of sequences / target_chars")
+    if (sequences if sequences is not None else target_chars) < 1:
+        raise ParameterError("sequences and target_chars must be at least 1")
+    if words_min < 1 or words_max < words_min:
+        raise ParameterError("need 1 <= words_min <= words_max")
+    if not 0.0 <= suffix_prob <= 1.0:
+        raise ParameterError("suffix_prob must be in [0, 1]")
+    stems, stem_cum, stem_total = _role_weights(lexicon, "stem")
+    if not stems:
+        raise ParameterError("lexicon has no stems")
+    suffixes, suffix_cum, suffix_total = _role_weights(lexicon, "suffix")
+    stem_hi, suffix_hi = len(stems) - 1, len(suffixes) - 1
+    rng = random.Random(seed)
+    draw = rng.random
+    count = chars = 0
+    while (count < sequences) if sequences is not None else (chars < target_chars):
+        words = []
+        for _ in range(rng.randint(words_min, words_max)):
+            stem = stems[bisect(stem_cum, draw() * stem_total, 0, stem_hi)]
+            chars += len(stem)
+            if suffixes and draw() < suffix_prob:
+                suffix = suffixes[bisect(suffix_cum, draw() * suffix_total, 0, suffix_hi)]
+                chars += len(suffix)
+                words.append([stem, suffix])
+            else:
+                words.append([stem])
+        count += 1
+        yield words
+
+
+def _role_weights(lexicon, role: str) -> tuple[list[str], list[float], float]:
+    """Words of one role, their accumulated weights and their float total."""
+    entries = [e for e in lexicon if e.role == role]
+    cum = list(accumulate(e.weight for e in entries))
+    total = cum[-1] + 0.0 if cum else 0.0
+    if not math.isfinite(total):
+        raise ParameterError(f"{role} weights sum to {total}: too large to sample from")
+    return [e.word for e in entries], cum, total
+
+
 def generate_corpus(
     lexicon,
     sequences: "int | None" = None,
@@ -118,35 +165,6 @@ def generate_corpus(
     weighted-sampled stem, suffixed with probability suffix_prob when the
     lexicon has suffixes.  Returns the raw sequences and their annotations.
     """
-    if (sequences is None) == (target_chars is None):
-        raise ParameterError("specify exactly one of sequences / target_chars")
-    if words_min < 1 or words_max < words_min:
-        raise ParameterError("need 1 <= words_min <= words_max")
-    if not 0.0 <= suffix_prob <= 1.0:
-        raise ParameterError("suffix_prob must be in [0, 1]")
-    stems = [e for e in lexicon if e.role == "stem"]
-    suffixes = [e for e in lexicon if e.role == "suffix"]
-    if not stems:
-        raise ParameterError("lexicon has no stems")
-    stem_words = [e.word for e in stems]
-    suffix_words = [e.word for e in suffixes]
-    # accumulated once: choices(words, weights) would redo it on every draw
-    stem_cum = list(accumulate(e.weight for e in stems))
-    suffix_cum = list(accumulate(e.weight for e in suffixes))
-    rng = random.Random(seed)
-    raw: list[str] = []
-    annotations: list[TwoLevelAnnotation] = []
-    chars = 0
-    while (len(raw) < sequences) if sequences is not None else (chars < target_chars):
-        n_words = rng.randint(words_min, words_max)
-        words = []
-        for _ in range(n_words):
-            morphs = [rng.choices(stem_words, cum_weights=stem_cum)[0]]
-            if suffix_words and rng.random() < suffix_prob:
-                morphs.append(rng.choices(suffix_words, cum_weights=suffix_cum)[0])
-            words.append(morphs)
-        ann = TwoLevelAnnotation.from_segments(words)
-        raw.append(ann.sequence)
-        annotations.append(ann)
-        chars += len(ann.sequence)
-    return raw, annotations
+    drawn = _draw_words(lexicon, sequences, target_chars, seed, words_min, words_max, suffix_prob)
+    annotations = list(map(TwoLevelAnnotation.from_segments, drawn))
+    return [a.sequence for a in annotations], annotations

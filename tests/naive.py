@@ -2,11 +2,12 @@
 
 Everything here is a direct, unoptimized transcription of the definitions:
 substring counting by dictionary walk, votes by literal enumeration of the
-n-gram pairs, probabilities by explicit counters.  None of it shares code
-with the package under test.
+n-gram pairs, probabilities by explicit counters, synthetic corpora by
+random.choices.  None of it shares code with the package under test.
 """
 
 import math
+import random
 
 
 def naive_counts(sequences, n):
@@ -100,6 +101,30 @@ def naive_extremum_features(values):
                 j += 1
             fall = v - values[j]
         out.append((primary, secondary, rise, fall))
+    return out
+
+
+def naive_corpus(lexicon, seed, sequences=None, target_chars=None,
+                 words_min=3, words_max=8, suffix_prob=0.35):
+    """Sequences as nested morpheme strings, one list per word, with every
+    stem and suffix drawn by rng.choices(words, weights) from the entries
+    of that role."""
+    stems = [e for e in lexicon if e.role == "stem"]
+    suffixes = [e for e in lexicon if e.role == "suffix"]
+    rng = random.Random(seed)
+    out = []
+    chars = 0
+    while len(out) < sequences if sequences is not None else chars < target_chars:
+        words = []
+        for _ in range(rng.randint(words_min, words_max)):
+            morphs = [rng.choices([e.word for e in stems], [e.weight for e in stems])[0]]
+            if suffixes and rng.random() < suffix_prob:
+                morphs.append(
+                    rng.choices([e.word for e in suffixes], [e.weight for e in suffixes])[0]
+                )
+            chars += sum(len(m) for m in morphs)
+            words.append(morphs)
+        out.append(words)
     return out
 
 

@@ -1,3 +1,4 @@
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -5,11 +6,13 @@ import pytest
 from tangoseg import (
     NGramTable,
     load_stats,
+    make_zipf_lexicon,
     parse_annotation,
     parse_flat,
     read_sst_params,
     sst_grid,
     train_sst,
+    write_lexicon,
 )
 from tangoseg.cli import main
 
@@ -368,6 +371,78 @@ class TestSynth:
         code, _, _ = run(capsys, "synth", "--lexicon", DATA / "toy_lexicon.tsv",
                          "--sequences", "5")
         assert code == 2
+
+    @pytest.fixture
+    def acceptance_lexicon(self, tmp_path):
+        path = tmp_path / "lex.tsv"
+        write_lexicon(make_zipf_lexicon(50, 10, seed=100), path)
+        return path
+
+    def test_corpus_is_pinned(self, tmp_path, acceptance_lexicon, capsys):
+        # digests from choices(words, cum_weights=...) draws: the draws must not change
+        corpus = tmp_path / "c.txt"
+        code, _, err = run(capsys, "synth", "--lexicon", acceptance_lexicon,
+                           "--target-chars", "3000", "--seed", "101", "--out-corpus", corpus)
+        assert code == 0
+        assert "generated 200 sequences, 3008 characters" in err
+        assert hashlib.sha256(corpus.read_bytes()).hexdigest() == (
+            "32b5d8c6343dd70a575862dad10db19b66c02628841622ae1ca7bfeef83c275c")
+
+    def test_corpus_and_annotations_are_pinned(self, tmp_path, acceptance_lexicon, capsys):
+        corpus = tmp_path / "c.txt"
+        gold = tmp_path / "g.ann"
+        code, _, err = run(capsys, "synth", "--lexicon", acceptance_lexicon,
+                           "--sequences", "40", "--seed", "102",
+                           "--out-corpus", corpus, "--out-annotations", gold)
+        assert code == 0
+        assert "generated 40 sequences, 613 characters" in err
+        assert hashlib.sha256(corpus.read_bytes()).hexdigest() == (
+            "ef19dcf8f4e94d8ff515f11b685adadc8cee820d7343b0c953726e1782ac3ac1")
+        assert hashlib.sha256(gold.read_bytes()).hexdigest() == (
+            "69e16883ea8a379c9d85c4f94714eb284bb6fa487f6c269606fce83c6fd287f2")
+
+    @pytest.mark.parametrize("rows, message", [
+        ("ab\tnan\tstem\n", "line 1"),
+        ("ab\t1\tstem\ncd\tinf\tstem\n", "line 2"),
+        ("ab\t1e308\tstem\ncd\t1e308\tstem\n", "stem weights sum to inf"),
+        ("ab\t1\tstem\nc\t1e308\tsuffix\nd\t1e308\tsuffix\n", "suffix weights sum to inf"),
+    ])
+    def test_non_finite_weights_exit_2(self, tmp_path, capsys, rows, message):
+        lexicon = tmp_path / "lex.tsv"
+        lexicon.write_text(rows)
+        corpus = tmp_path / "c.txt"
+        code, _, err = run(capsys, "synth", "--lexicon", lexicon, "--sequences", "5",
+                           "--out-corpus", corpus)
+        assert code == 2
+        assert message in err
+        assert not corpus.exists()
+
+    @pytest.mark.parametrize("target", [["--sequences", "-4"], ["--sequences", "0"],
+                                        ["--target-chars", "0"]])
+    def test_empty_target_exits_2(self, tmp_path, capsys, target):
+        corpus = tmp_path / "c.txt"
+        code, _, err = run(capsys, "synth", "--lexicon", DATA / "toy_lexicon.tsv", *target,
+                           "--out-corpus", corpus)
+        assert code == 2
+        assert "at least 1" in err
+        assert not corpus.exists()
+
+    def test_failure_writes_no_file(self, tmp_path, capsys):
+        # a bracket is fine in the corpus but cannot be written as an annotation
+        lexicon = tmp_path / "lex.tsv"
+        lexicon.write_text("a[b\t1.0\tstem\n")
+        corpus = tmp_path / "c.txt"
+        gold = tmp_path / "g.ann"
+        code, _, err = run(capsys, "synth", "--lexicon", lexicon, "--sequences", "3",
+                           "--out-corpus", corpus, "--out-annotations", gold)
+        assert code == 2
+        assert "bracket" in err
+        assert not corpus.exists() and not gold.exists()
+        code, _, _ = run(capsys, "synth", "--lexicon", lexicon, "--sequences", "3",
+                         "--out-corpus", corpus)
+        assert code == 0
+        lines = corpus.read_text().splitlines()
+        assert len(lines) == 3 and all(3 <= line.count("a[b") == len(line) // 3 for line in lines)
 
 
 class TestNonUtf8Files:

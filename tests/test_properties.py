@@ -1,9 +1,11 @@
-"""Property tests: the counting engine, the vote kernel and the sst peak
-features against the naive oracle, table round trips, and annotation
-parse/serialize round trips."""
+"""Property tests: the counting engine, the vote kernel, the sst peak
+features and the synthetic corpus draws against the naive oracle, table
+round trips, and annotation parse/serialize round trips."""
 
 import io
 import random
+import tempfile
+from pathlib import Path
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -11,18 +13,23 @@ from hypothesis import strategies as st
 from tangoseg import (
     BigramStats,
     Corpus,
+    LexiconEntry,
     NGramTable,
     TwoLevelAnnotation,
     build_table,
     extremum_features,
+    generate_corpus,
     parse_annotation,
     parse_flat,
     serialize_annotation,
     serialize_flat,
     vote_profile,
+    write_lexicon,
 )
+from tangoseg.cli import main
 
 from naive import (
+    naive_corpus,
     naive_counts,
     naive_extremum_features,
     naive_order_vote,
@@ -167,3 +174,53 @@ def test_annotation_parse_serialize_roundtrip(words):
     assert parse_annotation(serialize_annotation(ann)) == ann
     for flat in (ann.word_segmentation, ann.morpheme_segmentation):
         assert parse_flat(serialize_flat(flat)) == flat
+
+
+@st.composite
+def synth_instances(draw):
+    """(lexicon, generate_corpus keywords): lexicons with and without
+    suffixes, roles interleaved, suffix_prob 0 and 1 and words_min ==
+    words_max among the cases."""
+    entry = st.tuples(st.text("abcdef", min_size=1, max_size=3), st.floats(1e-3, 1e3))
+    lexicon = [LexiconEntry(w, x, "stem") for w, x in draw(st.lists(entry, min_size=1, max_size=6))]
+    lexicon += [LexiconEntry(w, x, "suffix") for w, x in draw(st.lists(entry, max_size=4))]
+    lexicon = draw(st.permutations(lexicon))
+    words_min = draw(st.integers(1, 4))
+    kwargs = {
+        "seed": draw(st.integers(0, 2**32)),
+        "words_min": words_min,
+        "words_max": draw(st.just(words_min) | st.integers(words_min, 6)),
+        "suffix_prob": draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)),
+    }
+    if draw(st.booleans()):
+        kwargs["sequences"] = draw(st.integers(1, 12))
+    else:
+        kwargs["target_chars"] = draw(st.integers(1, 80))
+    return lexicon, kwargs
+
+
+@settings(max_examples=150, deadline=None)
+@given(synth_instances())
+def test_synth_draws_match_choices_oracle(instance):
+    lexicon, kwargs = instance
+    raw, annotations = generate_corpus(lexicon, **kwargs)
+    nested = [
+        [[a.sequence[m.start:m.end] for m in ms] for ms in a.morphemes] for a in annotations
+    ]
+    assert nested == naive_corpus(lexicon, **kwargs)
+    assert raw == [a.sequence for a in annotations]
+    # the CLI draws the same sequences, with or without annotations
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        write_lexicon(lexicon, d / "lex.tsv")
+        argv = ["synth", "--lexicon", str(d / "lex.tsv")]
+        for key, value in kwargs.items():
+            argv += ["--" + key.replace("_", "-"), str(value)]
+        assert main(argv + ["--out-corpus", str(d / "c.txt")]) == 0
+        assert main(argv + ["--out-corpus", str(d / "both.txt"),
+                            "--out-annotations", str(d / "both.ann")]) == 0
+        corpus_only = (d / "c.txt").read_text(encoding="utf-8")
+        both = (d / "both.txt").read_text(encoding="utf-8")
+        gold = (d / "both.ann").read_text(encoding="utf-8")
+    assert corpus_only == both == "".join(r + "\n" for r in raw)
+    assert gold == "".join(serialize_annotation(a) + "\n" for a in annotations)

@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import pytest
 
@@ -65,6 +66,18 @@ class TestLexicon:
         with pytest.raises(ParameterError):
             LexiconEntry("ab", 1.0, "infix")
 
+    @pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf, -1.0])
+    def test_entry_rejects_non_finite_weight(self, weight):
+        with pytest.raises(ParameterError, match="finite and positive"):
+            LexiconEntry("ab", weight, "stem")
+
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf", "NaN"])
+    def test_read_rejects_non_finite_weight(self, tmp_path, weight):
+        path = tmp_path / "lex.tsv"
+        path.write_text(f"ab\t1.0\tstem\ncd\t{weight}\tstem\n")
+        with pytest.raises(FormatError, match="line 2"):
+            read_lexicon(path)
+
 
 class TestGenerateCorpus:
     @pytest.fixture
@@ -129,3 +142,17 @@ class TestGenerateCorpus:
         suffix_only = [LexiconEntry("x", 1.0, "suffix")]
         with pytest.raises(ParameterError):
             generate_corpus(suffix_only, sequences=1)
+
+    @pytest.mark.parametrize("target", [{"sequences": 0}, {"sequences": -4},
+                                        {"target_chars": 0}, {"target_chars": -1}])
+    def test_empty_targets_rejected(self, lexicon, target):
+        with pytest.raises(ParameterError, match="at least 1"):
+            generate_corpus(lexicon, **target)
+
+    @pytest.mark.parametrize("role", ["stem", "suffix"])
+    def test_overflowing_weights_rejected(self, role):
+        # each weight is finite, their float sum is not
+        lexicon = [LexiconEntry("ab", 1.0, "stem"), LexiconEntry("c", 1.0, "suffix")]
+        lexicon += [LexiconEntry(w, 1e308, role) for w in ("x", "y")]
+        with pytest.raises(ParameterError, match=f"{role} weights sum to inf"):
+            generate_corpus(lexicon, sequences=1)
