@@ -10,6 +10,7 @@ and 2 on any error.
 
 import argparse
 import sys
+from pathlib import Path
 
 from . import __version__
 from .annotations import (
@@ -191,6 +192,8 @@ def cmd_train(args) -> int:
     if args.grid_out:
         write_to(args.grid_out, grid_to_tsv(result))
     print(f"best {args.criterion} = {result.score:.4f} with {described}", file=sys.stderr)
+    print(f"{result.grid.ties()} of {len(result.grid)} settings tie at the best score",
+          file=sys.stderr)
     print(f"wrote parameters to {args.out}", file=sys.stderr)
     return 0
 
@@ -226,11 +229,18 @@ def cmd_synth(args) -> int:
         raw.append("".join(map("".join, words)))
         if args.out_annotations:
             gold.append(serialize_annotation(TwoLevelAnnotation.from_segments(words)))
-    # every line is built before the first write, so a failure writes no file
-    if args.out_corpus:
-        _write_lines(args.out_corpus, raw)
-    if args.out_annotations:
-        _write_lines(args.out_annotations, gold)
+    # every line is built before the first write, and a failed write removes
+    # the file already written, so a failure leaves no output file
+    written = []
+    try:
+        for path, lines in ((args.out_corpus, raw), (args.out_annotations, gold)):
+            if path:
+                _write_lines(path, lines)
+                written.append(path)
+    except (Error, OSError):
+        for path in written:
+            Path(path).unlink(missing_ok=True)
+        raise
     total = sum(len(s) for s in raw)
     print(f"generated {len(raw)} sequences, {total} characters", file=sys.stderr)
     return 0

@@ -14,14 +14,17 @@ them.
 Both trainers score their grids the same way: each setting becomes one
 boolean row holding the training sequences' boundaries end to end, and one
 routine, _BoundaryRows.scores, matches a block of rows against the gold
-brackets.  The best setting is the first maximum in grid order.
+brackets.  The best setting is the first maximum in grid order.  The grid is
+kept as its settings and a scores array; only the best setting becomes a
+parameter object, and the grid's other items are built when one is read.
 """
 
 import math
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import accumulate, combinations
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
@@ -131,13 +134,51 @@ class _BoundaryRows:
         return np.array(values)[inverse]
 
 
+class GridView(Sequence):
+    """A trained grid as a read-only sequence of (params, score) pairs.
+
+    It holds the settings in grid order and their scores as one array; an
+    item's parameter object is built, and validated, when the item is read.
+    """
+
+    def __init__(self, settings: Sequence, scores: np.ndarray, make: Callable[[Any], Any]):
+        self.settings = settings
+        self.scores = scores
+        self._make = make
+
+    def __len__(self) -> int:
+        return len(self.scores)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        return self._make(self.settings[index]), float(self.scores[index])
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (GridView, list)):
+            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        return NotImplemented
+
+    def best(self) -> "tuple[Any, float]":
+        """The first maximum in grid order."""
+        return self[int(np.argmax(self.scores))]
+
+    def ties(self) -> int:
+        """How many settings score the grid's maximum."""
+        return int(np.count_nonzero(self.scores == self.scores.max()))
+
+
 @dataclass
 class TrainResult:
-    """Best parameters with their training score and the full grid table."""
+    """Best parameters with their training score and the full grid table.
+
+    params and score are the grid's first maximum; grid is a GridView over
+    the trainer's settings and scores arrays.
+    """
 
     params: Any
     score: float
-    grid: list[tuple[Any, float]]
+    grid: GridView
 
 
 def tango_grid() -> "Iterable[tuple[tuple[int, ...], float]]":
@@ -177,6 +218,8 @@ def train_tango(
     setting is a cheap re-combination, so the full 620-point grid is always
     evaluated.  The returned parameters carry the condition flags used.  A
     table that does not cover orders 2..6 raises UnsupportedOrderError.
+    The result's grid keeps the tango_grid() settings and their scores;
+    only the best setting is built as a TangoParams here.
     """
     validate_criterion(criterion)
     if not train_set:
@@ -201,12 +244,12 @@ def train_tango(
         for offset, votes in zip(layout.offsets, combined):
             bounds = _boundaries(votes, use_local_max, threshold if use_threshold else math.inf)
             row[[offset + k for k in bounds]] = True
-    scores = layout.scores(rows).tolist()
-    grid = [
-        (TangoParams(frozenset(subset), threshold, use_local_max, use_threshold), score)
-        for (subset, threshold), score in zip(settings, scores)
-    ]
-    return TrainResult(*grid[int(np.argmax(scores))], grid)
+    grid = GridView(
+        settings,
+        layout.scores(rows),
+        lambda s: TangoParams(frozenset(s[0]), s[1], use_local_max, use_threshold),
+    )
+    return TrainResult(*grid.best(), grid)
 
 
 def train_sst(
@@ -218,7 +261,9 @@ def train_sst(
 
     Mutual-information values and peak features are computed once per
     sequence by the segmenter's engine; the segmenter's peak rule then
-    tests blocks of the 78125 settings at once, one boundary row each.
+    tests blocks of the 78125 settings at once, one boundary row each.  The
+    result's grid keeps the (settings x 7) parameter array and the scores
+    array; only the best setting is built as an SstParams here.
     """
     validate_criterion(criterion)
     if not train_set:
@@ -239,12 +284,8 @@ def train_sst(
         rows = layout.blank(len(theta))
         rows[:, positions] = (mi < theta) & _peak_test(*peaks, es)
         scores[lo : lo + step] = layout.scores(rows)
-    scores = scores.tolist()
-    grid = [
-        (SstParams(theta, es, stats.estimator), score)
-        for (theta, *es), score in zip(vectors.tolist(), scores)
-    ]
-    return TrainResult(*grid[int(np.argmax(scores))], grid)
+    grid = GridView(vectors, scores, lambda v: SstParams(float(v[0]), v[1:], stats.estimator))
+    return TrainResult(*grid.best(), grid)
 
 
 def split_heldout(
@@ -292,17 +333,25 @@ def read_tango_params(
     return TangoParams(orders, threshold, use_local_max, use_threshold)
 
 
+def _formatted(values: np.ndarray, spec: str) -> np.ndarray:
+    """values as an object array of strings, each distinct value formatted once."""
+    distinct, inverse = np.unique(values, return_inverse=True)
+    text = np.array([format(v, spec) for v in distinct.tolist()], dtype=object)
+    return text[inverse.reshape(values.shape)]
+
+
 def grid_to_tsv(result: TrainResult) -> str:
-    """Diagnostic dump of the full grid table."""
-    rows = []
-    if result.grid and isinstance(result.grid[0][0], TangoParams):
-        rows.append("N\tt\tscore")
-        for params, score in result.grid:
-            orders = ",".join(str(n) for n in params.sorted_orders)
-            rows.append(f"{orders}\t{params.threshold:g}\t{score:.6f}")
+    """Diagnostic dump of the full grid table, one row per setting in grid
+    order, formatted from the grid's arrays."""
+    grid = result.grid
+    scores = _formatted(grid.scores, ".6f")
+    if isinstance(result.params, TangoParams):
+        header = "N\tt\tscore"
+        rows = [
+            f"{','.join(map(str, subset))}\t{t:g}\t{score}"
+            for (subset, t), score in zip(grid.settings, scores.tolist())
+        ]
     else:
-        rows.append("theta\te1\te2\te3\te4\te5\te6\tscore")
-        for params, score in result.grid:
-            es = "\t".join(f"{e:g}" for e in params.extremum_thresholds)
-            rows.append(f"{params.theta:g}\t{es}\t{score:.6f}")
-    return "\n".join(rows) + "\n"
+        header = "theta\te1\te2\te3\te4\te5\te6\tscore"
+        rows = map("\t".join, np.column_stack([_formatted(grid.settings, "g"), scores]).tolist())
+    return "\n".join([header, *rows]) + "\n"

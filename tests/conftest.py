@@ -29,3 +29,22 @@ def toy_table():
     """Counts over nine repetitions each of ABCD and WXYZ as separate lines."""
     corpus = Corpus(["ABCD"] * 9 + ["WXYZ"] * 9)
     return build_table(corpus, {2, 3, 4, 5, 6})
+
+
+@pytest.fixture
+def constructions(monkeypatch):
+    """constructions(cls) counts the objects of a validating dataclass built
+    from then on: the returned list gains each one as its __post_init__ runs."""
+
+    def count(cls):
+        built = []
+        original = cls.__post_init__
+
+        def counting(self):
+            original(self)
+            built.append(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+        return built
+
+    return count

@@ -5,6 +5,7 @@ import pytest
 
 from tangoseg import (
     NGramTable,
+    SstParams,
     load_stats,
     make_zipf_lexicon,
     parse_annotation,
@@ -256,6 +257,66 @@ class TestTrainAndEvaluate:
         result = train_sst(gold, load_stats(big), "word-f")
         assert [row[7] for row in rows] == [f"{score:.6f}" for _, score in result.grid]
 
+    @pytest.fixture
+    def toy_models(self, tmp_path, capsys):
+        index, big = tmp_path / "toy.tab", tmp_path / "toy.big"
+        assert run(capsys, "build-index", "--corpus", DATA / "toy_corpus.txt",
+                   "--out", index, "--bigrams-out", big)[0] == 0
+        return {"tango": ["--index", index], "sst": ["--stats", big]}
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["--algorithm", "tango", "--criterion", "word-f"],
+         "ef3f387bd5a389367d7f038016de0bdfaa802e2bcac13f28747879a7ced4f8e9"),
+        (["--algorithm", "sst", "--criterion", "word-f"],
+         "08965b5e8dd4a156f7202335066e3ab8508c58efeec3d6e5d36758e9e3ded149"),
+        (["--algorithm", "sst", "--estimator", "ele", "--criterion", "morpheme-recall"],
+         "a0dbfe3a1ed389e6053f3d0ccd06e7b0100a3a53dd1ec11283e7b42707a4170c"),
+    ], ids=["tango", "sst", "sst-ele-morpheme"])
+    def test_grid_out_is_pinned(self, tmp_path, capsys, toy_models, argv, digest):
+        # digests of the grid dump written when every row was formatted from
+        # a parameter object: formatting from the grid's arrays must not change it
+        grid = tmp_path / "grid.tsv"
+        code, _, err = run(capsys, "train", *argv, *toy_models[argv[1]],
+                           "--train", DATA / "toy_gold.txt", "--out", tmp_path / "p.txt",
+                           "--grid-out", grid)
+        assert code == 0
+        assert hashlib.sha256(grid.read_bytes()).hexdigest() == digest
+        scores = [line.rsplit("\t", 1)[1] for line in grid.read_text().splitlines()[1:]]
+        best = max(scores, key=float)
+        assert f"{scores.count(best)} of {len(scores)} settings tie at the best score" in err
+
+    @pytest.mark.parametrize("algorithm, corpus, model, total", [
+        ("tango", "QRSTUVW\n", "--out", 620),
+        ("sst", "ABCABCABC\nCABCAB\nBCABCA\n", "--bigrams-out", 5 ** 7),
+    ])
+    def test_all_tied_grid_reports_every_setting(self, tmp_path, capsys, algorithm, corpus,
+                                                 model, total):
+        # no repeated gram votes 0 everywhere, and a four-character sequence
+        # has no dts peak: every setting leaves every sequence whole
+        (tmp_path / "c.txt").write_text(corpus)
+        (tmp_path / "train.ann").write_text("[AB][CA]\n[BC][AB]\n[CA][BC]\n")
+        assert run(capsys, "build-index", "--corpus", tmp_path / "c.txt",
+                   model, tmp_path / "model")[0] == 0
+        flag = "--index" if algorithm == "tango" else "--stats"
+        code, _, err = run(capsys, "train", "--algorithm", algorithm, flag, tmp_path / "model",
+                           "--train", tmp_path / "train.ann", "--criterion", "word-f",
+                           "--out", tmp_path / "p.txt")
+        assert code == 0
+        lines = err.splitlines()
+        assert lines[0].startswith("best word-f = 0.0000 with ")
+        assert lines[1] == f"{total} of {total} settings tie at the best score"
+
+    @pytest.mark.parametrize("grid_out", [False, True])
+    def test_train_sst_builds_one_params(self, tmp_path, capsys, toy_models, constructions,
+                                         grid_out):
+        built = constructions(SstParams)
+        extra = ["--grid-out", tmp_path / "grid.tsv"] if grid_out else []
+        code, _, _ = run(capsys, "train", "--algorithm", "sst", *toy_models["sst"],
+                         "--train", DATA / "toy_gold.txt", "--criterion", "word-f",
+                         "--out", tmp_path / "sst.params", *extra)
+        assert code == 0
+        assert len(built) == 1
+
     def test_inadmissible_criterion_exits_2(self, tmp_path, capsys):
         index = tmp_path / "toy.tab"
         assert run(capsys, "build-index", "--corpus", DATA / "toy_corpus.txt",
@@ -443,6 +504,16 @@ class TestSynth:
         assert code == 0
         lines = corpus.read_text().splitlines()
         assert len(lines) == 3 and all(3 <= line.count("a[b") == len(line) // 3 for line in lines)
+
+    def test_failed_second_write_leaves_no_file(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        Path("d").mkdir()
+        code, _, err = run(capsys, "synth", "--lexicon", DATA / "toy_lexicon.tsv",
+                           "--sequences", "3", "--out-corpus", "d/c.txt",
+                           "--out-annotations", "d/missing/g.ann")
+        assert code == 2
+        assert "No such file or directory" in err
+        assert list(Path("d").iterdir()) == []
 
 
 class TestNonUtf8Files:

@@ -113,6 +113,7 @@ class TestTrainTango:
         assert sorted(result.params.orders) == [2]
         assert result.params.threshold == 1.0
         assert len({score for _, score in result.grid}) == 1
+        assert result.grid.ties() == 620
 
     def test_determinism(self, toy_setup):
         table, _, train_anns = toy_setup
@@ -200,6 +201,7 @@ class TestTrainSst:
         assert result.params.theta == 0.0
         assert result.params.extremum_thresholds == (0.0,) * 6
         assert len({score for _, score in result.grid}) == 1
+        assert result.grid.ties() == 5 ** 7
 
     def test_determinism(self, toy_setup):
         _, stats, train_anns = toy_setup
@@ -216,6 +218,61 @@ class TestTrainSst:
         _, stats, train_anns = toy_setup
         with pytest.raises(ParameterError):
             train_sst(train_anns, stats, "all-compatible")
+
+
+def check_lazy_grid(grid, eager):
+    """grid behaves as the eager list of its (params, score) pairs."""
+    n = len(eager)
+    assert len(grid) == n
+    indices = [0, 1, n - 1, -1, -2, -n] + random.Random(11).sample(range(n), 20)
+    for i in indices:
+        assert grid[i] == eager[i]
+        assert type(grid[i][1]) is float
+    with pytest.raises(IndexError):
+        grid[n]
+    assert grid[3:9] == eager[3:9]
+    assert grid[::-97] == eager[::-97]
+    assert random.Random(5).sample(grid, 10) == random.Random(5).sample(eager, 10)
+    assert list(grid) == eager
+    assert grid == eager
+    scores = [score for _, score in eager]
+    assert grid.ties() == scores.count(max(scores))
+
+
+class TestLazyGrid:
+    def test_tango_grid_equals_eager_list(self, toy_setup):
+        table, _, train_anns = toy_setup
+        result = train_tango(train_anns, table, "word-f", use_local_max=False)
+        eager = [
+            (TangoParams(frozenset(subset), t, use_local_max=False), score)
+            for (subset, t), score in zip(tango_grid(), result.grid.scores.tolist())
+        ]
+        check_lazy_grid(result.grid, eager)
+        assert (result.params, result.score) == eager[int(result.grid.scores.argmax())]
+
+    def test_sst_grid_equals_eager_list(self, toy_setup):
+        _, stats, train_anns = toy_setup
+        result = train_sst(train_anns[:2], stats.using("ele"), "word-f")
+        eager = [
+            (SstParams(theta, es, "ele"), score)
+            for (theta, es), score in zip(sst_grid(), result.grid.scores.tolist())
+        ]
+        check_lazy_grid(result.grid, eager)
+        assert (result.params, result.score) == eager[int(result.grid.scores.argmax())]
+
+    def test_trainers_build_only_the_best_params(self, toy_setup, constructions):
+        table, stats, train_anns = toy_setup
+        tango_built = constructions(TangoParams)
+        sst_built = constructions(SstParams)
+        tango = train_tango(train_anns, table, "word-f")
+        sst = train_sst(train_anns[:2], stats, "word-f")
+        assert tango_built == [tango.params]
+        assert sst_built == [sst.params]
+        sst.grid[-1]
+        assert len(sst_built) == 2
+        grid_to_tsv(tango)
+        grid_to_tsv(sst)
+        assert (len(tango_built), len(sst_built)) == (1, 2)
 
 
 class TestSplitHeldout:
