@@ -10,6 +10,7 @@ and 2 on any error.
 
 import argparse
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import __version__
@@ -89,6 +90,21 @@ def _write_lines(path, lines: list[str]) -> None:
     write_to(path or sys.stdout, "\n".join(lines) + "\n" if lines else "")
 
 
+def _write_all(outputs: list) -> list:
+    """Call write(path) for each (path, write) in turn and return what each
+    returned.  A failed write removes the files already written, so that a
+    failure leaves no output file."""
+    written = []
+    try:
+        for path, write in outputs:
+            written.append(write(path))
+    except (Error, OSError):
+        for path, _ in outputs[: len(written)]:
+            Path(path).unlink(missing_ok=True)
+        raise
+    return written
+
+
 def cmd_build_index(args) -> int:
     if not args.out and not args.bigrams_out:
         raise ParameterError("nothing to do: give --out and/or --bigrams-out")
@@ -97,21 +113,22 @@ def cmd_build_index(args) -> int:
     if not corpus.sequences:
         raise ParameterError(f"{args.corpus}: no sequences extracted")
     print(f"corpus_size {corpus.total_chars}", file=sys.stderr)
+    outputs = []
     if args.out:
         table = build_table(corpus, _parse_orders(args.orders))
-        written = table.save(args.out)
         for n, distinct in table.distinct_per_order().items():
             print(f"order {n}: {distinct} distinct grams", file=sys.stderr)
-        print(f"wrote {written} bytes to {args.out}", file=sys.stderr)
+        outputs.append((args.out, table.save))
     if args.bigrams_out:
         stats = BigramStats.from_corpus(corpus)
-        written = save_stats(stats, args.bigrams_out)
         print(
             f"bigram stats: {stats.alphabet_size} characters, "
             f"{stats.bigram_types} bigram types",
             file=sys.stderr,
         )
-        print(f"wrote {written} bytes to {args.bigrams_out}", file=sys.stderr)
+        outputs.append((args.bigrams_out, partial(save_stats, stats)))
+    for (path, _), written in zip(outputs, _write_all(outputs)):
+        print(f"wrote {written} bytes to {path}", file=sys.stderr)
     return 0
 
 
@@ -229,18 +246,9 @@ def cmd_synth(args) -> int:
         raw.append("".join(map("".join, words)))
         if args.out_annotations:
             gold.append(serialize_annotation(TwoLevelAnnotation.from_segments(words)))
-    # every line is built before the first write, and a failed write removes
-    # the file already written, so a failure leaves no output file
-    written = []
-    try:
-        for path, lines in ((args.out_corpus, raw), (args.out_annotations, gold)):
-            if path:
-                _write_lines(path, lines)
-                written.append(path)
-    except (Error, OSError):
-        for path in written:
-            Path(path).unlink(missing_ok=True)
-        raise
+    # every line is built before the first write
+    outputs = ((args.out_corpus, raw), (args.out_annotations, gold))
+    _write_all([(path, partial(_write_lines, lines=lines)) for path, lines in outputs if path])
     total = sum(len(s) for s in raw)
     print(f"generated {len(raw)} sequences, {total} characters", file=sys.stderr)
     return 0

@@ -150,6 +150,26 @@ def score_sequence(pred: FlatSegmentation, gold: TwoLevelAnnotation) -> Sequence
     return SequenceScore(wm, wp, wg, mm, mp, mg, crossing, dividing, compatible)
 
 
+def _pooled(count: str) -> property:
+    """A report property: the sum of a per-sequence count."""
+    return property(lambda self: sum(getattr(s, count) for s in self.per_sequence))
+
+
+def _micro(level: str, index: int) -> property:
+    """A report property: precision (0), recall (1) or F (2) of the pooled
+    counts of the word or morpheme level."""
+    fields = [f"{level}_{count}" for count in ("matched", "proposed", "gold")]
+    return property(lambda self: _prf(*(getattr(self, f) for f in fields))[index])
+
+
+def _macro(level: str, index: int) -> property:
+    """A report property: the mean of the per-sequence percentages."""
+    prf = f"{level}_prf"
+    return property(
+        lambda self: sum(getattr(s, prf)[index] for s in self.per_sequence) / self.n_sequences
+    )
+
+
 @dataclass
 class ScoreReport:
     """Aggregate scores over a test set.
@@ -168,95 +188,27 @@ class ScoreReport:
     def n_sequences(self) -> int:
         return len(self.per_sequence)
 
-    def _pool(self, attr: str) -> int:
-        return sum(getattr(s, attr) for s in self.per_sequence)
-
-    @property
-    def word_matched(self) -> int:
-        return self._pool("word_matched")
-
-    @property
-    def word_proposed(self) -> int:
-        return self._pool("word_proposed")
-
-    @property
-    def word_gold(self) -> int:
-        return self._pool("word_gold")
-
-    @property
-    def morpheme_matched(self) -> int:
-        return self._pool("morpheme_matched")
-
-    @property
-    def morpheme_proposed(self) -> int:
-        return self._pool("morpheme_proposed")
-
-    @property
-    def morpheme_gold(self) -> int:
-        return self._pool("morpheme_gold")
-
-    @property
-    def crossing_count(self) -> int:
-        return self._pool("crossing")
-
-    @property
-    def morpheme_dividing_count(self) -> int:
-        return self._pool("morpheme_dividing")
-
-    @property
-    def compatible_count(self) -> int:
-        return self._pool("compatible")
-
-    @property
-    def word_precision(self) -> float:
-        return _prf(self.word_matched, self.word_proposed, self.word_gold)[0]
-
-    @property
-    def word_recall(self) -> float:
-        return _prf(self.word_matched, self.word_proposed, self.word_gold)[1]
-
-    @property
-    def word_f(self) -> float:
-        return _prf(self.word_matched, self.word_proposed, self.word_gold)[2]
-
-    @property
-    def morpheme_precision(self) -> float:
-        return _prf(self.morpheme_matched, self.morpheme_proposed, self.morpheme_gold)[0]
-
-    @property
-    def morpheme_recall(self) -> float:
-        return _prf(self.morpheme_matched, self.morpheme_proposed, self.morpheme_gold)[1]
-
-    @property
-    def morpheme_f(self) -> float:
-        return _prf(self.morpheme_matched, self.morpheme_proposed, self.morpheme_gold)[2]
-
-    def _macro(self, index: int, attr: str) -> float:
-        return sum(getattr(s, attr)[index] for s in self.per_sequence) / self.n_sequences
-
-    @property
-    def macro_word_precision(self) -> float:
-        return self._macro(0, "word_prf")
-
-    @property
-    def macro_word_recall(self) -> float:
-        return self._macro(1, "word_prf")
-
-    @property
-    def macro_word_f(self) -> float:
-        return self._macro(2, "word_prf")
-
-    @property
-    def macro_morpheme_precision(self) -> float:
-        return self._macro(0, "morpheme_prf")
-
-    @property
-    def macro_morpheme_recall(self) -> float:
-        return self._macro(1, "morpheme_prf")
-
-    @property
-    def macro_morpheme_f(self) -> float:
-        return self._macro(2, "morpheme_prf")
+    word_matched = _pooled("word_matched")
+    word_proposed = _pooled("word_proposed")
+    word_gold = _pooled("word_gold")
+    morpheme_matched = _pooled("morpheme_matched")
+    morpheme_proposed = _pooled("morpheme_proposed")
+    morpheme_gold = _pooled("morpheme_gold")
+    crossing_count = _pooled("crossing")
+    morpheme_dividing_count = _pooled("morpheme_dividing")
+    compatible_count = _pooled("compatible")
+    word_precision = _micro("word", 0)
+    word_recall = _micro("word", 1)
+    word_f = _micro("word", 2)
+    morpheme_precision = _micro("morpheme", 0)
+    morpheme_recall = _micro("morpheme", 1)
+    morpheme_f = _micro("morpheme", 2)
+    macro_word_precision = _macro("word", 0)
+    macro_word_recall = _macro("word", 1)
+    macro_word_f = _macro("word", 2)
+    macro_morpheme_precision = _macro("morpheme", 0)
+    macro_morpheme_recall = _macro("morpheme", 1)
+    macro_morpheme_f = _macro("morpheme", 2)
 
     @property
     def compatible_rate(self) -> float:

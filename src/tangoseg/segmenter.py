@@ -12,7 +12,8 @@ n-gram window up once per order and reads every gap's comparisons from
 those counts.  vote_profile is the one public entry to the votes: its
 ``votes[k-1]`` is the total vote at gap k, and with keep_per_order its
 ``per_order[n][k-1]`` is order n's vote there.  One placement rule, local
-maximum or threshold, serves place_boundaries and train_tango.
+maximum or threshold, serves place_boundaries on one profile's floats and
+train_tango on arrays of settings.
 
 Edge conventions (pinned by tests):
   * only comparisons between existing n-grams are performed; the vote
@@ -27,6 +28,7 @@ Edge conventions (pinned by tests):
 
 import math
 from bisect import bisect_left
+from itertools import compress, repeat
 from dataclasses import dataclass
 
 from .annotations import FlatSegmentation
@@ -140,16 +142,20 @@ def _mean_votes(rows) -> list[float]:
     return means
 
 
-def _boundaries(votes: list[float], use_local_max: bool, threshold: float) -> list[int]:
-    """The placement rule: locations (gap index + 1) whose vote is a strict
-    local maximum, if use_local_max, or meets the threshold."""
-    edge = -1.0 if len(votes) > 1 else 2.0  # votes lie in [0, 1]; a lone gap is no maximum
-    padded = [edge, *votes, edge]
-    return [
-        k
-        for k, (a, v, b) in enumerate(zip(padded, votes, padded[2:]), 1)
-        if (use_local_max and a < v > b) or v >= threshold
-    ]
+def _padded(votes: list[float]) -> list[float]:
+    """votes with an edge value at both ends, the neighbour of the first and
+    last gaps: -1 lies below every vote, and 2 above a lone gap's, which so
+    is no local maximum."""
+    edge = -1.0 if len(votes) > 1 else 2.0
+    return [edge, *votes, edge]
+
+
+def _tango_rule(left, vote, right, use_local_max, threshold):
+    """The placement rule: a gap is a boundary when its vote is a strict
+    local maximum, if use_local_max, or meets the threshold.  It works on
+    floats and elementwise on arrays alike, so a column of thresholds
+    places a row of votes under many settings at once."""
+    return (use_local_max & (left < vote) & (vote > right)) | (vote >= threshold)
 
 
 def vote_profile(
@@ -174,8 +180,11 @@ def vote_profile(
 def place_boundaries(profile: VoteProfile, params: TangoParams) -> FlatSegmentation:
     """Apply the local-maximum / threshold rule to a vote profile."""
     threshold = params.threshold if params.use_threshold else math.inf
-    bounds = _boundaries(profile.votes, params.use_local_max, threshold)
-    return FlatSegmentation(profile.sequence, tuple(bounds))
+    p = _padded(profile.votes)
+    hits = map(
+        _tango_rule, p, profile.votes, p[2:], repeat(params.use_local_max), repeat(threshold)
+    )
+    return FlatSegmentation(profile.sequence, tuple(compress(range(1, len(p) - 1), hits)))
 
 
 def segment(seq: str, params: TangoParams, table: NGramTable) -> FlatSegmentation:

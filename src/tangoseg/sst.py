@@ -18,8 +18,9 @@ quantities are non-negative.
 
 One array engine serves sst_segment and train_sst: _gap_features gives a
 sequence's mutual information and peak features as arrays over its
-interior gaps, and _peak_test is the one peak rule.  sst_segment applies it
-with one parameter setting; train_sst broadcasts it over blocks of grid
+interior gaps, _peak_test is the one peak rule, and _sst_rule, the MI gate
+and the peak rule, is the one boundary rule.  sst_segment applies it with
+one parameter setting; train_sst broadcasts it over blocks of grid
 settings.  dts_terms and mutual_information stay scalar: they are the
 formulas the oracle checks term by term.
 """
@@ -63,6 +64,12 @@ ESTIMATORS = ("mle", "ele")
 STATS_HEADER = "tango-bigrams v1"
 
 
+def _require_estimator(estimator: str) -> str:
+    if estimator not in ESTIMATORS:
+        raise ParameterError(f"estimator must be one of {ESTIMATORS}")
+    return estimator
+
+
 @dataclass(frozen=True)
 class SstParams:
     """Mutual-information threshold, six extremum thresholds, estimator."""
@@ -82,8 +89,7 @@ class SstParams:
             raise ParameterError(
                 f"extremum thresholds must be non-negative, got {self.extremum_thresholds}"
             )
-        if self.estimator not in ESTIMATORS:
-            raise ParameterError(f"estimator must be one of {ESTIMATORS}")
+        _require_estimator(self.estimator)
 
 
 class BigramStats:
@@ -102,13 +108,11 @@ class BigramStats:
         total_chars: int,
         estimator: str = "mle",
     ):
-        if estimator not in ESTIMATORS:
-            raise ParameterError(f"estimator must be one of {ESTIMATORS}")
         self.unigrams = unigrams
         self.bigrams = bigrams
         self.total_chars = total_chars
         self.total_bigrams = sum(bigrams.values())
-        self.estimator = estimator
+        self.estimator = _require_estimator(estimator)
 
     @classmethod
     def from_corpus(cls, corpus: "Corpus | Iterable[str]", estimator: str = "mle") -> "BigramStats":
@@ -123,10 +127,8 @@ class BigramStats:
         """Same counts under a different estimator (counts are shared)."""
         if estimator == self.estimator:
             return self
-        if estimator not in ESTIMATORS:
-            raise ParameterError(f"estimator must be one of {ESTIMATORS}")
         out = copy.copy(self)
-        out.estimator = estimator
+        out.estimator = _require_estimator(estimator)
         return out
 
     @property
@@ -272,6 +274,12 @@ def _peak_test(primary, secondary, rise, fall, thresholds):
     )
 
 
+def _sst_rule(mi, primary, secondary, rise, fall, theta, thresholds):
+    """The boundary rule: mi below theta and the peak test passed.  theta
+    and the thresholds broadcast like the peak test's."""
+    return (mi < theta) & _peak_test(primary, secondary, rise, fall, thresholds)
+
+
 def sst_segment(seq: str, params: SstParams, stats: BigramStats) -> FlatSegmentation:
     """Boundary at gap k iff mi < theta there and the dts peak test passes.
 
@@ -279,8 +287,8 @@ def sst_segment(seq: str, params: SstParams, stats: BigramStats) -> FlatSegmenta
     boundaries, so sequences shorter than five characters come back whole.
     The params' estimator is applied to the statistics.
     """
-    mi, *peaks = _gap_features(seq, stats.using(params.estimator))
-    ok = (mi < params.theta) & _peak_test(*peaks, params.extremum_thresholds)
+    features = _gap_features(seq, stats.using(params.estimator))
+    ok = _sst_rule(*features, params.theta, params.extremum_thresholds)
     return FlatSegmentation(seq, tuple((np.flatnonzero(ok) + 2).tolist()))
 
 

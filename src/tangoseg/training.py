@@ -11,12 +11,16 @@ are micro-averaged over the training set.  Compatible-brackets rates are
 rejected as criteria: a degenerate whole-sequence bracketing scores 100 on
 them.
 
-Both trainers score their grids the same way: each setting becomes one
-boolean row holding the training sequences' boundaries end to end, and one
-routine, _BoundaryRows.scores, matches a block of rows against the gold
-brackets.  The best setting is the first maximum in grid order.  The grid is
-kept as its settings and a scores array; only the best setting becomes a
-parameter object, and the grid's other items are built when one is read.
+Both trainers run one grid search, _grid_search, over one layout,
+_BoundaryRows: the training sequences end to end, one column per gap and
+two per sequence end.  The search walks the grid in blocks of settings
+that hold at most _CELL_BUDGET cells.  Each trainer applies its
+segmenter's one boundary rule to arrays of settings, giving one boolean
+row per setting in the block, and one routine, _BoundaryRows.scores,
+matches the rows against the gold brackets.  The best setting is the first
+maximum in grid order.  The grid is kept as its settings and a scores
+array; only the best setting becomes a parameter object, and the grid's
+other items are built when one is read.
 """
 
 import math
@@ -32,8 +36,8 @@ from .annotations import TwoLevelAnnotation
 from .errors import FormatError, ParameterError
 from .metrics import _prf
 from .ngrams import NGramTable, read_key_values, write_to
-from .segmenter import TangoParams, _boundaries, _mean_votes, _order_votes
-from .sst import BigramStats, SstParams, _gap_features, _peak_test
+from .segmenter import TangoParams, _mean_votes, _order_votes, _padded, _tango_rule
+from .sst import BigramStats, SstParams, _gap_features, _sst_rule
 
 __all__ = [
     "CRITERIA",
@@ -62,18 +66,9 @@ TANGO_THRESHOLDS = tuple(i / 20 for i in range(20, 0, -1))
 SST_THETAS = (0.0, 1.25, 2.5, 3.75, 5.0)
 SST_EXTREMUM_VALUES = (0.0, 50.0, 100.0, 150.0, 200.0)
 
-# boundary-row cells scored at once; bounds train_sst's memory whatever the
-# training set's size
+# boundary-row cells scored at once; bounds both trainers' memory whatever
+# the training set's size
 _CELL_BUDGET = 1 << 20
-
-
-def validate_criterion(criterion: str) -> str:
-    if criterion not in CRITERIA:
-        raise ParameterError(
-            f"criterion must be one of {CRITERIA}; compatible-brackets rates are not "
-            "admissible training criteria (a whole-sequence bracketing scores 100 on them)"
-        )
-    return criterion
 
 
 def _criterion_value(matched: int, proposed: int, gold: int, criterion: str) -> float:
@@ -85,18 +80,23 @@ def _criterion_value(matched: int, proposed: int, gold: int, criterion: str) -> 
     return f
 
 
-def _gold_brackets(ann: TwoLevelAnnotation, criterion: str):
-    return ann.words if criterion.startswith("word") else ann.morpheme_brackets
-
-
 class _BoundaryRows:
     """The training sequences laid end to end in one boolean row per setting.
 
-    Sequence i owns columns offsets[i] .. offsets[i] + len; a set column is
-    a boundary, and both ends of every sequence are always set.
+    Sequence i owns columns offsets[i] .. offsets[i] + len, column
+    offsets[i] + k being its gap k; a set column is a boundary, and both
+    ends of every sequence are always set.  Building it validates the
+    training set and the criterion.
     """
 
     def __init__(self, train_set: Sequence[TwoLevelAnnotation], criterion: str):
+        if criterion not in CRITERIA:
+            raise ParameterError(
+                f"criterion must be one of {CRITERIA}; compatible-brackets rates are not "
+                "admissible training criteria (a whole-sequence bracketing scores 100 on them)"
+            )
+        if not train_set:
+            raise ParameterError("training set is empty")
         lengths = [len(ann.sequence) for ann in train_set]
         self.offsets = list(accumulate([0] + [n + 1 for n in lengths[:-1]]))
         self.width = sum(lengths) + len(lengths)
@@ -104,16 +104,18 @@ class _BoundaryRows:
         gold = [
             (o + b.start, o + b.end)
             for o, ann in zip(self.offsets, train_set)
-            for b in _gold_brackets(ann, criterion)
+            for b in (ann.words if criterion.startswith("word") else ann.morpheme_brackets)
         ]
         self.gold_starts, self.gold_ends = np.array(gold, dtype=np.int64).reshape(-1, 2).T
         self.criterion = criterion
 
-    def blank(self, n: int) -> np.ndarray:
-        """n rows with only the sequence ends set."""
-        rows = np.zeros((n, self.width), dtype=bool)
-        rows[:, self.ends] = True
-        return rows
+    def spread(self, per_sequence: Sequence, first: int = 0) -> np.ndarray:
+        """One row holding sequence i's values at its own columns from its
+        gap `first` on, and zeros in the columns no values reach."""
+        row = np.zeros(self.width, np.asarray(per_sequence[0]).dtype)
+        for offset, values in zip(self.offsets, per_sequence):
+            row[offset + first : offset + first + len(values)] = values
+        return row
 
     def scores(self, rows: np.ndarray) -> np.ndarray:
         """The criterion score of each row.
@@ -205,6 +207,24 @@ def sst_grid() -> "Iterable[tuple[float, tuple[float, ...]]]":
         yield theta, tuple(es)
 
 
+def _grid_search(layout: _BoundaryRows, settings, make, rows, unit: int = 1) -> TrainResult:
+    """Score every setting of a grid on the layout; the best is the first maximum.
+
+    rows(lo, hi) applies the segmenter's boundary rule to settings lo .. hi-1,
+    one boolean row of layout.width columns each; the sequence ends are set
+    here.  Blocks start at multiples of unit and hold at most _CELL_BUDGET
+    cells, or one unit.  make builds a setting's parameter object.
+    """
+    scores = np.empty(len(settings))
+    step = max(1, _CELL_BUDGET // (unit * layout.width)) * unit
+    for lo in range(0, len(settings), step):
+        block = rows(lo, lo + step)
+        block[:, layout.ends] = True
+        scores[lo : lo + step] = layout.scores(block)
+    grid = GridView(settings, scores, make)
+    return TrainResult(*grid.best(), grid)
+
+
 def train_tango(
     train_set: Sequence[TwoLevelAnnotation],
     table: NGramTable,
@@ -214,42 +234,41 @@ def train_tango(
 ) -> TrainResult:
     """Grid search for the voting segmenter on an annotated training set.
 
-    Per-order votes are computed once per sequence; every subset/threshold
-    setting is a cheap re-combination, so the full 620-point grid is always
-    evaluated.  The returned parameters carry the condition flags used.  A
-    table that does not cover orders 2..6 raises UnsupportedOrderError.
-    The result's grid keeps the tango_grid() settings and their scores;
-    only the best setting is built as a TangoParams here.
+    Per-order votes are computed once per sequence, and each order subset's
+    mean votes once per sequence; one call of the placement rule places them
+    under all of the subset's thresholds.  The returned parameters carry the
+    condition flags used.  A table that does not cover orders 2..6 raises
+    UnsupportedOrderError.  The result's grid keeps the tango_grid()
+    settings and their scores; only the best setting is built as a
+    TangoParams here.
     """
-    validate_criterion(criterion)
-    if not train_set:
-        raise ParameterError("training set is empty")
+    layout = _BoundaryRows(train_set, criterion)
     if not (use_local_max or use_threshold):
         raise ParameterError("at least one boundary condition must be enabled")
-
-    layout = _BoundaryRows(train_set, criterion)
     # per sequence, per order: the vote at each gap, None without evidence
     order_votes = [
         dict(zip(TANGO_ORDER_POOL, _order_votes(ann.sequence, TANGO_ORDER_POOL, table)))
         for ann in train_set
     ]
-
     settings = list(tango_grid())
-    rows = layout.blank(len(settings))
-    current_subset = None
-    for row, (subset, threshold) in zip(rows, settings):
-        if subset != current_subset:
-            current_subset = subset
-            combined = [_mean_votes([votes[n] for n in subset]) for votes in order_votes]
-        for offset, votes in zip(layout.offsets, combined):
-            bounds = _boundaries(votes, use_local_max, threshold if use_threshold else math.inf)
-            row[[offset + k for k in bounds]] = True
-    grid = GridView(
-        settings,
-        layout.scores(rows),
-        lambda s: TangoParams(frozenset(s[0]), s[1], use_local_max, use_threshold),
-    )
-    return TrainResult(*grid.best(), grid)
+    per_subset = len(TANGO_THRESHOLDS)
+    thresholds = np.array(TANGO_THRESHOLDS if use_threshold else [math.inf] * per_subset)
+
+    def rows(lo, hi):
+        # per subset, each sequence's mean votes with its edge value in its
+        # end columns, so that a gap's neighbours are the columns beside it
+        votes = np.array([
+            layout.spread([_padded(_mean_votes([v[n] for n in subset])) for v in order_votes])
+            for subset, _ in settings[lo:hi:per_subset]
+        ])[:, None]
+        left, right = np.roll(votes, 1, -1), np.roll(votes, -1, -1)
+        placed = _tango_rule(left, votes, right, use_local_max, thresholds[:, None])
+        return placed.reshape(-1, layout.width)
+
+    def make(setting):
+        return TangoParams(frozenset(setting[0]), setting[1], use_local_max, use_threshold)
+
+    return _grid_search(layout, settings, make, rows, per_subset)
 
 
 def train_sst(
@@ -260,32 +279,25 @@ def train_sst(
     """Grid search for the bigram-statistics segmenter.
 
     Mutual-information values and peak features are computed once per
-    sequence by the segmenter's engine; the segmenter's peak rule then
+    sequence by the segmenter's engine; the segmenter's boundary rule then
     tests blocks of the 78125 settings at once, one boundary row each.  The
     result's grid keeps the (settings x 7) parameter array and the scores
     array; only the best setting is built as an SstParams here.
     """
-    validate_criterion(criterion)
-    if not train_set:
-        raise ParameterError("training set is empty")
-
     layout = _BoundaryRows(train_set, criterion)
-    features = [_gap_features(ann.sequence, stats) for ann in train_set]
-    mi, *peaks = (np.concatenate(column) for column in zip(*features))
-    positions = np.concatenate(
-        [offset + 2 + np.arange(len(f[0])) for offset, f in zip(layout.offsets, features)]
-    )
-
+    # the features start at gap 2; the zeros elsewhere are no peak, so no boundary
+    per_gap = zip(*(_gap_features(ann.sequence, stats) for ann in train_set))
+    features = [layout.spread(column, 2) for column in per_gap]
     vectors = _sst_vectors()
-    scores = np.empty(len(vectors))
-    step = max(1, _CELL_BUDGET // layout.width)
-    for lo in range(0, len(vectors), step):
-        theta, *es = vectors[lo : lo + step, :, None].transpose(1, 0, 2)
-        rows = layout.blank(len(theta))
-        rows[:, positions] = (mi < theta) & _peak_test(*peaks, es)
-        scores[lo : lo + step] = layout.scores(rows)
-    grid = GridView(vectors, scores, lambda v: SstParams(float(v[0]), v[1:], stats.estimator))
-    return TrainResult(*grid.best(), grid)
+
+    def rows(lo, hi):
+        theta, *es = vectors[lo:hi, :, None].transpose(1, 0, 2)
+        return _sst_rule(*features, theta, es)
+
+    def make(vector):
+        return SstParams(float(vector[0]), vector[1:], stats.estimator)
+
+    return _grid_search(layout, vectors, make, rows)
 
 
 def split_heldout(

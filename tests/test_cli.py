@@ -88,6 +88,14 @@ class TestBuildIndex:
         code, _, err = run(capsys, "build-index", "--corpus", abab_corpus)
         assert code == 2
 
+    def test_failed_stats_write_leaves_no_table(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run(capsys, "build-index", "--corpus", DATA / "toy_corpus.txt",
+                           "--out", "t.tab", "--bigrams-out", "missing/s.big")
+        assert code == 2
+        assert "No such file or directory" in err
+        assert list(Path().iterdir()) == []
+
 
 class TestSegment:
     @pytest.fixture

@@ -254,6 +254,19 @@ class TestSstParams:
         with pytest.raises(ParameterError):
             SstParams(0.0, (0.0,) * 6, estimator="map")
 
+    def test_every_entry_rejects_an_unknown_estimator_alike(self):
+        stats = BigramStats.from_corpus(["ABAB"])
+        message = r"estimator must be one of \('mle', 'ele'\)"
+        for make in (
+            lambda: SstParams(0.0, (0.0,) * 6, estimator="map"),
+            lambda: BigramStats(stats.unigrams, stats.bigrams, 4, estimator="map"),
+            lambda: BigramStats.from_corpus(["ABAB"], estimator="map"),
+            lambda: stats.using("map"),
+            lambda: load_stats(io.StringIO("tango-bigrams v1\ntotal_chars 1\n1\t2\tA\n"), "map"),
+        ):
+            with pytest.raises(ParameterError, match=message):
+                make()
+
     def test_params_file_roundtrip(self, tmp_path):
         params = SstParams(2.5, (0.0, 50.0, 100.0, 150.0, 200.0, 0.0), "ele")
         path = tmp_path / "sst.params"

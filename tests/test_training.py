@@ -1,14 +1,21 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import tangoseg.training as training
 from tangoseg import (
+    CRITERIA,
     BigramStats,
     Corpus,
+    FlatSegmentation,
     FormatError,
     ParameterError,
     SstParams,
     TangoParams,
+    TwoLevelAnnotation,
     UnsupportedOrderError,
     build_table,
     generate_corpus,
@@ -25,6 +32,10 @@ from tangoseg import (
     write_tango_params,
 )
 from tangoseg.metrics import _prf
+
+from naive import naive_boundaries, naive_total_votes, pruned_lookup
+
+FLAG_COMBINATIONS = [(True, True), (True, False), (False, True)]
 
 
 @pytest.fixture(scope="module")
@@ -273,6 +284,101 @@ class TestLazyGrid:
         grid_to_tsv(tango)
         grid_to_tsv(sst)
         assert (len(tango_built), len(sst_built)) == (1, 2)
+
+
+class TestBlockSize:
+    """The block size bounds memory only: any budget gives the same results."""
+
+    @staticmethod
+    def train_in_blocks(monkeypatch, budget, train, *args):
+        """(result, row counts of the scored blocks) under a cell budget."""
+        blocks = []
+        scores = training._BoundaryRows.scores
+
+        def counting(layout, rows):
+            blocks.append(len(rows))
+            return scores(layout, rows)
+
+        with monkeypatch.context() as m:
+            m.setattr(training._BoundaryRows, "scores", counting)
+            if budget is not None:
+                m.setattr(training, "_CELL_BUDGET", budget)
+            return train(*args), blocks
+
+    @staticmethod
+    def assert_same(result, other):
+        assert (result.params, result.score) == (other.params, other.score)
+        assert np.array_equal(result.grid.scores, other.grid.scores)
+
+    @pytest.mark.parametrize("flags", FLAG_COMBINATIONS)
+    def test_tango_one_order_subset_per_block(self, toy_setup, monkeypatch, flags):
+        table, _, train_anns = toy_setup
+        args = (train_anns, table, "word-f", *flags)
+        default, blocks = self.train_in_blocks(monkeypatch, None, train_tango, *args)
+        assert blocks == [620]
+        width = sum(len(ann.sequence) + 1 for ann in train_anns)
+        # a budget below one subset's rows still places whole subsets
+        for budget in (20 * width, 1):
+            small, blocks = self.train_in_blocks(monkeypatch, budget, train_tango, *args)
+            assert blocks == [20] * 31
+            self.assert_same(small, default)
+
+    def test_sst_a_few_settings_per_block(self, toy_setup, monkeypatch):
+        _, stats, train_anns = toy_setup
+        args = (train_anns[:2], stats, "morpheme-f")
+        default, blocks = self.train_in_blocks(monkeypatch, None, train_sst, *args)
+        assert len(blocks) < 10
+        width = sum(len(ann.sequence) + 1 for ann in train_anns[:2])
+        small, blocks = self.train_in_blocks(monkeypatch, 7 * width, train_sst, *args)
+        assert blocks == [7] * (5**7 // 7) + [5**7 % 7]
+        self.assert_same(small, default)
+
+
+@st.composite
+def annotations(draw, alphabet, min_size, max_size):
+    """A random two-level annotation of a sequence over alphabet."""
+    seq = draw(st.text(alphabet, min_size=min_size, max_size=max_size))
+    cuts = sorted(draw(st.sets(st.integers(1, len(seq) - 1)))) if len(seq) > 1 else []
+    morphemes = [seq[a:b] for a, b in zip([0, *cuts], [*cuts, len(seq)])]
+    words = []
+    while morphemes:
+        k = draw(st.integers(1, min(2, len(morphemes))))
+        words.append(morphemes[:k])
+        morphemes = morphemes[k:]
+    return TwoLevelAnnotation.from_segments(words)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_tango_grid_matches_oracle(data):
+    """Every grid score equals the pooled score of the oracle's votes and
+    placement, on training sets holding 1- and 2-character sequences."""
+    alphabet = "abcd"[: data.draw(st.integers(2, 4))]
+    corpus = data.draw(st.lists(st.text(alphabet, min_size=1, max_size=12),
+                                min_size=1, max_size=20))
+    train = [data.draw(annotations(alphabet, 1, 1)), data.draw(annotations(alphabet, 2, 2))]
+    train = data.draw(st.permutations(train + data.draw(st.lists(annotations(alphabet, 1, 10),
+                                                                 max_size=3))))
+    criterion = data.draw(st.sampled_from(CRITERIA))
+    use_local_max, use_threshold = data.draw(st.sampled_from(FLAG_COMBINATIONS))
+
+    orders = range(2, 7)
+    result = train_tango(train, build_table(Corpus(corpus), orders), criterion,
+                         use_local_max, use_threshold)
+    look = pruned_lookup(corpus, orders)
+    votes = {}
+    expected = []
+    for subset, t in tango_grid():
+        if subset not in votes:
+            votes[subset] = [naive_total_votes(ann.sequence, subset, look) for ann in train]
+        pairs = [
+            (FlatSegmentation(ann.sequence,
+                              tuple(sorted(naive_boundaries(v, t, use_local_max, use_threshold)))),
+             ann)
+            for v, ann in zip(votes[subset], train)
+        ]
+        expected.append(pooled_score(pairs, criterion))
+    assert result.grid.scores.tolist() == expected
 
 
 class TestSplitHeldout:
