@@ -26,7 +26,9 @@ from .metrics import format_report, machine_lines, score_set
 from .ngrams import (
     Corpus,
     NGramTable,
-    build_table,
+    _count_windows,
+    _table_from_walk,
+    _table_walk,
     codepoint_range_filter,
     read_source,
     split_lines,
@@ -34,6 +36,7 @@ from .ngrams import (
 )
 from .segmenter import TangoParams, segment
 from .sst import (
+    STATS_WALK,
     BigramStats,
     SstParams,
     load_stats,
@@ -113,20 +116,27 @@ def cmd_build_index(args) -> int:
     if not corpus.sequences:
         raise ParameterError(f"{args.corpus}: no sequences extracted")
     print(f"corpus_size {corpus.total_chars}", file=sys.stderr)
+    # one counting walk for both outputs; the stats keep every count, so
+    # their min counts win on the order both need
+    table_walk = _table_walk(corpus, _parse_orders(args.orders)) if args.out else {}
+    counts = _count_windows(
+        corpus.sequences, {**table_walk, **(STATS_WALK if args.bigrams_out else {})}
+    )
     outputs = []
     if args.out:
-        table = build_table(corpus, _parse_orders(args.orders))
+        table = _table_from_walk(table_walk, counts, corpus.total_chars)
         for n, distinct in table.distinct_per_order().items():
             print(f"order {n}: {distinct} distinct grams", file=sys.stderr)
         outputs.append((args.out, table.save))
     if args.bigrams_out:
-        stats = BigramStats.from_corpus(corpus)
+        stats = BigramStats._from_walk(counts, corpus.total_chars)
         print(
             f"bigram stats: {stats.alphabet_size} characters, "
             f"{stats.bigram_types} bigram types",
             file=sys.stderr,
         )
         outputs.append((args.bigrams_out, partial(save_stats, stats)))
+    del counts  # the table and the stats hold what is written
     for (path, _), written in zip(outputs, _write_all(outputs)):
         print(f"wrote {written} bytes to {path}", file=sys.stderr)
     return 0
@@ -193,7 +203,7 @@ def cmd_train(args) -> int:
             use_local_max=not args.no_local_max,
             use_threshold=not args.no_threshold,
         )
-        write_tango_params(result.params, args.out)
+        write_params = write_tango_params
         described = (
             "N={" + ",".join(str(n) for n in result.params.sorted_orders) + "}"
             f" t={result.params.threshold:g}"
@@ -203,11 +213,14 @@ def cmd_train(args) -> int:
             raise ParameterError("--stats is required for the sst algorithm")
         stats = load_stats(args.stats, args.estimator)
         result = train_sst(train_set, stats, args.criterion)
-        write_sst_params(result.params, args.out)
+        write_params = write_sst_params
         es = ",".join(f"{e:g}" for e in result.params.extremum_thresholds)
         described = f"theta={result.params.theta:g} e={es} estimator={result.params.estimator}"
+    # the grid is formatted before the first write
+    outputs = [(args.out, partial(write_params, result.params))]
     if args.grid_out:
-        write_to(args.grid_out, grid_to_tsv(result))
+        outputs.append((args.grid_out, partial(write_to, payload=grid_to_tsv(result))))
+    _write_all(outputs)
     print(f"best {args.criterion} = {result.score:.4f} with {described}", file=sys.stderr)
     print(f"{result.grid.ties()} of {len(result.grid)} settings tie at the best score",
           file=sys.stderr)

@@ -5,12 +5,16 @@ occurring exactly once are pruned from the table, and every lookup of a
 supported order returns at least 1, so unseen grams behave as if seen once.
 
 One counting engine, ``_count_windows``, serves this table and the unpruned
-unigram/bigram counts of the sst baseline.  It works on the code points of
-the joined corpus as numpy arrays: each window gets a dense integer id built
-order by order from its prefix's id and its last code point, and one sort
-per order run-length encodes the ids into counts.  That keeps the build at
-O(m log m) per order in total corpus characters, with no Python object per
-window, and yields the grams of each order in string order.
+unigram/bigram counts of the sst baseline; ``build-index`` counts both in
+one walk.  It works on the joined corpus as numpy arrays, each character
+its dense rank in the corpus alphabet.  A walk step packs the dense id of
+each window's counted prefix and the ranks of as many next characters as
+fit into one int64 key, and one sort run-length encodes every order of the
+step into counts.  On an alphabet of b-bit ranks the first sort counts
+63 // b orders: all of orders 1-6 for up to 1,023 distinct characters, and
+orders 1-5 for up to 4,095.  That keeps the build at O(m log m) per step in
+total corpus characters, with no Python object per window, and yields the
+grams of each order in string order.
 
 Every file format of the package is read and written here once: lines
 (``split_lines``), files (``read_source``, ``write_to``), the count files of
@@ -18,7 +22,9 @@ the table and of the bigram stats (``write_counts``, ``read_counts``) and
 ``key=value`` parameter files (``read_key_values``).
 """
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import groupby
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -117,21 +123,39 @@ def read_key_values(source) -> dict[str, str]:
 
 
 def write_counts(
-    destination, header: str, keys: Sequence[str], orders: Iterable[int], counts: dict[str, int]
+    destination, header: str, size_key: str, size: int, orders: Iterable[int],
+    counts: dict[str, int], min_count: int = 1, declare_orders: bool = True,
 ) -> int:
-    """Write a count file; returns the bytes written.
+    """Write the count file read_counts reads back; returns the bytes written.
 
-    The header and key lines come first, then one
+    The header comes first, then ``<size_key> <size>`` and, when
+    declare_orders, ``orders <comma-list>``, then one
     ``<order>\\t<count>\\t<gram>`` line per entry of counts, orders
-    ascending and grams sorted within one.
-    A gram holding tab, newline or CR, or one UTF-8 cannot encode (a lone
-    surrogate), raises ParameterError before anything is written.
+    ascending and grams sorted within one.  Whatever read_counts would
+    reject raises ParameterError before anything is written: a negative
+    size, a declared order below 2, a gram whose length is not one of the
+    orders, a count below min_count, a gram holding tab, newline or CR, or
+    one UTF-8 cannot encode (a lone surrogate).
     """
-    lines = [header, *keys]
-    for n in sorted(orders):
-        lines.extend(f"{n}\t{counts[g]}\t{g}" for g in sorted(g for g in counts if len(g) == n))
+    orders = sorted(set(orders))
+    if size < 0:
+        raise ParameterError(f"{size_key} must be >= 0, got {size}")
+    lines = [header, f"{size_key} {size}"]
+    if declare_orders:
+        if not orders or orders[0] < 2:
+            raise ParameterError(f"declared orders must be integers >= 2, got {orders}")
+        lines.append("orders " + ",".join(map(str, orders)))
+    head = len(lines)
+    if counts and min(counts.values()) < min_count:
+        gram = next(g for g, c in counts.items() if c < min_count)
+        raise ParameterError(f"gram {gram!r} has count {counts[gram]}, below {min_count}")
+    # one pass groups the grams by order; sorting an already sorted group is linear
+    for n, group in groupby(sorted(counts, key=len), key=len):
+        if n not in orders:
+            raise ParameterError(f"gram of order {n} is not of the orders {orders}")
+        lines.extend(f"{n}\t{counts[g]}\t{g}" for g in sorted(group))
     text = "\n".join(lines) + "\n"
-    entries = len(lines) - 1 - len(keys)
+    entries = len(lines) - head
     if "\r" in text or text.count("\t") != 2 * entries or text.count("\n") != len(lines):
         raise ParameterError("a gram holds tab, newline or CR; the count format cannot store it")
     del lines  # at most two copies of the entries stay alive while writing
@@ -285,7 +309,7 @@ class Corpus:
 
     @property
     def total_chars(self) -> int:
-        return sum(len(s) for s in self.sequences)
+        return sum(map(len, self.sequences))
 
 
 class NGramTable:
@@ -329,18 +353,15 @@ class NGramTable:
             raise UnsupportedOrderError(f"table does not cover orders {missing}")
 
     def distinct_per_order(self) -> dict[int, int]:
-        out = {n: 0 for n in sorted(self.orders)}
-        for gram in self.counts:
-            out[len(gram)] += 1
-        return out
+        lengths = Counter(map(len, self.counts))
+        return {n: lengths[n] for n in sorted(self.orders)}
 
     def save(self, destination) -> int:
         """Write the versioned text format; returns bytes written."""
-        keys = [
-            f"corpus_size {self.corpus_size}",
-            "orders " + ",".join(str(n) for n in sorted(self.orders)),
-        ]
-        return write_counts(destination, FORMAT_HEADER, keys, self.orders, self.counts)
+        return write_counts(
+            destination, FORMAT_HEADER, "corpus_size", self.corpus_size, self.orders,
+            self.counts, min_count=2,
+        )
 
     @classmethod
     def load(cls, source) -> "NGramTable":
@@ -348,63 +369,131 @@ class NGramTable:
         return cls(orders, counts, corpus_size)
 
 
-# Every code point is below this radix, lone surrogates included.
-_RADIX = 0x110000
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """True where a run of equal sorted keys starts."""
+    starts = np.empty(len(keys), bool)
+    starts[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=starts[1:])
+    return starts
 
 
 def _count_windows(
-    sequences: Sequence[str], orders: Iterable[int], min_count: int
+    sequences: Sequence[str], min_counts: "dict[int, int]"
 ) -> dict[int, dict[str, int]]:
-    """Count the order-n windows of every sequence, for each n in orders.
+    """Count the order-n windows of every sequence, for each order n of min_counts.
 
-    Returns ``{n: {gram: count}}`` holding the grams seen at least min_count
-    times, in string order.  Windows never cross sequence boundaries, and
-    sequences may hold any code point, separators included.
+    Returns ``{n: {gram: count}}`` holding the grams seen at least
+    ``min_counts[n]`` times, orders ascending and grams in string order.
+    Windows never cross sequence boundaries, and sequences may hold any code
+    point, separators included.
 
-    The window of order n at position i has the dense id of the pair (id of
-    its order n-1 prefix at i, code point at i+n-1) among all order-n
-    windows, so ids sort in string order and never exceed the window count.
-    A pair's int64 key, id * _RADIX + code point, thus cannot overflow for
-    any alphabet on corpora below 8e12 characters.
+    Each character is its dense rank in the corpus alphabet, from 1, with 0
+    for "past the sequence end"; a rank takes b bits.  Each step of the walk
+    appends the ranks of each window's next s characters to the id of its
+    prefix (0 for the empty one) in one int64 key,
+    ``id << b*s | r1 << b*(s-1) | ... | rs``, and sorts the keys, which
+    orders the windows as strings.  A step after d characters counts its
+    order n from the runs of equal ``key >> b*(d+s-n)`` among the windows
+    with at least n characters left (a shorter one has a 0 rank there), and
+    the dense rank of the full key is the next step's id, so ids stay below
+    the window count.  A step packs s = (63 - id bits) // b characters:
+    id bits + s * b <= 63, so no key overflows for any alphabet.
     """
-    orders = set(orders)
-    out: dict[int, dict[str, int]] = {n: {} for n in sorted(orders)}
-    top = max(orders)
+    out: dict[int, dict[str, int]] = {n: {} for n in sorted(min_counts)}
+    top = max(min_counts)
     text = "".join(sequences)
     codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), np.uint32)
+    m = len(codes)
+    if not m:
+        return out
+    seen = np.zeros(int(codes.max()) + 1, bool)
+    seen[codes] = True
+    ranks = np.cumsum(seen, dtype=np.uint32)
+    bits = int(ranks[-1]).bit_length()
+    ranks = ranks.astype(np.min_scalar_type(ranks[-1]))[codes]
+    del seen, codes
     lengths = np.fromiter(map(len, sequences), np.int64, len(sequences))
     # characters left in its sequence from each position on, capped at top
     left = np.repeat(np.cumsum(lengths), lengths)
-    left -= np.arange(len(codes))
+    left -= np.arange(m)
     left = np.minimum(left, top).astype(np.min_scalar_type(top))
-    # Start position, characters left and id of each window, kept in the
-    # sorted order of the previous order's keys: that order sorts the next
-    # keys by their prefix already, and the narrow dtypes and early deletes
-    # keep the build's peak memory at about four int64 arrays of the corpus.
-    pos = np.arange(len(codes), dtype=np.min_scalar_type(len(codes)))
-    ids = np.zeros(len(codes), np.int64)
-    for n in range(1, top + 1):
-        valid = left >= n
-        pos, left, ids = pos[valid], left[valid], ids[valid]
-        keys = ids * _RADIX
+    # Start position and prefix id of each window, kept in the sorted order
+    # of the previous step's keys: that order sorts the next keys by their
+    # prefix already.
+    pos = np.arange(m, dtype=np.min_scalar_type(m))
+    ids = np.zeros(m, np.int64)
+    done = 0
+    while len(pos):
+        s = min(top - done, (63 - int(ids[-1]).bit_length()) // bits)
+        # the ranks of characters done..done+s-1 of the window at each
+        # position, in corpus order, 0 past its sequence end
+        chunk = np.zeros(m, np.int64)
+        for j in range(done, done + s):
+            chunk <<= bits
+            end = max(m - j, 0)
+            chunk[:end] |= ranks[j:] * (left[:end] > j)
+        keys = ids << (bits * s)
         del ids
-        keys += codes[n - 1 :][pos]
+        keys |= chunk[pos]
+        del chunk
         order = np.argsort(keys)
-        keys, pos, left = keys[order], pos[order], left[order]
+        keys, pos = keys[order], pos[order]
         del order
-        run_start = np.empty(len(keys), bool)
-        run_start[:1] = True
-        np.not_equal(keys[1:], keys[:-1], out=run_start[1:])
-        del keys
-        ids = np.cumsum(run_start, dtype=np.int64)
-        ids -= 1
-        if n in orders:
-            starts = np.flatnonzero(run_start)
-            counts = np.diff(starts, append=len(run_start))
-            kept = counts >= min_count
+        window_left = left[pos]
+        for n in range(done + 1, done + s + 1):
+            if n not in min_counts:
+                continue
+            starts = np.flatnonzero(_run_starts(keys >> (bits * (done + s - n))))
+            counts = np.diff(starts, append=len(keys))
+            kept = (counts >= min_counts[n]) & (window_left[starts] >= n)
             grams = [text[i : i + n] for i in pos[starts[kept]].tolist()]
             out[n] = dict(zip(grams, counts[kept].tolist()))
+        done += s
+        if done == top:
+            break
+        valid = window_left > done
+        del window_left
+        keys, pos = keys[valid], pos[valid]
+        del valid
+        ids = np.cumsum(_run_starts(keys), dtype=np.int64)
+        del keys
+        ids -= 1
     return out
+
+
+def _table_walk(corpus: Corpus, orders: Iterable[int]) -> dict[int, int]:
+    """The ``{order: min_count}`` walk of a table of orders over corpus,
+    after checking both."""
+    orders = sorted(set(orders))
+    if not orders:
+        raise ParameterError("orders must be non-empty")
+    for n in orders:
+        if not isinstance(n, int) or n < 2:
+            raise ParameterError(f"n-gram order must be an integer >= 2, got {n!r}")
+    text = "".join(corpus.sequences)
+    for bad in ("\t", "\n", "\r"):
+        if bad in text:
+            raise ParameterError(
+                f"corpus sequence contains {bad!r}; the table format cannot store it"
+            )
+    return dict.fromkeys(orders, 2)
+
+
+def _table_from_walk(
+    walk: dict[int, int], counts: dict[int, dict[str, int]], corpus_size: int
+) -> NGramTable:
+    """The table of walk's orders from the counts of a walk covering them.
+
+    An order the walk shared with the unpruned bigram stats holds
+    singletons, which are pruned here.
+    """
+    table: dict[str, int] = {}
+    for n in walk:
+        grams = counts[n]
+        if min(grams.values(), default=2) < 2:
+            grams = {g: c for g, c in grams.items() if c >= 2}
+        table.update(grams)
+    return NGramTable(walk, table, corpus_size)
 
 
 def build_table(corpus: Corpus, orders: Iterable[int]) -> NGramTable:
@@ -414,19 +503,5 @@ def build_table(corpus: Corpus, orders: Iterable[int]) -> NGramTable:
     contain tab or newline characters (they would corrupt the serialized
     format); such corpora are rejected.
     """
-    orders = sorted(set(orders))
-    if not orders:
-        raise ParameterError("orders must be non-empty")
-    for n in orders:
-        if not isinstance(n, int) or n < 2:
-            raise ParameterError(f"n-gram order must be an integer >= 2, got {n!r}")
-    for seq in corpus.sequences:
-        for bad in ("\t", "\n", "\r"):
-            if bad in seq:
-                raise ParameterError(
-                    f"corpus sequence contains {bad!r}; the table format cannot store it"
-                )
-    counts: dict[str, int] = {}
-    for grams in _count_windows(corpus.sequences, orders, 2).values():
-        counts.update(grams)
-    return NGramTable(orders, counts, corpus.total_chars)
+    walk = _table_walk(corpus, orders)
+    return _table_from_walk(walk, _count_windows(corpus.sequences, walk), corpus.total_chars)

@@ -63,6 +63,9 @@ ESTIMATORS = ("mle", "ele")
 
 STATS_HEADER = "tango-bigrams v1"
 
+# the {order: min_count} walk of the stats: unigrams and bigrams, unpruned
+STATS_WALK = {1: 1, 2: 1}
+
 
 def _require_estimator(estimator: str) -> str:
     if estimator not in ESTIMATORS:
@@ -120,7 +123,13 @@ class BigramStats:
         total = sum(map(len, sequences))
         if total == 0:
             raise ParameterError("corpus contains no characters")
-        counts = _count_windows(sequences, (1, 2), 1)
+        return cls._from_walk(_count_windows(sequences, STATS_WALK), total, estimator)
+
+    @classmethod
+    def _from_walk(
+        cls, counts: "dict[int, dict[str, int]]", total: int, estimator: str = "mle"
+    ) -> "BigramStats":
+        """The stats from the counts of a walk covering STATS_WALK."""
         return cls(Counter(counts[1]), Counter(counts[2]), total, estimator)
 
     def using(self, estimator: str) -> "BigramStats":
@@ -316,8 +325,10 @@ def read_sst_params(source) -> SstParams:
 def save_stats(stats: BigramStats, destination) -> int:
     """Versioned text sidecar with raw unigram and bigram counts."""
     counts = {**stats.unigrams, **stats.bigrams}
-    keys = [f"total_chars {stats.total_chars}"]
-    return write_counts(destination, STATS_HEADER, keys, (1, 2), counts)
+    return write_counts(
+        destination, STATS_HEADER, "total_chars", stats.total_chars, (1, 2), counts,
+        declare_orders=False,
+    )
 
 
 def load_stats(source, estimator: str = "mle") -> BigramStats:

@@ -97,6 +97,42 @@ class TestBuildIndex:
         assert list(Path().iterdir()) == []
 
 
+    @pytest.mark.parametrize("orders, summaries", [
+        ("2,3,4,5,6", ["order 2: 141 distinct grams", "order 3: 312 distinct grams",
+                       "order 4: 465 distinct grams", "order 5: 488 distinct grams",
+                       "order 6: 446 distinct grams"]),
+        ("3,5", ["order 3: 312 distinct grams", "order 5: 488 distinct grams"]),
+    ], ids=["shared-order-2", "no-shared-order"])
+    def test_one_walk_writes_what_two_single_runs_write(self, tmp_path, monkeypatch, capsys,
+                                                        orders, summaries):
+        # one run with both outputs counts both in one walk, the table's order
+        # 2 pruned from the stats' unpruned bigrams; the summaries are pinned
+        # from the runs that counted each output on its own
+        corpus = DATA / "toy_corpus.txt"
+        errs = {}
+        for name, outputs in [("both", ["--out", "t.tab", "--bigrams-out", "s.big"]),
+                              ("table", ["--out", "t.tab"]),
+                              ("stats", ["--bigrams-out", "s.big"])]:
+            (tmp_path / name).mkdir()
+            monkeypatch.chdir(tmp_path / name)
+            code, _, errs[name] = run(capsys, "build-index", "--corpus", corpus,
+                                      "--orders", orders, *outputs)
+            assert code == 0
+        for file in ("t.tab", "s.big"):
+            alone = tmp_path / ("table" if file == "t.tab" else "stats") / file
+            assert (tmp_path / "both" / file).read_bytes() == alone.read_bytes()
+        stats_line = "bigram stats: 20 characters, 155 bigram types"
+        table_bytes = (tmp_path / "table" / "t.tab").stat().st_size
+        wrote_table = f"wrote {table_bytes} bytes to t.tab"
+        wrote_stats = "wrote 1350 bytes to s.big"
+        assert errs["table"].splitlines() == ["corpus_size 4572", *summaries, wrote_table]
+        assert errs["stats"].splitlines() == ["corpus_size 4572", stats_line, wrote_stats]
+        assert errs["both"].splitlines() == [
+            "corpus_size 4572", *summaries, stats_line, wrote_table, wrote_stats,
+        ]
+        assert table_bytes == {"2,3,4,5,6": 17845, "3,5": 7573}[orders]
+
+
 class TestSegment:
     @pytest.fixture
     def index(self, tmp_path, capsys):
@@ -264,6 +300,20 @@ class TestTrainAndEvaluate:
         gold = [parse_annotation(line) for line in (DATA / "toy_gold.txt").read_text().splitlines()]
         result = train_sst(gold, load_stats(big), "word-f")
         assert [row[7] for row in rows] == [f"{score:.6f}" for _, score in result.grid]
+
+    @pytest.mark.parametrize("algorithm", ["tango", "sst"])
+    def test_failed_grid_write_leaves_no_params(self, tmp_path, monkeypatch, capsys,
+                                                algorithm):
+        monkeypatch.chdir(tmp_path)
+        assert run(capsys, "build-index", "--corpus", DATA / "toy_corpus.txt",
+                   "--out", "toy.tab", "--bigrams-out", "toy.big")[0] == 0
+        model = ["--index", "toy.tab"] if algorithm == "tango" else ["--stats", "toy.big"]
+        code, _, err = run(capsys, "train", "--algorithm", algorithm, *model,
+                           "--train", DATA / "toy_gold.txt", "--criterion", "word-f",
+                           "--out", "p.params", "--grid-out", "missing/g.tsv")
+        assert code == 2
+        assert "No such file or directory" in err
+        assert sorted(p.name for p in Path().iterdir()) == ["toy.big", "toy.tab"]
 
     @pytest.fixture
     def toy_models(self, tmp_path, capsys):

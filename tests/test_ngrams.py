@@ -234,6 +234,32 @@ class TestSaveLoad:
             NGramTable({2}, {"A\t": 2}, 4).save(buf)
         assert buf.getvalue() == b""
 
+    def rejected_before_writing(self, table, message):
+        buf = io.BytesIO()
+        with pytest.raises(ParameterError, match=message):
+            table.save(buf)
+        assert buf.getvalue() == b""
+
+    def test_gram_of_undeclared_order_rejected_before_writing(self):
+        # written without it, the file would load back as another table
+        self.rejected_before_writing(NGramTable({2}, {"ab": 3, "abc": 5}, 10),
+                                     r"order 3 is not of the orders \[2\]")
+
+    def test_singleton_rejected_before_writing(self):
+        # the loader rejects stored counts below 2 at their line
+        with pytest.raises(FormatError, match=r">= 2 \(line 4\)"):
+            NGramTable.load(io.BytesIO(b"tango-ngrams v1\ncorpus_size 10\norders 2\n2\t1\tab\n"))
+        self.rejected_before_writing(NGramTable({2}, {"ab": 1}, 10),
+                                     "gram 'ab' has count 1, below 2")
+
+    def test_negative_corpus_size_rejected_before_writing(self):
+        self.rejected_before_writing(NGramTable({2}, {"ab": 3}, -1),
+                                     "corpus_size must be >= 0, got -1")
+
+    @pytest.mark.parametrize("orders", [set(), {1, 2}])
+    def test_declared_order_below_two_rejected_before_writing(self, orders):
+        self.rejected_before_writing(NGramTable(orders, {}, 4), "declared orders")
+
     def test_negative_corpus_size_rejected(self):
         payload = b"tango-ngrams v1\ncorpus_size -5\norders 2\n"
         with pytest.raises(FormatError, match="line 2"):

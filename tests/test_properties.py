@@ -27,6 +27,7 @@ from tangoseg import (
     write_lexicon,
 )
 from tangoseg.cli import main
+from tangoseg.ngrams import _count_windows
 
 from naive import (
     naive_corpus,
@@ -158,6 +159,58 @@ def test_engine_on_a_large_alphabet():
     assert build_table(Corpus(sequences), orders).counts == pruned_counts(sequences, orders)
     assert_stats_match(sequences)
 
+
+def assert_walk_matches_oracle(sequences, orders):
+    """Every order's unpruned counts, in string order, and the pruned table."""
+    counts = _count_windows(sequences, dict.fromkeys(orders, 1))
+    assert list(counts) == sorted(orders)
+    for n in orders:
+        assert counts[n] == naive_counts(sequences, n)
+        assert list(counts[n]) == sorted(counts[n])
+    table_orders = [n for n in orders if n >= 2]
+    if table_orders:
+        table = build_table(Corpus(sequences), table_orders)
+        assert table.counts == pruned_counts(sequences, table_orders)
+
+
+@st.composite
+def wide_corpora(draw):
+    """(sequences, orders): at least 64 distinct ideographs, so ranks take 7 or
+    more bits, one step packs at most 9 characters, and the top order, 10 to
+    12, needs a second step built on the first step's ids."""
+    alphabet = [chr(cp) for cp in draw(
+        st.lists(st.integers(0x4E00, 0x9FFF), min_size=64, max_size=300, unique=True))]
+    # every character in runs, so that all of them are in the corpus alphabet
+    run = draw(st.integers(1, 40))
+    sequences = ["".join(alphabet[i : i + run]) for i in range(0, len(alphabet), run)]
+    # long grams repeat only over a few common characters
+    common = st.sampled_from(alphabet[: draw(st.integers(1, 4))])
+    sequences += draw(st.lists(st.text(common, max_size=30), max_size=12))
+    sequences += draw(st.lists(st.text(st.sampled_from(alphabet), max_size=20), max_size=8))
+    orders = draw(st.sets(st.integers(1, 12))) | {draw(st.integers(10, 12))}
+    return draw(st.permutations(sequences)), orders
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_corpora())
+def test_multi_step_walk_matches_oracle(instance):
+    assert_walk_matches_oracle(*instance)
+
+
+def test_multi_step_walk_on_a_sixty_thousand_character_alphabet():
+    # 16-bit ranks: the walk to order 10 takes a step of 3 characters and
+    # then steps of 2, each keyed on the dense ids of the step before
+    rng = random.Random(12)
+    codes = [*range(0x4E00, 0xA000), *range(0x20000, 0x20000 + 60_000 - 0x5200)]
+    alphabet = [chr(cp) for cp in codes]
+    rng.shuffle(alphabet)
+    sequences = ["".join(alphabet[i : i + 50]) for i in range(0, len(alphabet), 50)]
+    common = alphabet[:400]
+    repeated = ["".join(rng.choices(common, k=rng.randint(1, 40))) for _ in range(150)]
+    sequences += repeated + rng.sample(repeated, 50)
+    rng.shuffle(sequences)
+    assert len(set("".join(sequences))) == 60_000
+    assert_walk_matches_oracle(sequences, range(1, 11))
 
 # Nested non-empty segments of any text the bracket and pipe formats can hold.
 annotated_words = st.lists(

@@ -1,6 +1,7 @@
 import io
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -319,6 +320,13 @@ class TestStatsFile:
         stats = BigramStats.from_corpus(["ab" + separator + "ab"])
         buf = io.BytesIO()
         with pytest.raises(ParameterError, match="tab, newline or CR"):
+            save_stats(stats, buf)
+        assert buf.getvalue() == b""
+
+    def test_negative_total_chars_rejected_before_writing(self):
+        stats = BigramStats(Counter({"A": 2}), Counter(), -1)
+        buf = io.BytesIO()
+        with pytest.raises(ParameterError, match="total_chars must be >= 0"):
             save_stats(stats, buf)
         assert buf.getvalue() == b""
 
