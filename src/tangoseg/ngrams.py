@@ -22,9 +22,9 @@ the table and of the bigram stats (``write_counts``, ``read_counts``) and
 ``key=value`` parameter files (``read_key_values``).
 """
 
+import codecs
 from collections import Counter
 from dataclasses import dataclass
-from itertools import groupby
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -47,6 +47,8 @@ __all__ = [
 ]
 
 FORMAT_HEADER = "tango-ngrams v1"
+
+MAX_DIGITS = 18  # the longest order or count field of a count file; an int64 holds any
 
 
 def split_lines(text: str) -> list[str]:
@@ -122,6 +124,16 @@ def read_key_values(source) -> dict[str, str]:
     return values
 
 
+def _code_text(codes) -> str:
+    """The text of a contiguous buffer of UTF-32 code points (lone surrogates kept)."""
+    return codecs.decode(codes, "utf-32-le", "surrogatepass")
+
+
+def _windows(codes: np.ndarray, n: int) -> np.ndarray:
+    """Each run of n code points of codes as one string, by start position."""
+    return np.ndarray((max(len(codes) - n + 1, 0),), f"U{n}", codes, strides=(4,))
+
+
 def write_counts(
     destination, header: str, size_key: str, size: int, orders: Iterable[int],
     counts: dict[str, int], min_count: int = 1, declare_orders: bool = True,
@@ -133,32 +145,59 @@ def write_counts(
     ``<order>\\t<count>\\t<gram>`` line per entry of counts, orders
     ascending and grams sorted within one.  Whatever read_counts would
     reject raises ParameterError before anything is written: a negative
-    size, a declared order below 2, a gram whose length is not one of the
-    orders, a count below min_count, a gram holding tab, newline or CR, or
-    one UTF-8 cannot encode (a lone surrogate).
+    size, a declared order below 2, a count that is not an int, is below
+    max(min_count, 1) or has over MAX_DIGITS digits, a gram holding tab,
+    newline or CR, a gram whose length is not one of the orders, or one
+    UTF-8 cannot encode.
     """
     orders = sorted(set(orders))
     if size < 0:
         raise ParameterError(f"{size_key} must be >= 0, got {size}")
-    lines = [header, f"{size_key} {size}"]
+    blocks = [f"{header}\n{size_key} {size}\n"]
     if declare_orders:
         if not orders or orders[0] < 2:
             raise ParameterError(f"declared orders must be integers >= 2, got {orders}")
-        lines.append("orders " + ",".join(map(str, orders)))
-    head = len(lines)
-    if counts and min(counts.values()) < min_count:
-        gram = next(g for g, c in counts.items() if c < min_count)
-        raise ParameterError(f"gram {gram!r} has count {counts[gram]}, below {min_count}")
-    # one pass groups the grams by order; sorting an already sorted group is linear
-    for n, group in groupby(sorted(counts, key=len), key=len):
-        if n not in orders:
-            raise ParameterError(f"gram of order {n} is not of the orders {orders}")
-        lines.extend(f"{n}\t{counts[g]}\t{g}" for g in sorted(group))
-    text = "\n".join(lines) + "\n"
-    entries = len(lines) - head
-    if "\r" in text or text.count("\t") != 2 * entries or text.count("\n") != len(lines):
+        blocks.append("orders " + ",".join(map(str, orders)) + "\n")
+    low, high = max(min_count, 1), 10**MAX_DIGITS
+    values = counts.values()
+    if not set(map(type, values)) <= {int} or (
+        values and not low <= min(values) <= max(values) < high
+    ):
+        gram, c = next((g, c) for g, c in counts.items()
+                       if type(c) is not int or not low <= c < high)
+        why = ("not an int" if type(c) is not int
+               else f"below {low}" if c < low else f"over {MAX_DIGITS} digits")
+        raise ParameterError(f"gram {gram!r} has count {c!r}, {why}")
+    # each gram followed by its newline, in dict order
+    codes = np.frombuffer("\n".join([*counts, ""]).encode("utf-32-le", "surrogatepass"), np.uint32)
+    ends = np.flatnonzero(codes == 10)
+    if len(ends) != len(counts) or np.isin(codes, (9, 13)).any():
         raise ParameterError("a gram holds tab, newline or CR; the count format cannot store it")
-    del lines  # at most two copies of the entries stay alive while writing
+    lengths = np.diff(ends, prepend=-1) - 1
+    present = set(np.flatnonzero(np.bincount(lengths)).tolist())
+    if not present <= set(orders):
+        n = min(present - set(orders))
+        raise ParameterError(f"gram of order {n} is not of the orders {orders}")
+    values = np.fromiter(values, np.int64, len(counts))
+    for n in sorted(present):
+        rows = np.flatnonzero(lengths == n)
+        rows = rows[np.argsort(_windows(codes, n + 1)[ends[rows] - n])]
+        count = values[rows]
+        width = len(str(count.max()))
+        # "<n>\t<count>\t<gram>\n" with the count in width columns, its leading
+        # zeros written as CR, which no gram holds, and dropped
+        prefix = np.frombuffer(f"{n}\t".encode("utf-32-le"), np.uint32)
+        line = np.empty((len(rows), len(prefix) + width + n + 2), np.uint32)
+        line[:, : len(prefix)] = prefix
+        for j, power in enumerate(10 ** np.arange(width - 1, -1, -1, dtype=np.int64)):
+            line[:, len(prefix) + j] = np.where(count >= power, count // power % 10 + 48, 13)
+        line[:, -n - 2] = 9
+        line[:, -n - 1 :] = _windows(codes, n + 1)[ends[rows] - n, None].view(np.uint32)
+        blocks.append(_code_text(line).replace("\r", ""))
+        del line  # one order's matrix at a time
+    del codes, ends, lengths, values
+    text = "".join(blocks)
+    del blocks  # at most two copies of the entries stay alive while writing
     try:
         payload = text.encode("utf-8")
     except UnicodeEncodeError as exc:
@@ -167,6 +206,21 @@ def write_counts(
     del text
     write_to(destination, payload)
     return len(payload)
+
+
+def _digit_fields(codes: np.ndarray, start: np.ndarray, stop: np.ndarray):
+    """The values of the fields ``codes[start:stop]``, and where one is not
+    1 to MAX_DIGITS ASCII digits.  Digit j from the right is read from the
+    fields that have one."""
+    width = stop - start
+    value, bad = np.zeros(len(stop), np.int64), (width < 1) | (width > MAX_DIGITS)
+    rows = np.arange(len(stop))
+    for j in range(MAX_DIGITS):
+        rows = rows[width[rows] > j]
+        digit = codes[stop[rows] - 1 - j] - 48  # a non-digit wraps above 9
+        bad[rows[digit > 9]] = True
+        value[rows] += digit.astype(np.int64) * 10**j
+    return value, bad
 
 
 def read_counts(
@@ -179,11 +233,15 @@ def read_counts(
     """Read a count file written by write_counts: (size, orders, counts).
 
     After the header comes ``<size_key> <int>`` and, unless orders are given,
-    ``orders <comma-list>`` (orders >= 2).  Every entry needs a declared
-    order, a gram of that length and a count >= min_count, in the writer's
-    order; each error names its line.
+    ``orders <comma-list>`` (orders >= 2).  Every entry needs three tab-separated
+    fields: a declared order and a count >= min_count, each 1 to MAX_DIGITS ASCII
+    digits, and a gram of the order's length, in the writer's order.  Each check
+    runs as arrays on the lines before the lowest failure so far.
     """
-    lines = split_lines(read_source(source))
+    first = 2 if orders is not None else 3
+    text = read_source(source).replace("\r\n", "\n")
+    *lines, body = (text if text[-1:] in ("", "\n") else text + "\n").split("\n", first)
+    del text
     if not lines or lines[0] != header:
         found = lines[0] if lines else "<empty file>"
         raise FormatError(f"expected header {header!r}, found {found!r}", line=1)
@@ -195,9 +253,7 @@ def read_counts(
         raise FormatError(f"bad {size_key} value", line=2) from None
     if size < 0:
         raise FormatError(f"{size_key} must be >= 0", line=2)
-    first = 2
     if orders is None:
-        first = 3
         if len(lines) < 3 or not lines[2].startswith("orders "):
             raise FormatError("expected 'orders <comma-list>'", line=3)
         try:
@@ -207,34 +263,54 @@ def read_counts(
         if any(n < 2 for n in orders):
             raise FormatError("orders must all be >= 2", line=3)
     orders = frozenset(orders)
-    counts: dict[str, int] = {}
-    last_order, last_gram = 0, ""
-    for lineno, line in enumerate(lines[first:], start=first + 1):
-        parts = line.split("\t", 2)
-        if len(parts) != 3:
-            raise FormatError("entry needs 3 tab-separated fields", line=lineno)
-        try:
-            order = int(parts[0])
-            cnt = int(parts[1])
-        except ValueError:
-            raise FormatError("non-integer order or count", line=lineno) from None
-        gram = parts[2]
-        if order not in orders:
-            raise FormatError(f"entry order {order} not declared", line=lineno)
-        if len(gram) != order:
-            raise FormatError(
-                f"gram length {len(gram)} does not match order {order}", line=lineno
-            )
-        if cnt < min_count:
-            raise FormatError(f"stored counts must be >= {min_count}", line=lineno)
-        # the writer's order: orders ascending, grams increasing within one
-        if order < last_order or (order == last_order and gram <= last_gram):
-            if gram in counts:
-                raise FormatError(f"duplicate gram {gram!r}", line=lineno)
-            raise FormatError(f"entry out of order after {last_gram!r}", line=lineno)
-        last_order, last_gram = order, gram
-        counts[gram] = cnt
-    return size, orders, counts
+    codes = np.frombuffer(body.encode("utf-32-le", "surrogatepass"), np.uint32)
+    del body
+    ends, tabs = np.flatnonzero(codes == 10), np.flatnonzero(codes == 9)
+    k, error = len(ends), None  # the lines before the lowest failure so far
+
+    def cut(bad: np.ndarray, message: Callable[[int], str]) -> None:
+        nonlocal k, error
+        if bad[:k].any():
+            k = int(np.argmax(bad[:k]))
+            error = message(k)
+
+    cut(np.diff(np.searchsorted(tabs, ends), prepend=0) != 2,
+        lambda i: "entry needs 3 tab-separated fields")
+    ends, tab = ends[:k], tabs[: 2 * k].reshape(k, 2)
+    order, bad_order = _digit_fields(codes, np.r_[0, ends[:-1] + 1], tab[:, 0])
+    count, bad_count = _digit_fields(codes, tab[:, 0] + 1, tab[:, 1])
+    cut(bad_order | bad_count, lambda i: "non-integer order or count")
+    cut(~np.isin(order, list(orders)), lambda i: f"entry order {order[i]} not declared")
+    length = ends - tab[:, 1] - 1
+    cut(length != order, lambda i: f"gram length {length[i]} does not match order {order[i]}")
+    cut(count < min_count, lambda i: f"stored counts must be >= {min_count}")
+    # the writer's order, comparing the rest of each line (gram and newline) as one string
+    ends, starts, order = ends[:k], tab[:k, 1] + 1, order[:k]
+    bad = np.r_[False, order[1:] < order[:-1]]
+    blocks = []
+    for n in np.flatnonzero(np.bincount(order)).tolist():
+        rows = np.flatnonzero(order == n)
+        rest = _windows(codes, n + 1)[starts[rows]]
+        bad[rows[1:]] |= (rows[1:] == rows[:-1] + 1) & (rest[1:] <= rest[:-1])
+        blocks.append((rows, rest))
+
+    def grams(k: int) -> list[str]:
+        """The grams of the first k lines by order, so in file order once those pass."""
+        return "".join(_code_text(g[: np.searchsorted(r, k)]) for r, g in blocks).split("\n")[:-1]
+
+    def disorder(i: int) -> str:
+        gram, earlier = _code_text(codes[starts[i] : ends[i]]), grams(i)
+        if gram in earlier:
+            return f"duplicate gram {gram!r}"
+        return f"entry out of order after {earlier[-1]!r}"
+
+    cut(bad, disorder)
+    if error is not None:
+        raise FormatError(error, line=first + 1 + k)
+    del codes, tabs, tab, ends, starts
+    names = grams(k)
+    del blocks  # only the names and counts stay
+    return size, orders, dict(zip(names, count[:k].tolist()))
 
 
 def extract_sequences(

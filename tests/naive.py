@@ -3,11 +3,13 @@
 Everything here is a direct, unoptimized transcription of the definitions:
 substring counting by dictionary walk, votes by literal enumeration of the
 n-gram pairs, probabilities by explicit counters, synthetic corpora by
-random.choices.  None of it shares code with the package under test.
+random.choices, count files one line at a time.  None of it shares code
+with the package under test.
 """
 
 import math
 import random
+import re
 
 
 def naive_counts(sequences, n):
@@ -179,3 +181,62 @@ class NaiveBigramModel:
         left = 0.0 if left_var == 0.0 else left_num / math.sqrt(left_var)
         right = 0.0 if right_var == 0.0 else right_num / math.sqrt(right_var)
         return left - right
+
+
+def naive_read_counts(text, header, size_key, orders=None, min_count=1):
+    """Reference count-file reader, one line at a time.
+
+    Returns (size, orders, counts), or (line, message) for the first line
+    that breaks a rule, with the message of the first rule it breaks: three
+    tab-separated fields, an order and a count of 1 to 18 ASCII digits, a
+    declared order, a gram of that length, a count >= min_count, then
+    orders ascending and grams strictly increasing within one.
+    """
+    lines = text.replace("\r\n", "\n").split("\n")
+    if not lines[-1]:
+        lines.pop()
+    if not lines or lines[0] != header:
+        found = lines[0] if lines else "<empty file>"
+        return 1, f"expected header {header!r}, found {found!r}"
+    if len(lines) < 2 or not lines[1].startswith(size_key + " "):
+        return 2, f"expected '{size_key} <int>'"
+    try:
+        size = int(lines[1].split(" ", 1)[1])
+    except ValueError:
+        return 2, f"bad {size_key} value"
+    if size < 0:
+        return 2, f"{size_key} must be >= 0"
+    first = 2
+    if orders is None:
+        first = 3
+        if len(lines) < 3 or not lines[2].startswith("orders "):
+            return 3, "expected 'orders <comma-list>'"
+        try:
+            orders = [int(p) for p in lines[2].split(" ", 1)[1].split(",")]
+        except ValueError:
+            return 3, "bad orders list"
+        if any(n < 2 for n in orders):
+            return 3, "orders must all be >= 2"
+    orders = frozenset(orders)
+    counts = {}
+    last_order, last_gram = 0, ""
+    for lineno, line in enumerate(lines[first:], start=first + 1):
+        parts = line.split("\t")
+        if len(parts) != 3:
+            return lineno, "entry needs 3 tab-separated fields"
+        if not all(re.fullmatch("[0-9]{1,18}", p) for p in parts[:2]):
+            return lineno, "non-integer order or count"
+        order, cnt, gram = int(parts[0]), int(parts[1]), parts[2]
+        if order not in orders:
+            return lineno, f"entry order {order} not declared"
+        if len(gram) != order:
+            return lineno, f"gram length {len(gram)} does not match order {order}"
+        if cnt < min_count:
+            return lineno, f"stored counts must be >= {min_count}"
+        if order < last_order or (order == last_order and gram <= last_gram):
+            if gram in counts:
+                return lineno, f"duplicate gram {gram!r}"
+            return lineno, f"entry out of order after {last_gram!r}"
+        last_order, last_gram = order, gram
+        counts[gram] = cnt
+    return size, orders, counts

@@ -1,5 +1,6 @@
 import io
 import random
+import re
 
 import pytest
 
@@ -259,6 +260,50 @@ class TestSaveLoad:
     @pytest.mark.parametrize("orders", [set(), {1, 2}])
     def test_declared_order_below_two_rejected_before_writing(self, orders):
         self.rejected_before_writing(NGramTable(orders, {}, 4), "declared orders")
+
+    @pytest.mark.parametrize("count", [3.0, "3", True])
+    def test_count_that_is_not_an_int_rejected_before_writing(self, count):
+        # a float was written as 3.0, which the loader refuses
+        self.rejected_before_writing(NGramTable({2}, {"ab": 3, "cd": count}, 9),
+                                     re.escape(f"gram 'cd' has count {count!r}, not an int"))
+
+    @pytest.mark.parametrize("count", [10**18, 2**63, 10**30])
+    def test_count_over_eighteen_digits_rejected_before_writing(self, count):
+        self.rejected_before_writing(NGramTable({2}, {"ab": 5, "cd": count}, 9),
+                                     f"gram 'cd' has count {count}, over 18 digits")
+
+    def test_eighteen_digit_count_round_trips(self):
+        table = NGramTable({2}, {"ab": 10**18 - 1}, 9)
+        assert self.roundtrip(table) == table
+
+    @pytest.mark.parametrize("field", ["+5", " 5", "5 ", "5_0", "\u0665", "-1", "", "1" + "0" * 18])
+    @pytest.mark.parametrize("entry", ["2\t{}\tAB\n", "{}\t5\tAB\n"], ids=["count", "order"])
+    def test_integer_fields_take_one_to_eighteen_ascii_digits(self, field, entry):
+        # int() takes every one of these but the empty field; the last has 19 digits
+        payload = "tango-ngrams v1\ncorpus_size 9\norders 2\n2\t2\tAA\n" + entry.format(field)
+        with pytest.raises(FormatError, match=r"^non-integer order or count \(line 5\)$"):
+            NGramTable.load(io.StringIO(payload))
+
+    def test_eighteen_digit_fields_load(self):
+        payload = "tango-ngrams v1\ncorpus_size 9\norders 2\n0002\t" + "9" * 18 + "\tAB\n"
+        assert NGramTable.load(io.StringIO(payload)).counts == {"AB": 10**18 - 1}
+
+    def test_gram_holding_a_tab_rejected(self):
+        # a third tab no longer falls into the gram, where it would make "A\tB" of order 3
+        payload = "tango-ngrams v1\ncorpus_size 9\norders 3\n3\t2\tA\tB\n"
+        with pytest.raises(FormatError, match=r"^entry needs 3 tab-separated fields \(line 4\)$"):
+            NGramTable.load(io.StringIO(payload))
+
+    def test_lowest_failing_line_reported_with_its_first_failing_check(self):
+        payload = ("tango-ngrams v1\ncorpus_size 9\norders 2,3\n2\t2\tAB\n"
+                   "3\t1\tABCD\n"  # line 5: length and count both fail; length is checked first
+                   "2\tx\tAB\n2\t2\n")  # lines 6 and 7 fail earlier checks
+        with pytest.raises(FormatError, match=r"^gram length 4 does not match order 3 \(line 5\)$"):
+            NGramTable.load(io.StringIO(payload))
+
+    def test_file_without_final_newline_loads(self):
+        payload = "tango-ngrams v1\ncorpus_size 4\norders 2\n2\t2\tAB"
+        assert NGramTable.load(io.StringIO(payload)) == NGramTable({2}, {"AB": 2}, 4)
 
     def test_negative_corpus_size_rejected(self):
         payload = b"tango-ngrams v1\ncorpus_size -5\norders 2\n"

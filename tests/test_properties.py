@@ -1,10 +1,13 @@
 """Property tests: the counting engine, the vote kernel, the sst peak
 features and the synthetic corpus draws against the naive oracle, table
-round trips, and annotation parse/serialize round trips."""
+round trips, the count-file loaders on edited files against the reference
+reader, the count-file writer against a sorted f-string formatter, and
+annotation parse/serialize round trips."""
 
 import io
 import random
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 from hypothesis import assume, given, settings
@@ -13,14 +16,17 @@ from hypothesis import strategies as st
 from tangoseg import (
     BigramStats,
     Corpus,
+    FormatError,
     LexiconEntry,
     NGramTable,
     TwoLevelAnnotation,
     build_table,
     extremum_features,
     generate_corpus,
+    load_stats,
     parse_annotation,
     parse_flat,
+    save_stats,
     serialize_annotation,
     serialize_flat,
     vote_profile,
@@ -34,6 +40,7 @@ from naive import (
     naive_counts,
     naive_extremum_features,
     naive_order_vote,
+    naive_read_counts,
     naive_total_votes,
     pruned_lookup,
 )
@@ -94,6 +101,147 @@ def test_table_save_load_roundtrip(corpus, orders):
     again = io.BytesIO()
     loaded.save(again)
     assert again.getvalue() == first.getvalue()
+
+
+# One-line edits of a count file body: each edits body line i, or inserts
+# a line before it, in place.
+def _set_field(lines, i, field, value):
+    parts = lines[i].split("\t")
+    parts[field] = value
+    lines[i] = "\t".join(parts)
+
+
+def _insert(lines, i, draw, text):
+    at = draw(st.integers(0, len(lines[i])))
+    lines[i] = lines[i][:at] + text + lines[i][at:]
+
+
+def _drop_tab(lines, i, draw):
+    head, _, tail = lines[i].partition("\t") if draw(st.booleans()) else lines[i].rpartition("\t")
+    lines[i] = head + tail
+
+
+def _non_digit(lines, i, draw):
+    field = draw(st.integers(0, 1))
+    digits = lines[i].split("\t")[field]
+    at = draw(st.integers(0, len(digits)))
+    char = draw(st.sampled_from("aZ+- _\u0665") | st.characters(
+        codec="utf-8", exclude_characters="0123456789\t\n"))
+    _set_field(lines, i, field, digits[:at] + char + digits[at + draw(st.integers(0, 1)):])
+
+
+def _longer_gram(lines, i, draw):
+    lines[i] += draw(st.sampled_from(lines[i].split("\t")[2]) | table_chars)
+
+
+def _swap(lines, i, draw):
+    j = draw(st.integers(0, len(lines) - 1))
+    lines[i], lines[j] = lines[j], lines[i]
+
+
+BODY_EDITS = {
+    "drop a tab": _drop_tab,
+    "add a tab": lambda lines, i, draw: _insert(lines, i, draw, "\t"),
+    "non-digit in a digit field": _non_digit,
+    "count set to 1": lambda lines, i, draw: _set_field(lines, i, 1, "1"),
+    "order changed": lambda lines, i, draw: _set_field(lines, i, 0, str(draw(st.integers(0, 12)))),
+    "gram one character too long": _longer_gram,
+    "two lines swapped": _swap,
+    "line duplicated": lambda lines, i, draw: lines.insert(i, lines[i]),
+    "blank line inserted": lambda lines, i, draw: lines.insert(i, ""),
+    "stray CR inserted": lambda lines, i, draw: _insert(lines, i, draw, "\r"),
+}
+
+# naive_read_counts arguments of each count file: header, size key, orders, min count
+COUNT_FILES = {
+    "table": ("tango-ngrams v1", "corpus_size", None, 2),
+    "stats": ("tango-bigrams v1", "total_chars", (1, 2), 1),
+}
+
+
+@st.composite
+def edited_count_files(draw):
+    """(kind, text): a saved table or stats file with one body line edited."""
+    kind = draw(st.sampled_from(sorted(COUNT_FILES)))
+    alphabet = draw(st.lists(table_chars, min_size=1, max_size=6, unique=True))
+    sequences = draw(st.lists(st.text(st.sampled_from(alphabet), min_size=4, max_size=12),
+                              min_size=1, max_size=8))
+    buf = io.BytesIO()
+    if kind == "table":  # every gram twice, so that no order is empty
+        build_table(Corpus(sequences * 2), draw(st.sets(st.integers(2, 4), min_size=1))).save(buf)
+    else:
+        save_stats(BigramStats.from_corpus(sequences), buf)
+    lines = buf.getvalue().decode("utf-8").split("\n")[:-1]
+    head = 2 if COUNT_FILES[kind][2] else 3
+    body = lines[head:]
+    BODY_EDITS[draw(st.sampled_from(sorted(BODY_EDITS)))](
+        body, draw(st.integers(0, len(body) - 1)), draw)
+    return kind, "\n".join(lines[:head] + body) + "\n"
+
+
+def load_counts(kind, text):
+    data = io.BytesIO(text.encode("utf-8"))
+    if kind == "table":
+        return NGramTable.load(data).counts
+    stats = load_stats(data)
+    return {**stats.unigrams, **stats.bigrams}
+
+
+@settings(max_examples=400, deadline=None)
+@given(edited_count_files())
+def test_edited_count_file_loads_as_the_reference_reader_reads_it(instance):
+    kind, text = instance
+    expected = naive_read_counts(text, *COUNT_FILES[kind])
+    try:
+        counts = load_counts(kind, text)
+    except FormatError as exc:
+        assert len(expected) == 2, f"the reference reads the file, the loader raises {exc}"
+        line, message = expected
+        assert (exc.line, str(exc)) == (line, f"{message} (line {line})")
+    else:
+        assert len(expected) == 3, f"the loader reads the file, the reference says {expected}"
+        assert counts == expected[2]
+
+
+def writer_reference(header, size_line, orders_line, counts):
+    """The count file as sorted + f-string formatting writes it."""
+    lines = [header, size_line, *orders_line]
+    lines += [f"{len(g)}\t{counts[g]}\t{g}" for g in sorted(counts, key=lambda g: (len(g), g))]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+# characters of every UTF-8 width, astral ones included, but no surrogate
+wide_chars = st.one_of(
+    st.characters(max_codepoint=0x7F, exclude_characters="\t\n\r"),
+    st.characters(min_codepoint=0x80, max_codepoint=0xFFFF, exclude_categories=["Cs"]),
+    st.characters(min_codepoint=0x10000),
+)
+wide_counts = st.integers(2, 30) | st.integers(2, 10**18 - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(wide_chars, min_size=1, max_size=40, unique=True).flatmap(
+    lambda alphabet: st.dictionaries(st.text(st.sampled_from(alphabet), min_size=1, max_size=7),
+                                     wide_counts, max_size=60)),
+       st.sets(st.integers(2, 9)), st.integers(0, 10**12))
+def test_writer_matches_sorted_fstring_formatter(counts, extra_orders, size):
+    # dict order is the draw's, not the writer's (order, gram) order
+    table_counts = {g: c for g, c in counts.items() if len(g) >= 2}
+    orders = {len(g) for g in table_counts} | extra_orders | {2}
+    table = NGramTable(orders, table_counts, size)
+    buf = io.BytesIO()
+    table.save(buf)
+    orders_line = ["orders " + ",".join(map(str, sorted(orders)))]
+    assert buf.getvalue() == writer_reference(
+        "tango-ngrams v1", f"corpus_size {size}", orders_line, table_counts)
+    assert NGramTable.load(io.BytesIO(buf.getvalue())) == table
+    stats_counts = {g: c for g, c in counts.items() if len(g) <= 2}
+    unigrams = Counter({g: c for g, c in stats_counts.items() if len(g) == 1})
+    bigrams = Counter({g: c for g, c in stats_counts.items() if len(g) == 2})
+    buf = io.BytesIO()
+    save_stats(BigramStats(unigrams, bigrams, size), buf)
+    assert buf.getvalue() == writer_reference(
+        "tango-bigrams v1", f"total_chars {size}", [], stats_counts)
 
 
 def pruned_counts(sequences, orders):

@@ -330,6 +330,19 @@ class TestStatsFile:
             save_stats(stats, buf)
         assert buf.getvalue() == b""
 
+    def test_count_that_is_not_an_int_rejected_before_writing(self):
+        stats = BigramStats(Counter({"A": 2.0}), Counter(), 2)
+        buf = io.BytesIO()
+        with pytest.raises(ParameterError, match=r"gram 'A' has count 2\.0, not an int"):
+            save_stats(stats, buf)
+        assert buf.getvalue() == b""
+
+    @pytest.mark.parametrize("count", ["+2", "2.0", "\uff12", "1" * 19])
+    def test_counts_take_one_to_eighteen_ascii_digits(self, count):
+        payload = f"tango-bigrams v1\ntotal_chars 4\n1\t2\tA\n1\t{count}\tB\n"
+        with pytest.raises(FormatError, match=r"^non-integer order or count \(line 4\)$"):
+            load_stats(io.StringIO(payload))
+
     def test_negative_total_chars_rejected(self):
         with pytest.raises(FormatError, match="line 2"):
             load_stats(io.StringIO("tango-bigrams v1\ntotal_chars -1\n1\t2\tA\n"))
