@@ -27,8 +27,9 @@ from .ngrams import (
     Corpus,
     NGramTable,
     _count_windows,
-    _table_from_walk,
+    _table_blocks,
     _table_walk,
+    _write_table,
     codepoint_range_filter,
     read_source,
     split_lines,
@@ -115,28 +116,31 @@ def cmd_build_index(args) -> int:
     corpus = Corpus.from_text(read_source(args.corpus), char_filter)
     if not corpus.sequences:
         raise ParameterError(f"{args.corpus}: no sequences extracted")
-    print(f"corpus_size {corpus.total_chars}", file=sys.stderr)
+    size = corpus.total_chars
+    print(f"corpus_size {size}", file=sys.stderr)
     # one counting walk for both outputs; the stats keep every count, so
     # their min counts win on the order both need
     table_walk = _table_walk(corpus, _parse_orders(args.orders)) if args.out else {}
-    counts = _count_windows(
+    blocks = _count_windows(
         corpus.sequences, {**table_walk, **(STATS_WALK if args.bigrams_out else {})}
     )
     outputs = []
     if args.out:
-        table = _table_from_walk(table_walk, counts, corpus.total_chars)
-        for n, distinct in table.distinct_per_order().items():
-            print(f"order {n}: {distinct} distinct grams", file=sys.stderr)
-        outputs.append((args.out, table.save))
+        # the table is written from its count blocks, with no string per gram
+        table = _table_blocks(table_walk, blocks)
+        for n, (_, counts) in table.items():
+            print(f"order {n}: {len(counts)} distinct grams", file=sys.stderr)
+        outputs.append((args.out, partial(_write_table, orders=table_walk, blocks=table,
+                                          corpus_size=size)))
     if args.bigrams_out:
-        stats = BigramStats._from_walk(counts, corpus.total_chars)
+        stats = BigramStats._from_walk(blocks, size)
         print(
             f"bigram stats: {stats.alphabet_size} characters, "
             f"{stats.bigram_types} bigram types",
             file=sys.stderr,
         )
         outputs.append((args.bigrams_out, partial(save_stats, stats)))
-    del counts  # the table and the stats hold what is written
+    del blocks  # the table's blocks and the stats hold what is written
     for (path, _), written in zip(outputs, _write_all(outputs)):
         print(f"wrote {written} bytes to {path}", file=sys.stderr)
     return 0

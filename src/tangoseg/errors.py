@@ -1,5 +1,14 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "AlignmentError",
+    "Error",
+    "FormatError",
+    "ParameterError",
+    "UndefinedStatisticError",
+    "UnsupportedOrderError",
+]
+
 
 class Error(Exception):
     """Base class for all errors raised by this package."""

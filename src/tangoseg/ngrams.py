@@ -13,8 +13,14 @@ fit into one int64 key, and one sort run-length encodes every order of the
 step into counts.  On an alphabet of b-bit ranks the first sort counts
 63 // b orders: all of orders 1-6 for up to 1,023 distinct characters, and
 orders 1-5 for up to 4,095.  That keeps the build at O(m log m) per step in
-total corpus characters, with no Python object per window, and yields the
-grams of each order in string order.
+total corpus characters, with no Python object per window.
+
+Counts travel as blocks: per order n, a (k, n) uint32 matrix of the code
+points of k grams in string order and an int64 array of their counts.  The
+walk yields blocks and the count-file writer formats them, so ``build-index``
+writes the table with no string per gram.  A ``{gram: count}`` dict is made
+only where a lookup table is needed (``_block_dict``); ``_dict_blocks`` turns
+one back into blocks for writing.
 
 Every file format of the package is read and written here once: lines
 (``split_lines``), files (``read_source``, ``write_to``), the count files of
@@ -23,7 +29,6 @@ the table and of the bigram stats (``write_counts``, ``read_counts``) and
 """
 
 import codecs
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -38,12 +43,6 @@ __all__ = [
     "build_table",
     "codepoint_range_filter",
     "extract_sequences",
-    "read_counts",
-    "read_key_values",
-    "read_source",
-    "split_lines",
-    "write_counts",
-    "write_to",
 ]
 
 FORMAT_HEADER = "tango-ngrams v1"
@@ -134,70 +133,97 @@ def _windows(codes: np.ndarray, n: int) -> np.ndarray:
     return np.ndarray((max(len(codes) - n + 1, 0),), f"U{n}", codes, strides=(4,))
 
 
-def write_counts(
-    destination, header: str, size_key: str, size: int, orders: Iterable[int],
-    counts: dict[str, int], min_count: int = 1, declare_orders: bool = True,
-) -> int:
-    """Write the count file read_counts reads back; returns the bytes written.
+def _count_error(gram: str, count, low: int) -> ParameterError:
+    why = ("not an int" if type(count) is not int
+           else f"below {low}" if count < low else f"over {MAX_DIGITS} digits")
+    return ParameterError(f"gram {gram!r} has count {count!r}, {why}")
 
-    The header comes first, then ``<size_key> <size>`` and, when
-    declare_orders, ``orders <comma-list>``, then one
-    ``<order>\\t<count>\\t<gram>`` line per entry of counts, orders
-    ascending and grams sorted within one.  Whatever read_counts would
-    reject raises ParameterError before anything is written: a negative
-    size, a declared order below 2, a count that is not an int, is below
-    max(min_count, 1) or has over MAX_DIGITS digits, a gram holding tab,
-    newline or CR, a gram whose length is not one of the orders, or one
-    UTF-8 cannot encode.
-    """
-    orders = sorted(set(orders))
-    if size < 0:
-        raise ParameterError(f"{size_key} must be >= 0, got {size}")
-    blocks = [f"{header}\n{size_key} {size}\n"]
-    if declare_orders:
-        if not orders or orders[0] < 2:
-            raise ParameterError(f"declared orders must be integers >= 2, got {orders}")
-        blocks.append("orders " + ",".join(map(str, orders)) + "\n")
-    low, high = max(min_count, 1), 10**MAX_DIGITS
-    values = counts.values()
+
+def _dict_blocks(counts: "dict[str, int]") -> dict:
+    """The count blocks of a ``{gram: count}`` dict: its grams grouped by
+    length, each group sorted.  A count must be an int that fits an int64."""
+    values, low, high = counts.values(), -(2**63), 2**63
     if not set(map(type, values)) <= {int} or (
         values and not low <= min(values) <= max(values) < high
     ):
         gram, c = next((g, c) for g, c in counts.items()
                        if type(c) is not int or not low <= c < high)
-        why = ("not an int" if type(c) is not int
-               else f"below {low}" if c < low else f"over {MAX_DIGITS} digits")
-        raise ParameterError(f"gram {gram!r} has count {c!r}, {why}")
-    # each gram followed by its newline, in dict order
-    codes = np.frombuffer("\n".join([*counts, ""]).encode("utf-32-le", "surrogatepass"), np.uint32)
-    ends = np.flatnonzero(codes == 10)
-    if len(ends) != len(counts) or np.isin(codes, (9, 13)).any():
-        raise ParameterError("a gram holds tab, newline or CR; the count format cannot store it")
-    lengths = np.diff(ends, prepend=-1) - 1
-    present = set(np.flatnonzero(np.bincount(lengths)).tolist())
-    if not present <= set(orders):
-        n = min(present - set(orders))
-        raise ParameterError(f"gram of order {n} is not of the orders {orders}")
+        raise _count_error(gram, c, 1)
+    codes = np.frombuffer("".join(counts).encode("utf-32-le", "surrogatepass"), np.uint32)
+    lengths = np.fromiter(map(len, counts), np.int64, len(counts))
+    starts = np.cumsum(lengths) - lengths
     values = np.fromiter(values, np.int64, len(counts))
-    for n in sorted(present):
+    blocks = {}
+    for n in np.flatnonzero(np.bincount(lengths)).tolist():
         rows = np.flatnonzero(lengths == n)
-        rows = rows[np.argsort(_windows(codes, n + 1)[ends[rows] - n])]
-        count = values[rows]
+        if n:  # grams of one length sort as fixed-width strings
+            rows = rows[np.argsort(_windows(codes, n)[starts[rows]])]
+        blocks[n] = codes[starts[rows, None] + np.arange(n)], values[rows]
+    return blocks
+
+
+def _block_dict(blocks: dict) -> "dict[str, int]":
+    """The ``{gram: count}`` dict of count blocks, in block order."""
+    counts: dict[str, int] = {}
+    for n, (grams, values) in blocks.items():
+        text = _code_text(np.ascontiguousarray(grams))
+        counts.update(zip([text[i : i + n] for i in range(0, len(text), n)], values.tolist()))
+    return counts
+
+
+def write_counts(
+    destination, header: str, size_key: str, size: int, orders: Iterable[int],
+    blocks: dict, min_count: int = 1, declare_orders: bool = True,
+) -> int:
+    """Write the count file read_counts reads back; returns the bytes written.
+
+    The header comes first, then ``<size_key> <size>`` and, when
+    declare_orders, ``orders <comma-list>``, then one
+    ``<order>\\t<count>\\t<gram>`` line per gram of the count blocks
+    ``{n: (grams, counts)}``, orders ascending, each block as it comes.
+    Whatever read_counts would reject raises ParameterError before anything
+    is written: a negative size, a declared order below 2, a gram whose
+    length is not one of the orders, a count below max(min_count, 1) or of
+    over MAX_DIGITS digits, a gram holding tab, newline or CR, grams not
+    strictly ascending within a block, or a gram UTF-8 cannot encode.
+    """
+    orders = sorted(set(orders))
+    if size < 0:
+        raise ParameterError(f"{size_key} must be >= 0, got {size}")
+    parts = [f"{header}\n{size_key} {size}\n"]
+    if declare_orders:
+        if not orders or orders[0] < 2:
+            raise ParameterError(f"declared orders must be integers >= 2, got {orders}")
+        parts.append("orders " + ",".join(map(str, orders)) + "\n")
+    blocks = [(n, g, c) for n, (g, c) in sorted(blocks.items()) if len(c)]
+    low, high = max(min_count, 1), 10**MAX_DIGITS
+    for n, grams, count in blocks:
+        if n not in orders:
+            raise ParameterError(f"gram of order {n} is not of the orders {orders}")
+        bad = (count < low) | (count >= high)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise _count_error(_code_text(grams[i].copy()), int(count[i]), low)
+        if np.isin(grams, (9, 10, 13)).any():
+            raise ParameterError(
+                "a gram holds tab, newline or CR; the count format cannot store it")
+        keys = np.ascontiguousarray(grams).view(f"U{n}")[:, 0]
+        if not (keys[1:] > keys[:-1]).all():
+            raise ParameterError(f"grams of order {n} are not in strictly ascending order")
+    for n, grams, count in blocks:
         width = len(str(count.max()))
         # "<n>\t<count>\t<gram>\n" with the count in width columns, its leading
         # zeros written as CR, which no gram holds, and dropped
         prefix = np.frombuffer(f"{n}\t".encode("utf-32-le"), np.uint32)
-        line = np.empty((len(rows), len(prefix) + width + n + 2), np.uint32)
+        line = np.empty((len(count), len(prefix) + width + n + 2), np.uint32)
         line[:, : len(prefix)] = prefix
         for j, power in enumerate(10 ** np.arange(width - 1, -1, -1, dtype=np.int64)):
             line[:, len(prefix) + j] = np.where(count >= power, count // power % 10 + 48, 13)
-        line[:, -n - 2] = 9
-        line[:, -n - 1 :] = _windows(codes, n + 1)[ends[rows] - n, None].view(np.uint32)
-        blocks.append(_code_text(line).replace("\r", ""))
+        line[:, -n - 2], line[:, -n - 1 : -1], line[:, -1] = 9, grams, 10
+        parts.append(_code_text(line).replace("\r", ""))
         del line  # one order's matrix at a time
-    del codes, ends, lengths, values
-    text = "".join(blocks)
-    del blocks  # at most two copies of the entries stay alive while writing
+    text = "".join(parts)
+    del parts  # at most two copies of the entries stay alive while writing
     try:
         payload = text.encode("utf-8")
     except UnicodeEncodeError as exc:
@@ -223,6 +249,11 @@ def _digit_fields(codes: np.ndarray, start: np.ndarray, stop: np.ndarray):
     return value, bad
 
 
+def _header_int(field: str) -> "int | None":
+    """The value of a header field of 1 to MAX_DIGITS ASCII digits, as an entry field takes."""
+    return int(field) if field.isascii() and field.isdigit() and len(field) <= MAX_DIGITS else None
+
+
 def read_counts(
     source,
     header: str,
@@ -233,7 +264,8 @@ def read_counts(
     """Read a count file written by write_counts: (size, orders, counts).
 
     After the header comes ``<size_key> <int>`` and, unless orders are given,
-    ``orders <comma-list>`` (orders >= 2).  Every entry needs three tab-separated
+    ``orders <comma-list>`` (orders >= 2), each integer 1 to MAX_DIGITS
+    ASCII digits.  Every entry needs three tab-separated
     fields: a declared order and a count >= min_count, each 1 to MAX_DIGITS ASCII
     digits, and a gram of the order's length, in the writer's order.  Each check
     runs as arrays on the lines before the lowest failure so far.
@@ -247,19 +279,15 @@ def read_counts(
         raise FormatError(f"expected header {header!r}, found {found!r}", line=1)
     if len(lines) < 2 or not lines[1].startswith(size_key + " "):
         raise FormatError(f"expected '{size_key} <int>'", line=2)
-    try:
-        size = int(lines[1].split(" ", 1)[1])
-    except ValueError:
-        raise FormatError(f"bad {size_key} value", line=2) from None
-    if size < 0:
-        raise FormatError(f"{size_key} must be >= 0", line=2)
+    size = _header_int(lines[1].split(" ", 1)[1])
+    if size is None:
+        raise FormatError(f"bad {size_key} value", line=2)
     if orders is None:
         if len(lines) < 3 or not lines[2].startswith("orders "):
             raise FormatError("expected 'orders <comma-list>'", line=3)
-        try:
-            orders = [int(p) for p in lines[2].split(" ", 1)[1].split(",")]
-        except ValueError:
-            raise FormatError("bad orders list", line=3) from None
+        orders = [_header_int(p) for p in lines[2].split(" ", 1)[1].split(",")]
+        if None in orders:
+            raise FormatError("bad orders list", line=3)
         if any(n < 2 for n in orders):
             raise FormatError("orders must all be >= 2", line=3)
     orders = frozenset(orders)
@@ -428,21 +456,20 @@ class NGramTable:
         if missing:
             raise UnsupportedOrderError(f"table does not cover orders {missing}")
 
-    def distinct_per_order(self) -> dict[int, int]:
-        lengths = Counter(map(len, self.counts))
-        return {n: lengths[n] for n in sorted(self.orders)}
-
     def save(self, destination) -> int:
         """Write the versioned text format; returns bytes written."""
-        return write_counts(
-            destination, FORMAT_HEADER, "corpus_size", self.corpus_size, self.orders,
-            self.counts, min_count=2,
-        )
+        return _write_table(destination, self.orders, _dict_blocks(self.counts), self.corpus_size)
 
     @classmethod
     def load(cls, source) -> "NGramTable":
         corpus_size, orders, counts = read_counts(source, FORMAT_HEADER, "corpus_size", min_count=2)
         return cls(orders, counts, corpus_size)
+
+
+def _write_table(destination, orders: Iterable[int], blocks: dict, corpus_size: int) -> int:
+    """Write a table of orders from its count blocks; returns bytes written."""
+    return write_counts(destination, FORMAT_HEADER, "corpus_size", corpus_size, orders, blocks,
+                        min_count=2)
 
 
 def _run_starts(keys: np.ndarray) -> np.ndarray:
@@ -453,15 +480,13 @@ def _run_starts(keys: np.ndarray) -> np.ndarray:
     return starts
 
 
-def _count_windows(
-    sequences: Sequence[str], min_counts: "dict[int, int]"
-) -> dict[int, dict[str, int]]:
+def _count_windows(sequences: Sequence[str], min_counts: "dict[int, int]") -> dict:
     """Count the order-n windows of every sequence, for each order n of min_counts.
 
-    Returns ``{n: {gram: count}}`` holding the grams seen at least
-    ``min_counts[n]`` times, orders ascending and grams in string order.
-    Windows never cross sequence boundaries, and sequences may hold any code
-    point, separators included.
+    Returns the count blocks ``{n: (grams, counts)}`` of the grams seen at
+    least ``min_counts[n]`` times, orders ascending and grams in string
+    order.  Windows never cross sequence boundaries, and sequences may hold
+    any code point, separators included.
 
     Each character is its dense rank in the corpus alphabet, from 1, with 0
     for "past the sequence end"; a rank takes b bits.  Each step of the walk
@@ -473,17 +498,18 @@ def _count_windows(
     with at least n characters left (a shorter one has a 0 rank there), and
     the dense rank of the full key is the next step's id, so ids stay below
     the window count.  A step packs s = (63 - id bits) // b characters:
-    id bits + s * b <= 63, so no key overflows for any alphabet.
+    id bits + s * b <= 63, so no key overflows for any alphabet.  A gram's
+    code points come back from its start position through the ranks.
     """
-    out: dict[int, dict[str, int]] = {n: {} for n in sorted(min_counts)}
+    out = {n: (np.empty((0, n), np.uint32), np.empty(0, np.int64)) for n in sorted(min_counts)}
     top = max(min_counts)
-    text = "".join(sequences)
-    codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), np.uint32)
+    codes = np.frombuffer("".join(sequences).encode("utf-32-le", "surrogatepass"), np.uint32)
     m = len(codes)
     if not m:
         return out
     seen = np.zeros(int(codes.max()) + 1, bool)
     seen[codes] = True
+    alphabet = np.r_[0, np.flatnonzero(seen)].astype(np.uint32)  # the code point of each rank
     ranks = np.cumsum(seen, dtype=np.uint32)
     bits = int(ranks[-1]).bit_length()
     ranks = ranks.astype(np.min_scalar_type(ranks[-1]))[codes]
@@ -522,8 +548,11 @@ def _count_windows(
             starts = np.flatnonzero(_run_starts(keys >> (bits * (done + s - n))))
             counts = np.diff(starts, append=len(keys))
             kept = (counts >= min_counts[n]) & (window_left[starts] >= n)
-            grams = [text[i : i + n] for i in pos[starts[kept]].tolist()]
-            out[n] = dict(zip(grams, counts[kept].tolist()))
+            at = pos[starts[kept]]
+            grams = np.empty((len(at), n), np.uint32)
+            for j in range(n):
+                grams[:, j] = alphabet[ranks[at + j]]
+            out[n] = grams, counts[kept]
         done += s
         if done == top:
             break
@@ -555,21 +584,18 @@ def _table_walk(corpus: Corpus, orders: Iterable[int]) -> dict[int, int]:
     return dict.fromkeys(orders, 2)
 
 
-def _table_from_walk(
-    walk: dict[int, int], counts: dict[int, dict[str, int]], corpus_size: int
-) -> NGramTable:
-    """The table of walk's orders from the counts of a walk covering them.
-
-    An order the walk shared with the unpruned bigram stats holds
-    singletons, which are pruned here.
-    """
-    table: dict[str, int] = {}
+def _table_blocks(walk: "dict[int, int]", blocks: dict) -> dict:
+    """The table's blocks of walk's orders, from the blocks of a walk covering
+    them.  An order the walk shared with the unpruned bigram stats holds
+    singletons, which are pruned here."""
+    table = {}
     for n in walk:
-        grams = counts[n]
-        if min(grams.values(), default=2) < 2:
-            grams = {g: c for g, c in grams.items() if c >= 2}
-        table.update(grams)
-    return NGramTable(walk, table, corpus_size)
+        grams, counts = blocks[n]
+        if len(counts) and counts.min() < 2:
+            keep = counts >= 2
+            grams, counts = grams[keep], counts[keep]
+        table[n] = grams, counts
+    return table
 
 
 def build_table(corpus: Corpus, orders: Iterable[int]) -> NGramTable:
@@ -580,4 +606,4 @@ def build_table(corpus: Corpus, orders: Iterable[int]) -> NGramTable:
     format); such corpora are rejected.
     """
     walk = _table_walk(corpus, orders)
-    return _table_from_walk(walk, _count_windows(corpus.sequences, walk), corpus.total_chars)
+    return NGramTable(walk, _block_dict(_count_windows(corpus.sequences, walk)), corpus.total_chars)

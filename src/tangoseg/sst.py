@@ -37,7 +37,9 @@ from .annotations import FlatSegmentation
 from .errors import FormatError, ParameterError, UndefinedStatisticError
 from .ngrams import (
     Corpus,
+    _block_dict,
     _count_windows,
+    _dict_blocks,
     read_counts,
     read_key_values,
     write_counts,
@@ -126,11 +128,10 @@ class BigramStats:
         return cls._from_walk(_count_windows(sequences, STATS_WALK), total, estimator)
 
     @classmethod
-    def _from_walk(
-        cls, counts: "dict[int, dict[str, int]]", total: int, estimator: str = "mle"
-    ) -> "BigramStats":
-        """The stats from the counts of a walk covering STATS_WALK."""
-        return cls(Counter(counts[1]), Counter(counts[2]), total, estimator)
+    def _from_walk(cls, blocks: dict, total: int, estimator: str = "mle") -> "BigramStats":
+        """The stats from the count blocks of a walk covering STATS_WALK."""
+        unigrams, bigrams = (Counter(_block_dict({n: blocks[n]})) for n in (1, 2))
+        return cls(unigrams, bigrams, total, estimator)
 
     def using(self, estimator: str) -> "BigramStats":
         """Same counts under a different estimator (counts are shared)."""
@@ -324,9 +325,9 @@ def read_sst_params(source) -> SstParams:
 
 def save_stats(stats: BigramStats, destination) -> int:
     """Versioned text sidecar with raw unigram and bigram counts."""
-    counts = {**stats.unigrams, **stats.bigrams}
+    blocks = _dict_blocks({**stats.unigrams, **stats.bigrams})
     return write_counts(
-        destination, STATS_HEADER, "total_chars", stats.total_chars, (1, 2), counts,
+        destination, STATS_HEADER, "total_chars", stats.total_chars, (1, 2), blocks,
         declare_orders=False,
     )
 

@@ -33,18 +33,20 @@ def toy_table():
 
 @pytest.fixture
 def constructions(monkeypatch):
-    """constructions(cls) counts the objects of a validating dataclass built
-    from then on: the returned list gains each one as its __post_init__ runs."""
+    """constructions(cls) counts the objects of cls built from then on: the
+    returned list gains each one as its __post_init__ runs, or its __init__
+    for a class that is not a validating dataclass."""
 
     def count(cls):
         built = []
-        original = cls.__post_init__
+        hook = "__post_init__" if hasattr(cls, "__post_init__") else "__init__"
+        original = getattr(cls, hook)
 
-        def counting(self):
-            original(self)
+        def counting(self, *args, **kwargs):
+            original(self, *args, **kwargs)
             built.append(self)
 
-        monkeypatch.setattr(cls, "__post_init__", counting)
+        monkeypatch.setattr(cls, hook, counting)
         return built
 
     return count

@@ -1,11 +1,14 @@
 import hashlib
+import io
 from pathlib import Path
 
 import pytest
 
 from tangoseg import (
+    Corpus,
     NGramTable,
     SstParams,
+    build_table,
     load_stats,
     make_zipf_lexicon,
     parse_annotation,
@@ -83,6 +86,22 @@ class TestBuildIndex:
                          "--orders", "2", "--filter-range", "0020-00FF")
         assert code == 0
         assert NGramTable.load(out).counts == {"ab": 3, "b\x85": 2, "\x85a": 2}
+
+    def test_writes_the_table_without_building_one(self, tmp_path, capsys, constructions):
+        # the table goes from the counting walk's blocks to the file; the
+        # library table, saved through its dict, writes the same bytes
+        built = constructions(NGramTable)
+        corpus = DATA / "toy_corpus.txt"
+        out = tmp_path / "t.tab"
+        code, _, _ = run(capsys, "build-index", "--corpus", corpus, "--out", out,
+                         "--bigrams-out", tmp_path / "s.big")
+        assert code == 0
+        assert built == []
+        buf = io.BytesIO()
+        table = build_table(Corpus.from_text(corpus.read_bytes()), range(2, 7))
+        table.save(buf)
+        assert out.read_bytes() == buf.getvalue()
+        assert built == [table]
 
     def test_requires_some_output(self, tmp_path, abab_corpus, capsys):
         code, _, err = run(capsys, "build-index", "--corpus", abab_corpus)

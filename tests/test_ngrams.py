@@ -2,6 +2,7 @@ import io
 import random
 import re
 
+import numpy as np
 import pytest
 
 from tangoseg import (
@@ -14,7 +15,7 @@ from tangoseg import (
     codepoint_range_filter,
     extract_sequences,
 )
-from tangoseg.ngrams import split_lines
+from tangoseg.ngrams import _write_table, split_lines
 
 from naive import naive_counts
 
@@ -309,6 +310,42 @@ class TestSaveLoad:
         payload = b"tango-ngrams v1\ncorpus_size -5\norders 2\n"
         with pytest.raises(FormatError, match="line 2"):
             NGramTable.load(io.BytesIO(payload))
+
+    @pytest.mark.parametrize("line, number, message", [
+        ("corpus_size +5", 2, "bad corpus_size value"),
+        ("corpus_size 5_0", 2, "bad corpus_size value"),
+        ("corpus_size \u0665", 2, "bad corpus_size value"),
+        ("orders +2, 3", 3, "bad orders list"),
+    ])
+    def test_header_integers_take_one_to_eighteen_ascii_digits(self, line, number, message):
+        # int() takes each of these, 5_0 as 50; the entry fields' rule refuses them
+        header = ["tango-ngrams v1", "corpus_size 4", "orders 2"]
+        header[number - 1] = line
+        payload = "\n".join(header) + "\n2\t2\tAB\n"
+        with pytest.raises(FormatError, match=rf"^{message} \(line {number}\)$"):
+            NGramTable.load(io.StringIO(payload))
+
+    def test_eighteen_digit_header_integers_load(self):
+        payload = "tango-ngrams v1\ncorpus_size 0" + "9" * 17 + "\norders 002,3\n"
+        table = NGramTable.load(io.StringIO(payload))
+        assert (table.corpus_size, table.orders) == (10**17 - 1, {2, 3})
+        with pytest.raises(FormatError, match=r"^bad corpus_size value \(line 2\)$"):
+            NGramTable.load(io.StringIO(payload.replace(" 0", " 10")))
+
+    def test_blocks_out_of_string_order_rejected_before_writing(self):
+        grams = np.array([[66, 65], [65, 66]], np.uint32)  # "BA", "AB"
+        for rows in ([0, 1], [1, 1]):  # descending, then a duplicate
+            buf = io.BytesIO()
+            with pytest.raises(ParameterError, match="order 2 are not in strictly ascending"):
+                _write_table(buf, {2}, {2: (grams[rows], np.array([2, 3]))}, 9)
+            assert buf.getvalue() == b""
+
+    def test_block_count_below_two_rejected_before_writing_naming_its_gram(self):
+        blocks = {2: (np.array([[65, 66], [65, 67]], np.uint32), np.array([2, 1]))}
+        buf = io.BytesIO()
+        with pytest.raises(ParameterError, match="^gram 'AC' has count 1, below 2$"):
+            _write_table(buf, {2}, blocks, 9)
+        assert buf.getvalue() == b""
 
     def test_crlf_file_loads(self):
         payload = b"tango-ngrams v1\r\ncorpus_size 4\r\norders 2\r\n2\t2\tAB\r\n"

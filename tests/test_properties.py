@@ -1,16 +1,18 @@
 """Property tests: the counting engine, the vote kernel, the sst peak
 features and the synthetic corpus draws against the naive oracle, table
 round trips, the count-file loaders on edited files against the reference
-reader, the count-file writer against a sorted f-string formatter, and
-annotation parse/serialize round trips."""
+reader, the count-file writer, from dicts and from the counting walk's
+blocks, against a sorted f-string formatter, and annotation
+parse/serialize round trips."""
 
 import io
 import random
 import tempfile
 from collections import Counter
+from contextlib import redirect_stderr
 from pathlib import Path
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tangoseg import (
@@ -33,7 +35,7 @@ from tangoseg import (
     write_lexicon,
 )
 from tangoseg.cli import main
-from tangoseg.ngrams import _count_windows
+from tangoseg.ngrams import _block_dict, _count_windows
 
 from naive import (
     naive_corpus,
@@ -309,12 +311,14 @@ def test_engine_on_a_large_alphabet():
 
 
 def assert_walk_matches_oracle(sequences, orders):
-    """Every order's unpruned counts, in string order, and the pruned table."""
-    counts = _count_windows(sequences, dict.fromkeys(orders, 1))
-    assert list(counts) == sorted(orders)
+    """Every order's unpruned count block, read through the blocks -> dict
+    helper, in string order, and the pruned table."""
+    blocks = _count_windows(sequences, dict.fromkeys(orders, 1))
+    assert list(blocks) == sorted(orders)
     for n in orders:
-        assert counts[n] == naive_counts(sequences, n)
-        assert list(counts[n]) == sorted(counts[n])
+        counts = _block_dict({n: blocks[n]})
+        assert counts == naive_counts(sequences, n)
+        assert list(counts) == sorted(counts)
     table_orders = [n for n in orders if n >= 2]
     if table_orders:
         table = build_table(Corpus(sequences), table_orders)
@@ -359,6 +363,57 @@ def test_multi_step_walk_on_a_sixty_thousand_character_alphabet():
     rng.shuffle(sequences)
     assert len(set("".join(sequences))) == 60_000
     assert_walk_matches_oracle(sequences, range(1, 11))
+
+@st.composite
+def block_corpora(draw):
+    """(sequences, orders): alphabets that hold NUL and astral characters,
+    and in half the cases over 1,023 more, every one in the corpus, so that
+    ranks take 11 bits and the walk to order 6 or 7 takes a second step."""
+    common = ["\0", *draw(st.lists(st.sampled_from("a\u00e9\u4e00\U00020000\U0010fffd"),
+                                    min_size=1, max_size=4, unique=True))]
+    sequences = draw(st.lists(st.text(st.sampled_from(common), min_size=1, max_size=24),
+                              min_size=1, max_size=12))
+    if draw(st.booleans()):
+        base = draw(st.sampled_from([0x3400, 0x20000]))
+        rare = [chr(base + i) for i in range(draw(st.integers(1024, 1100)))]
+        run = draw(st.integers(1, 60))
+        sequences += ["".join(rare[i : i + run]) for i in range(0, len(rare), run)]
+        sequences += draw(st.lists(st.text(st.sampled_from(rare + common), min_size=1,
+                                           max_size=20), max_size=6))
+    orders = draw(st.sampled_from([{3, 5}, set(range(2, 7))]) | st.sets(st.integers(2, 7),
+                                                                        min_size=1))
+    return draw(st.permutations(sequences)), orders
+
+
+@settings(max_examples=100, deadline=None)
+@given(block_corpora())
+@example((["ab\0", "ab\0", "\0\0\0"], {2, 3}))
+def test_block_path_writes_the_oracle_files(instance):
+    # CLI build-index writes the walk's blocks, with and without the shared
+    # stats walk; NGramTable.save writes the library table through its dict
+    sequences, orders = instance
+    size = sum(map(len, sequences))
+    table = pruned_counts(sequences, orders)
+    orders_line = ["orders " + ",".join(map(str, sorted(orders)))]
+    expected_table = writer_reference("tango-ngrams v1", f"corpus_size {size}", orders_line, table)
+    expected_stats = writer_reference("tango-bigrams v1", f"total_chars {size}", [],
+                                      {**naive_counts(sequences, 1), **naive_counts(sequences, 2)})
+    library = build_table(Corpus(sequences), orders)
+    assert library == NGramTable(orders, table, size)
+    buf = io.BytesIO()
+    library.save(buf)
+    assert buf.getvalue() == expected_table
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        (d / "c.txt").write_bytes("".join(s + "\n" for s in sequences).encode("utf-8"))
+        argv = ["build-index", "--corpus", str(d / "c.txt"),
+                "--orders", ",".join(map(str, sorted(orders)))]
+        with redirect_stderr(io.StringIO()):
+            assert main(argv + ["--out", str(d / "alone.tsv")]) == 0
+            assert main(argv + ["--out", str(d / "t.tsv"), "--bigrams-out", str(d / "s.tsv")]) == 0
+        assert (d / "alone.tsv").read_bytes() == (d / "t.tsv").read_bytes() == expected_table
+        assert (d / "s.tsv").read_bytes() == expected_stats
+
 
 # Nested non-empty segments of any text the bracket and pipe formats can hold.
 annotated_words = st.lists(

@@ -343,6 +343,12 @@ class TestStatsFile:
         with pytest.raises(FormatError, match=r"^non-integer order or count \(line 4\)$"):
             load_stats(io.StringIO(payload))
 
+    @pytest.mark.parametrize("value", ["+5", "5_0", "\u0665"])
+    def test_total_chars_takes_one_to_eighteen_ascii_digits(self, value):
+        payload = f"tango-bigrams v1\ntotal_chars {value}\n1\t2\tA\n"
+        with pytest.raises(FormatError, match=r"^bad total_chars value \(line 2\)$"):
+            load_stats(io.StringIO(payload))
+
     def test_negative_total_chars_rejected(self):
         with pytest.raises(FormatError, match="line 2"):
             load_stats(io.StringIO("tango-bigrams v1\ntotal_chars -1\n1\t2\tA\n"))
