@@ -24,28 +24,20 @@ from .annotations import (
 from .errors import Error, FormatError, ParameterError
 from .metrics import format_report, machine_lines, score_set
 from .ngrams import (
+    STATS,
+    TABLE,
     Corpus,
     NGramTable,
-    _count_windows,
-    _table_blocks,
-    _table_walk,
-    _write_table,
+    _walk_blocks,
     codepoint_range_filter,
+    read_int_list,
     read_source,
     split_lines,
+    write_counts,
     write_to,
 )
 from .segmenter import TangoParams, segment
-from .sst import (
-    STATS_WALK,
-    BigramStats,
-    SstParams,
-    load_stats,
-    read_sst_params,
-    save_stats,
-    sst_segment,
-    write_sst_params,
-)
+from .sst import SstParams, load_stats, read_sst_params, sst_segment, write_sst_params
 from .synth import _draw_words, read_lexicon
 from .training import (
     grid_to_tsv,
@@ -60,12 +52,9 @@ __all__ = ["main"]
 
 def _parse_orders(text: str) -> frozenset[int]:
     try:
-        orders = frozenset(int(p) for p in text.split(","))
+        return frozenset(read_int_list(text))
     except ValueError:
         raise ParameterError(f"bad orders list {text!r}") from None
-    if not orders:
-        raise ParameterError("orders list is empty")
-    return orders
 
 
 def _input_lines(path: str) -> list[str]:
@@ -118,29 +107,19 @@ def cmd_build_index(args) -> int:
         raise ParameterError(f"{args.corpus}: no sequences extracted")
     size = corpus.total_chars
     print(f"corpus_size {size}", file=sys.stderr)
-    # one counting walk for both outputs; the stats keep every count, so
-    # their min counts win on the order both need
-    table_walk = _table_walk(corpus, _parse_orders(args.orders)) if args.out else {}
-    blocks = _count_windows(
-        corpus.sequences, {**table_walk, **(STATS_WALK if args.bigrams_out else {})}
-    )
-    outputs = []
-    if args.out:
-        # the table is written from its count blocks, with no string per gram
-        table = _table_blocks(table_walk, blocks)
+    table, stats = _walk_blocks(corpus.sequences, _parse_orders(args.orders) if args.out else None,
+                                stats=bool(args.bigrams_out))
+    if table is not None:
         for n, (_, counts) in table.items():
             print(f"order {n}: {len(counts)} distinct grams", file=sys.stderr)
-        outputs.append((args.out, partial(_write_table, orders=table_walk, blocks=table,
-                                          corpus_size=size)))
-    if args.bigrams_out:
-        stats = BigramStats._from_walk(blocks, size)
-        print(
-            f"bigram stats: {stats.alphabet_size} characters, "
-            f"{stats.bigram_types} bigram types",
-            file=sys.stderr,
-        )
-        outputs.append((args.bigrams_out, partial(save_stats, stats)))
-    del blocks  # the table's blocks and the stats hold what is written
+    if stats is not None:
+        print(f"bigram stats: {len(stats[1][1])} characters, {len(stats[2][1])} bigram types",
+              file=sys.stderr)
+    # each file is written from its count blocks, with no string per gram
+    outputs = [(path, partial(write_counts, layout=layout, size=size, orders=blocks, blocks=blocks))
+               for path, layout, blocks in ((args.out, TABLE, table),
+                                            (args.bigrams_out, STATS, stats))
+               if blocks is not None]
     for (path, _), written in zip(outputs, _write_all(outputs)):
         print(f"wrote {written} bytes to {path}", file=sys.stderr)
     return 0

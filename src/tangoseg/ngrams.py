@@ -5,30 +5,34 @@ occurring exactly once are pruned from the table, and every lookup of a
 supported order returns at least 1, so unseen grams behave as if seen once.
 
 One counting engine, ``_count_windows``, serves this table and the unpruned
-unigram/bigram counts of the sst baseline; ``build-index`` counts both in
-one walk.  It works on the joined corpus as numpy arrays, each character
-its dense rank in the corpus alphabet.  A walk step packs the dense id of
-each window's counted prefix and the ranks of as many next characters as
-fit into one int64 key, and one sort run-length encodes every order of the
-step into counts.  On an alphabet of b-bit ranks the first sort counts
-63 // b orders: all of orders 1-6 for up to 1,023 distinct characters, and
-orders 1-5 for up to 4,095.  That keeps the build at O(m log m) per step in
-total corpus characters, with no Python object per window.
+unigram/bigram counts of the sst baseline; ``_walk_blocks``, its one entry
+for ``build_table``, ``BigramStats.from_corpus`` and ``build-index``, checks
+the input, counts both in one walk and prunes the table.  The engine works
+on the joined corpus as numpy arrays, each character its dense rank in the
+corpus alphabet.  A walk step packs the dense id of each window's counted
+prefix and the ranks of as many next characters as fit into one int64 key,
+and one sort run-length encodes every order of the step into counts.  On an
+alphabet of b-bit ranks the first sort counts 63 // b orders: all of orders
+1-6 for up to 1,023 distinct characters, and orders 1-5 for up to 4,095.
+That keeps the build at O(m log m) per step in total corpus characters,
+with no Python object per window.
 
 Counts travel as blocks: per order n, a (k, n) uint32 matrix of the code
 points of k grams in string order and an int64 array of their counts.  The
 walk yields blocks and the count-file writer formats them, so ``build-index``
-writes the table with no string per gram.  A ``{gram: count}`` dict is made
+writes both files with no string per gram.  A ``{gram: count}`` dict is made
 only where a lookup table is needed (``_block_dict``); ``_dict_blocks`` turns
 one back into blocks for writing.
 
 Every file format of the package is read and written here once: lines
-(``split_lines``), files (``read_source``, ``write_to``), the count files of
-the table and of the bigram stats (``write_counts``, ``read_counts``) and
-``key=value`` parameter files (``read_key_values``).
+(``split_lines``), files (``read_source``, ``write_to``), integer lists
+(``read_int_list``), ``key=value`` files (``read_key_values``) and count
+files (``write_counts``, ``read_counts``) of two layouts, ``TABLE`` for the
+pruned table, its orders declared in the file, and ``STATS`` for the bigrams.
 """
 
 import codecs
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -45,9 +49,22 @@ __all__ = [
     "extract_sequences",
 ]
 
-FORMAT_HEADER = "tango-ngrams v1"
-
 MAX_DIGITS = 18  # the longest order or count field of a count file; an int64 holds any
+
+
+@dataclass(frozen=True)
+class CountFile:
+    """The layout of a count file: its header line, the key of its size
+    line, its orders (declared in the file when None) and its least count."""
+
+    header: str
+    size_key: str
+    orders: "tuple[int, ...] | None"
+    min_count: int
+
+
+TABLE = CountFile("tango-ngrams v1", "corpus_size", None, 2)
+STATS = CountFile("tango-bigrams v1", "total_chars", (1, 2), 1)
 
 
 def split_lines(text: str) -> list[str]:
@@ -172,31 +189,31 @@ def _block_dict(blocks: dict) -> "dict[str, int]":
 
 
 def write_counts(
-    destination, header: str, size_key: str, size: int, orders: Iterable[int],
-    blocks: dict, min_count: int = 1, declare_orders: bool = True,
+    destination, layout: CountFile, size: int, orders: Iterable[int], blocks: dict
 ) -> int:
-    """Write the count file read_counts reads back; returns the bytes written.
+    """Write a count file of the layout that read_counts reads back; returns
+    the bytes written.
 
-    The header comes first, then ``<size_key> <size>`` and, when
-    declare_orders, ``orders <comma-list>``, then one
+    The header comes first, then ``<size_key> <size>`` and, when the layout
+    declares no orders, ``orders <comma-list>``, then one
     ``<order>\\t<count>\\t<gram>`` line per gram of the count blocks
     ``{n: (grams, counts)}``, orders ascending, each block as it comes.
     Whatever read_counts would reject raises ParameterError before anything
     is written: a negative size, a declared order below 2, a gram whose
-    length is not one of the orders, a count below max(min_count, 1) or of
-    over MAX_DIGITS digits, a gram holding tab, newline or CR, grams not
+    length is not one of the orders, a count below the layout's min_count or
+    of over MAX_DIGITS digits, a gram holding tab, newline or CR, grams not
     strictly ascending within a block, or a gram UTF-8 cannot encode.
     """
     orders = sorted(set(orders))
     if size < 0:
-        raise ParameterError(f"{size_key} must be >= 0, got {size}")
-    parts = [f"{header}\n{size_key} {size}\n"]
-    if declare_orders:
+        raise ParameterError(f"{layout.size_key} must be >= 0, got {size}")
+    parts = [f"{layout.header}\n{layout.size_key} {size}\n"]
+    if layout.orders is None:
         if not orders or orders[0] < 2:
             raise ParameterError(f"declared orders must be integers >= 2, got {orders}")
         parts.append("orders " + ",".join(map(str, orders)) + "\n")
     blocks = [(n, g, c) for n, (g, c) in sorted(blocks.items()) if len(c)]
-    low, high = max(min_count, 1), 10**MAX_DIGITS
+    low, high = layout.min_count, 10**MAX_DIGITS
     for n, grams, count in blocks:
         if n not in orders:
             raise ParameterError(f"gram of order {n} is not of the orders {orders}")
@@ -249,45 +266,47 @@ def _digit_fields(codes: np.ndarray, start: np.ndarray, stop: np.ndarray):
     return value, bad
 
 
-def _header_int(field: str) -> "int | None":
-    """The value of a header field of 1 to MAX_DIGITS ASCII digits, as an entry field takes."""
-    return int(field) if field.isascii() and field.isdigit() and len(field) <= MAX_DIGITS else None
+def read_int_list(text: str) -> list[int]:
+    """The integers of a comma list, each 1 to MAX_DIGITS ASCII digits as an
+    entry field takes; ValueError for any other field, where int() would
+    also take "+4", "1_0" and "\\u0663"."""
+    fields = text.split(",")
+    if not all(f.isascii() and f.isdigit() and len(f) <= MAX_DIGITS for f in fields):
+        raise ValueError(f"bad integer list {text!r}")
+    return list(map(int, fields))
 
 
-def read_counts(
-    source,
-    header: str,
-    size_key: str,
-    orders: "Iterable[int] | None" = None,
-    min_count: int = 1,
-) -> "tuple[int, frozenset[int], dict[str, int]]":
-    """Read a count file written by write_counts: (size, orders, counts).
+def read_counts(source, layout: CountFile) -> "tuple[int, frozenset[int], dict[str, int]]":
+    """Read a count file of the layout written by write_counts: (size, orders, counts).
 
-    After the header comes ``<size_key> <int>`` and, unless orders are given,
-    ``orders <comma-list>`` (orders >= 2), each integer 1 to MAX_DIGITS
-    ASCII digits.  Every entry needs three tab-separated
-    fields: a declared order and a count >= min_count, each 1 to MAX_DIGITS ASCII
-    digits, and a gram of the order's length, in the writer's order.  Each check
-    runs as arrays on the lines before the lowest failure so far.
+    After the header comes ``<size_key> <int>`` and, when the layout declares
+    no orders, ``orders <comma-list>`` (orders >= 2), each integer 1 to
+    MAX_DIGITS ASCII digits.  Every entry needs three tab-separated fields: a
+    declared order and a count >= the layout's min_count, each 1 to MAX_DIGITS
+    ASCII digits, and a gram of the order's length, in the writer's order.
+    Each check runs as arrays on the lines before the lowest failure so far.
     """
+    orders, size_key = layout.orders, layout.size_key
     first = 2 if orders is not None else 3
     text = read_source(source).replace("\r\n", "\n")
     *lines, body = (text if text[-1:] in ("", "\n") else text + "\n").split("\n", first)
     del text
-    if not lines or lines[0] != header:
+    if not lines or lines[0] != layout.header:
         found = lines[0] if lines else "<empty file>"
-        raise FormatError(f"expected header {header!r}, found {found!r}", line=1)
+        raise FormatError(f"expected header {layout.header!r}, found {found!r}", line=1)
     if len(lines) < 2 or not lines[1].startswith(size_key + " "):
         raise FormatError(f"expected '{size_key} <int>'", line=2)
-    size = _header_int(lines[1].split(" ", 1)[1])
-    if size is None:
-        raise FormatError(f"bad {size_key} value", line=2)
+    try:
+        (size,) = read_int_list(lines[1].split(" ", 1)[1])
+    except ValueError:
+        raise FormatError(f"bad {size_key} value", line=2) from None
     if orders is None:
         if len(lines) < 3 or not lines[2].startswith("orders "):
             raise FormatError("expected 'orders <comma-list>'", line=3)
-        orders = [_header_int(p) for p in lines[2].split(" ", 1)[1].split(",")]
-        if None in orders:
-            raise FormatError("bad orders list", line=3)
+        try:
+            orders = read_int_list(lines[2].split(" ", 1)[1])
+        except ValueError:
+            raise FormatError("bad orders list", line=3) from None
         if any(n < 2 for n in orders):
             raise FormatError("orders must all be >= 2", line=3)
     orders = frozenset(orders)
@@ -311,7 +330,7 @@ def read_counts(
     cut(~np.isin(order, list(orders)), lambda i: f"entry order {order[i]} not declared")
     length = ends - tab[:, 1] - 1
     cut(length != order, lambda i: f"gram length {length[i]} does not match order {order[i]}")
-    cut(count < min_count, lambda i: f"stored counts must be >= {min_count}")
+    cut(count < layout.min_count, lambda i: f"stored counts must be >= {layout.min_count}")
     # the writer's order, comparing the rest of each line (gram and newline) as one string
     ends, starts, order = ends[:k], tab[:k, 1] + 1, order[:k]
     bad = np.r_[False, order[1:] < order[:-1]]
@@ -341,60 +360,47 @@ def read_counts(
     return size, orders, dict(zip(names, count[:k].tolist()))
 
 
-def extract_sequences(
-    text: "str | bytes", char_filter: "Callable[[str], bool] | None" = None
-) -> list[str]:
+def extract_sequences(text: "str | bytes", char_filter: "re.Pattern | None" = None) -> list[str]:
     """Split raw text into the character sequences to be indexed.
 
-    Without a filter, each non-empty line is one sequence.  With a filter,
-    every maximal run of accepted characters becomes a sequence, in document
-    order.  Byte input must be valid UTF-8.
+    Without a filter, each non-empty line is one sequence.  With a filter
+    from codepoint_range_filter, every maximal run of accepted characters
+    becomes a sequence, in document order.  Byte input must be valid UTF-8.
     """
     if isinstance(text, bytes):
         text = _decode_utf8(text)
     if char_filter is None:
         return [line for line in split_lines(text) if line]
-    sequences = []
-    run: list[str] = []
-    for ch in text:
-        if char_filter(ch):
-            run.append(ch)
-        elif run:
-            sequences.append("".join(run))
-            run = []
-    if run:
-        sequences.append("".join(run))
-    return sequences
+    return char_filter.findall(text)
 
 
-class codepoint_range_filter:
-    """Predicate accepting characters whose codepoint lies in given ranges.
+def codepoint_range_filter(spec: str) -> re.Pattern:
+    """The pattern matching each maximal run of characters whose code point
+    lies in given ranges.
 
-    Takes a comma-separated list of hex codepoints or ranges, e.g.
-    ``"4E00-9FFF,3005"``.
+    Takes a comma-separated list of hex code points or ranges, e.g.
+    ``"4E00-9FFF,3005"``, each at most 10FFFF.
     """
-
-    def __init__(self, spec: str):
-        self.ranges = []
-        for part in spec.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            lo, _, hi = part.partition("-")
-            try:
-                lo_cp = int(lo, 16)
-                hi_cp = int(hi, 16) if hi else lo_cp
-            except ValueError:
-                raise ParameterError(f"bad codepoint range {part!r}") from None
-            if hi_cp < lo_cp:
-                raise ParameterError(f"empty codepoint range {part!r}")
-            self.ranges.append((lo_cp, hi_cp))
-        if not self.ranges:
-            raise ParameterError("codepoint filter selects nothing")
-
-    def __call__(self, ch: str) -> bool:
-        cp = ord(ch)
-        return any(lo <= cp <= hi for lo, hi in self.ranges)
+    ranges = []
+    for part in spec.split(","):
+        part = part.strip()
+        if not part:
+            continue
+        lo, _, hi = part.partition("-")
+        try:
+            lo_cp = int(lo, 16)
+            hi_cp = int(hi, 16) if hi else lo_cp
+        except ValueError:
+            raise ParameterError(f"bad codepoint range {part!r}") from None
+        if hi_cp < lo_cp:
+            raise ParameterError(f"empty codepoint range {part!r}")
+        if hi_cp > 0x10FFFF:
+            raise ParameterError(f"codepoint range {part!r} goes past 10FFFF")
+        # escaped, so that no code point is read as class syntax
+        ranges.append(f"\\U{lo_cp:08x}-\\U{hi_cp:08x}")
+    if not ranges:
+        raise ParameterError("codepoint filter selects nothing")
+    return re.compile(f"[{''.join(ranges)}]+")
 
 
 @dataclass
@@ -407,7 +413,7 @@ class Corpus:
     def from_text(
         cls,
         text: "str | bytes",
-        char_filter: "Callable[[str], bool] | None" = None,
+        char_filter: "re.Pattern | None" = None,
     ) -> "Corpus":
         return cls(extract_sequences(text, char_filter))
 
@@ -416,6 +422,7 @@ class Corpus:
         return sum(map(len, self.sequences))
 
 
+@dataclass
 class NGramTable:
     """Immutable pruned count table over a fixed set of n-gram orders.
 
@@ -423,19 +430,12 @@ class NGramTable:
     counts, and corpus size.
     """
 
-    def __init__(self, orders: Iterable[int], counts: dict[str, int], corpus_size: int):
-        self.orders = frozenset(orders)
-        self.counts = counts
-        self.corpus_size = corpus_size
+    orders: "frozenset[int]"  # any iterable of ints, made a frozenset
+    counts: "dict[str, int]"
+    corpus_size: int
 
-    def __eq__(self, other):
-        if not isinstance(other, NGramTable):
-            return NotImplemented
-        return (
-            self.orders == other.orders
-            and self.counts == other.counts
-            and self.corpus_size == other.corpus_size
-        )
+    def __post_init__(self):
+        self.orders = frozenset(self.orders)
 
     def __repr__(self):
         return (
@@ -458,18 +458,13 @@ class NGramTable:
 
     def save(self, destination) -> int:
         """Write the versioned text format; returns bytes written."""
-        return _write_table(destination, self.orders, _dict_blocks(self.counts), self.corpus_size)
+        return write_counts(destination, TABLE, self.corpus_size, self.orders,
+                            _dict_blocks(self.counts))
 
     @classmethod
     def load(cls, source) -> "NGramTable":
-        corpus_size, orders, counts = read_counts(source, FORMAT_HEADER, "corpus_size", min_count=2)
+        corpus_size, orders, counts = read_counts(source, TABLE)
         return cls(orders, counts, corpus_size)
-
-
-def _write_table(destination, orders: Iterable[int], blocks: dict, corpus_size: int) -> int:
-    """Write a table of orders from its count blocks; returns bytes written."""
-    return write_counts(destination, FORMAT_HEADER, "corpus_size", corpus_size, orders, blocks,
-                        min_count=2)
 
 
 def _run_starts(keys: np.ndarray) -> np.ndarray:
@@ -566,36 +561,45 @@ def _count_windows(sequences: Sequence[str], min_counts: "dict[int, int]") -> di
     return out
 
 
-def _table_walk(corpus: Corpus, orders: Iterable[int]) -> dict[int, int]:
-    """The ``{order: min_count}`` walk of a table of orders over corpus,
-    after checking both."""
-    orders = sorted(set(orders))
-    if not orders:
-        raise ParameterError("orders must be non-empty")
-    for n in orders:
-        if not isinstance(n, int) or n < 2:
-            raise ParameterError(f"n-gram order must be an integer >= 2, got {n!r}")
-    text = "".join(corpus.sequences)
-    for bad in ("\t", "\n", "\r"):
-        if bad in text:
-            raise ParameterError(
-                f"corpus sequence contains {bad!r}; the table format cannot store it"
-            )
-    return dict.fromkeys(orders, 2)
+def _walk_blocks(
+    sequences: Sequence[str], table_orders: "Iterable[int] | None" = None, stats: bool = False
+) -> "tuple[dict | None, dict | None]":
+    """The count blocks of the table of table_orders and of the bigram stats,
+    each None when not asked for, from one counting walk over sequences.
 
-
-def _table_blocks(walk: "dict[int, int]", blocks: dict) -> dict:
-    """The table's blocks of walk's orders, from the blocks of a walk covering
-    them.  An order the walk shared with the unpruned bigram stats holds
-    singletons, which are pruned here."""
-    table = {}
-    for n in walk:
-        grams, counts = blocks[n]
-        if len(counts) and counts.min() < 2:
-            keep = counts >= 2
-            grams, counts = grams[keep], counts[keep]
-        table[n] = grams, counts
-    return table
+    The table's orders must be integers >= 2 and its corpus must hold no
+    tab, newline or CR, which its file cannot store; the stats need at least
+    one character.  The stats keep every count and the table counts of 2 or
+    more, so an order 2 the two share is pruned after the walk.
+    """
+    walk = {1: 1, 2: 1} if stats else {}  # {order: min_count}; the stats' win on order 2
+    if table_orders is not None:
+        table_orders = sorted(set(table_orders))
+        if not table_orders:
+            raise ParameterError("orders must be non-empty")
+        for n in table_orders:
+            if not isinstance(n, int) or n < 2:
+                raise ParameterError(f"n-gram order must be an integer >= 2, got {n!r}")
+        text = "".join(sequences)
+        for bad in "\t\n\r":
+            if bad in text:
+                raise ParameterError(
+                    f"corpus sequence contains {bad!r}; the table format cannot store it")
+        del text  # before the walk
+        walk = {**dict.fromkeys(table_orders, 2), **walk}
+    if stats and not any(sequences):
+        raise ParameterError("corpus contains no characters")
+    blocks = _count_windows(sequences, walk)
+    table = None
+    if table_orders is not None:
+        table = {}
+        for n in table_orders:
+            grams, counts = blocks[n]
+            if len(counts) and counts.min() < 2:  # copied only when pruned
+                keep = counts >= 2
+                grams, counts = grams[keep], counts[keep]
+            table[n] = grams, counts
+    return table, {n: blocks[n] for n in (1, 2)} if stats else None
 
 
 def build_table(corpus: Corpus, orders: Iterable[int]) -> NGramTable:
@@ -605,5 +609,5 @@ def build_table(corpus: Corpus, orders: Iterable[int]) -> NGramTable:
     contain tab or newline characters (they would corrupt the serialized
     format); such corpora are rejected.
     """
-    walk = _table_walk(corpus, orders)
-    return NGramTable(walk, _block_dict(_count_windows(corpus.sequences, walk)), corpus.total_chars)
+    table, _ = _walk_blocks(corpus.sequences, orders)
+    return NGramTable(table, _block_dict(table), corpus.total_chars)

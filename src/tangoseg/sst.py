@@ -36,10 +36,11 @@ import numpy as np
 from .annotations import FlatSegmentation
 from .errors import FormatError, ParameterError, UndefinedStatisticError
 from .ngrams import (
+    STATS,
     Corpus,
     _block_dict,
-    _count_windows,
     _dict_blocks,
+    _walk_blocks,
     read_counts,
     read_key_values,
     write_counts,
@@ -62,11 +63,6 @@ __all__ = [
 ]
 
 ESTIMATORS = ("mle", "ele")
-
-STATS_HEADER = "tango-bigrams v1"
-
-# the {order: min_count} walk of the stats: unigrams and bigrams, unpruned
-STATS_WALK = {1: 1, 2: 1}
 
 
 def _require_estimator(estimator: str) -> str:
@@ -122,16 +118,9 @@ class BigramStats:
     @classmethod
     def from_corpus(cls, corpus: "Corpus | Iterable[str]", estimator: str = "mle") -> "BigramStats":
         sequences = corpus.sequences if isinstance(corpus, Corpus) else list(corpus)
-        total = sum(map(len, sequences))
-        if total == 0:
-            raise ParameterError("corpus contains no characters")
-        return cls._from_walk(_count_windows(sequences, STATS_WALK), total, estimator)
-
-    @classmethod
-    def _from_walk(cls, blocks: dict, total: int, estimator: str = "mle") -> "BigramStats":
-        """The stats from the count blocks of a walk covering STATS_WALK."""
+        _, blocks = _walk_blocks(sequences, stats=True)
         unigrams, bigrams = (Counter(_block_dict({n: blocks[n]})) for n in (1, 2))
-        return cls(unigrams, bigrams, total, estimator)
+        return cls(unigrams, bigrams, sum(map(len, sequences)), estimator)
 
     def using(self, estimator: str) -> "BigramStats":
         """Same counts under a different estimator (counts are shared)."""
@@ -326,14 +315,11 @@ def read_sst_params(source) -> SstParams:
 def save_stats(stats: BigramStats, destination) -> int:
     """Versioned text sidecar with raw unigram and bigram counts."""
     blocks = _dict_blocks({**stats.unigrams, **stats.bigrams})
-    return write_counts(
-        destination, STATS_HEADER, "total_chars", stats.total_chars, (1, 2), blocks,
-        declare_orders=False,
-    )
+    return write_counts(destination, STATS, stats.total_chars, STATS.orders, blocks)
 
 
 def load_stats(source, estimator: str = "mle") -> BigramStats:
-    total, _, counts = read_counts(source, STATS_HEADER, "total_chars", orders=(1, 2))
+    total, _, counts = read_counts(source, STATS)
     unigrams = Counter({g: c for g, c in counts.items() if len(g) == 1})
     bigrams = Counter({g: c for g, c in counts.items() if len(g) == 2})
     return BigramStats(unigrams, bigrams, total, estimator)

@@ -35,7 +35,7 @@ import numpy as np
 from .annotations import TwoLevelAnnotation
 from .errors import FormatError, ParameterError
 from .metrics import _prf
-from .ngrams import NGramTable, read_key_values, write_to
+from .ngrams import NGramTable, read_int_list, read_key_values, write_to
 from .segmenter import TangoParams, _mean_votes, _order_votes, _padded, _tango_rule
 from .sst import BigramStats, SstParams, _gap_features, _sst_rule
 
@@ -45,7 +45,6 @@ __all__ = [
     "grid_to_tsv",
     "read_tango_params",
     "split_heldout",
-    "sst_grid",
     "tango_grid",
     "train_sst",
     "train_tango",
@@ -200,13 +199,6 @@ def _sst_vectors() -> np.ndarray:
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
 
-def sst_grid() -> "Iterable[tuple[float, tuple[float, ...]]]":
-    """All 78125 (theta, extremum thresholds) settings in ascending
-    lexicographic order of the parameter vector."""
-    for theta, *es in _sst_vectors().tolist():
-        yield theta, tuple(es)
-
-
 def _grid_search(layout: _BoundaryRows, settings, make, rows, unit: int = 1) -> TrainResult:
     """Score every setting of a grid on the layout; the best is the first maximum.
 
@@ -336,7 +328,7 @@ def read_tango_params(
 ) -> TangoParams:
     values = read_key_values(source)
     try:
-        orders = frozenset(int(p) for p in values["N"].split(","))
+        orders = frozenset(read_int_list(values["N"]))
         threshold = float(values["t"])
     except KeyError as exc:
         raise FormatError(f"missing parameter {exc.args[0]!r}") from None

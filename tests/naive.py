@@ -240,3 +240,18 @@ def naive_read_counts(text, header, size_key, orders=None, min_count=1):
         last_order, last_gram = order, gram
         counts[gram] = cnt
     return size, orders, counts
+
+
+def naive_runs(text, ranges):
+    """The maximal runs of characters whose code point lies in one of the
+    inclusive (lo, hi) ranges, one character at a time."""
+    runs, run = [], ""
+    for ch in text:
+        if any(lo <= ord(ch) <= hi for lo, hi in ranges):
+            run += ch
+        elif run:
+            runs.append(run)
+            run = ""
+    if run:
+        runs.append(run)
+    return runs

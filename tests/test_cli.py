@@ -1,5 +1,6 @@
 import hashlib
 import io
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -14,11 +15,11 @@ from tangoseg import (
     parse_annotation,
     parse_flat,
     read_sst_params,
-    sst_grid,
     train_sst,
     write_lexicon,
 )
 from tangoseg.cli import main
+from tangoseg.training import SST_EXTREMUM_VALUES, SST_THETAS
 
 DATA = Path(__file__).parent / "data"
 
@@ -86,6 +87,23 @@ class TestBuildIndex:
                          "--orders", "2", "--filter-range", "0020-00FF")
         assert code == 0
         assert NGramTable.load(out).counts == {"ab": 3, "b\x85": 2, "\x85a": 2}
+
+    @pytest.mark.parametrize("orders", ["2,1_0", "+4", "\u0663", "2, 3", ""])
+    def test_orders_take_one_to_eighteen_ascii_digits_per_field(self, tmp_path, abab_corpus,
+                                                               capsys, orders):
+        # int() takes the first four, 1_0 as 10
+        out = tmp_path / "t.tab"
+        code, _, err = run(capsys, "build-index", "--corpus", abab_corpus, "--out", out,
+                           "--orders", orders)
+        assert (code, err.splitlines()[-1]) == (2, f"error: bad orders list {orders!r}")
+        assert not out.exists()
+
+    def test_filter_range_past_10ffff_exits_2(self, tmp_path, abab_corpus, capsys):
+        out = tmp_path / "t.tab"
+        code, _, err = run(capsys, "build-index", "--corpus", abab_corpus, "--out", out,
+                           "--filter-range", "41-5A,110000")
+        assert (code, err) == (2, "error: codepoint range '110000' goes past 10FFFF\n")
+        assert not out.exists()
 
     def test_writes_the_table_without_building_one(self, tmp_path, capsys, constructions):
         # the table goes from the counting walk's blocks to the file; the
@@ -215,6 +233,13 @@ class TestSegment:
         assert code == 2
         assert "orders [7]" in err
 
+    def test_inline_orders_take_ascii_digits(self, tmp_path, index, capsys):
+        inp = tmp_path / "in.txt"
+        inp.write_text("ABCD\n")
+        code, _, err = run(capsys, "segment", "--index", index, "--input", inp,
+                           "--orders", "2,+3", "--threshold", "0.5")
+        assert (code, err) == (2, "error: bad orders list '2,+3'\n")
+
     def test_unsupported_order_rejected_before_reading_input(self, tmp_path, index, capsys):
         code, _, err = run(capsys, "segment", "--index", index,
                            "--input", tmp_path / "missing.txt",
@@ -307,15 +332,14 @@ class TestTrainAndEvaluate:
         assert code == 0
         loaded = read_sst_params(params)
         assert loaded.estimator == "mle"
-        # the grid dump: one row per setting, in sst_grid order, with the
-        # library's scores
+        # the grid dump: one row per setting, in ascending order of the
+        # parameter vector, with the library's scores
         lines = grid.read_text().splitlines()
         assert lines[0] == "theta\te1\te2\te3\te4\te5\te6\tscore"
         assert len(lines) == 78126
         rows = [line.split("\t") for line in lines[1:]]
-        assert [tuple(map(float, row[:7])) for row in rows] == [
-            (theta, *es) for theta, es in sst_grid()
-        ]
+        assert [tuple(map(float, row[:7])) for row in rows] == list(
+            product(SST_THETAS, *[SST_EXTREMUM_VALUES] * 6))
         gold = [parse_annotation(line) for line in (DATA / "toy_gold.txt").read_text().splitlines()]
         result = train_sst(gold, load_stats(big), "word-f")
         assert [row[7] for row in rows] == [f"{score:.6f}" for _, score in result.grid]

@@ -15,7 +15,7 @@ from tangoseg import (
     codepoint_range_filter,
     extract_sequences,
 )
-from tangoseg.ngrams import _write_table, split_lines
+from tangoseg.ngrams import TABLE, split_lines, write_counts
 
 from naive import naive_counts
 
@@ -25,10 +25,10 @@ class TestExtractSequences:
         assert extract_sequences("abc\n\ndef") == ["abc", "def"]
 
     def test_digit_filter_takes_maximal_runs(self):
-        assert extract_sequences("ab1cd22e", str.isdigit) == ["1", "22"]
+        assert extract_sequences("ab1cd22e", codepoint_range_filter("30-39")) == ["1", "22"]
 
     def test_uppercase_filter(self):
-        assert extract_sequences("xxABCyyA", str.isupper) == ["ABC", "A"]
+        assert extract_sequences("xxABCyyA", codepoint_range_filter("41-5A")) == ["ABC", "A"]
 
     def test_line_split_ignores_unicode_line_separators(self):
         assert extract_sequences("a\u2028b\r\nc\x85d\n") == ["a\u2028b", "c\x85d"]
@@ -50,6 +50,15 @@ class TestExtractSequences:
     def test_codepoint_filter_rejects_garbage(self):
         with pytest.raises(ParameterError):
             codepoint_range_filter("ZZ-QQ")
+
+    @pytest.mark.parametrize("spec", ["110000", "41-110000"])
+    def test_codepoint_filter_rejects_code_points_past_10ffff(self, spec):
+        with pytest.raises(ParameterError, match=f"^codepoint range '{spec}' goes past 10FFFF$"):
+            codepoint_range_filter(spec)
+
+    def test_codepoint_filter_takes_the_last_code_point(self):
+        assert extract_sequences("a\U0010ffff\U0010ffffb", codepoint_range_filter("10FFFF")) == [
+            "\U0010ffff\U0010ffff"]
 
 
 class TestSplitLines:
@@ -337,14 +346,14 @@ class TestSaveLoad:
         for rows in ([0, 1], [1, 1]):  # descending, then a duplicate
             buf = io.BytesIO()
             with pytest.raises(ParameterError, match="order 2 are not in strictly ascending"):
-                _write_table(buf, {2}, {2: (grams[rows], np.array([2, 3]))}, 9)
+                write_counts(buf, TABLE, 9, {2}, {2: (grams[rows], np.array([2, 3]))})
             assert buf.getvalue() == b""
 
     def test_block_count_below_two_rejected_before_writing_naming_its_gram(self):
         blocks = {2: (np.array([[65, 66], [65, 67]], np.uint32), np.array([2, 1]))}
         buf = io.BytesIO()
         with pytest.raises(ParameterError, match="^gram 'AC' has count 1, below 2$"):
-            _write_table(buf, {2}, blocks, 9)
+            write_counts(buf, TABLE, 9, {2}, blocks)
         assert buf.getvalue() == b""
 
     def test_crlf_file_loads(self):

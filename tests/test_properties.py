@@ -2,8 +2,8 @@
 features and the synthetic corpus draws against the naive oracle, table
 round trips, the count-file loaders on edited files against the reference
 reader, the count-file writer, from dicts and from the counting walk's
-blocks, against a sorted f-string formatter, and annotation
-parse/serialize round trips."""
+blocks, against a sorted f-string formatter, the code point range filter
+against a per-character loop, and annotation parse/serialize round trips."""
 
 import io
 import random
@@ -23,6 +23,8 @@ from tangoseg import (
     NGramTable,
     TwoLevelAnnotation,
     build_table,
+    codepoint_range_filter,
+    extract_sequences,
     extremum_features,
     generate_corpus,
     load_stats,
@@ -43,6 +45,7 @@ from naive import (
     naive_extremum_features,
     naive_order_vote,
     naive_read_counts,
+    naive_runs,
     naive_total_votes,
     pruned_lookup,
 )
@@ -413,6 +416,36 @@ def test_block_path_writes_the_oracle_files(instance):
             assert main(argv + ["--out", str(d / "t.tsv"), "--bigrams-out", str(d / "s.tsv")]) == 0
         assert (d / "alone.tsv").read_bytes() == (d / "t.tsv").read_bytes() == expected_table
         assert (d / "s.tsv").read_bytes() == expected_stats
+
+
+# characters that are syntax in a regex class, line breaks, lone surrogates
+# and astral characters, so that a pattern built from them must escape them
+filter_chars = st.one_of(
+    st.sampled_from("]\\^-\t\n\x85ab"),
+    st.characters(categories=["Cs"]),
+    st.characters(min_codepoint=0x10000),
+)
+
+
+@st.composite
+def range_specs(draw):
+    """(spec, ranges): up to five hex ranges or single code points, most of
+    them starting at a character filter_chars draws."""
+    ranges = []
+    for _ in range(draw(st.integers(1, 5))):
+        lo = draw(st.one_of(filter_chars.map(ord), st.integers(0, 0x10FFFF)))
+        hi = min(lo + draw(st.sampled_from([0, 1, 2, 100, 0x10FFFF])), 0x10FFFF)
+        ranges.append((lo, hi))
+    parts = [f"{lo:X}" if lo == hi and draw(st.booleans()) else f"{lo:x}-{hi:04X}"
+             for lo, hi in ranges]
+    return ",".join(parts), ranges
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(filter_chars, max_size=40), range_specs())
+def test_range_filter_takes_the_runs_a_per_character_loop_takes(text, spec_ranges):
+    spec, ranges = spec_ranges
+    assert extract_sequences(text, codepoint_range_filter(spec)) == naive_runs(text, ranges)
 
 
 # Nested non-empty segments of any text the bracket and pipe formats can hold.

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import numpy as np
 import pytest
@@ -24,7 +25,6 @@ from tangoseg import (
     read_tango_params,
     segment,
     split_heldout,
-    sst_grid,
     sst_segment,
     tango_grid,
     train_sst,
@@ -32,6 +32,7 @@ from tangoseg import (
     write_tango_params,
 )
 from tangoseg.metrics import _prf
+from tangoseg.training import SST_EXTREMUM_VALUES, SST_THETAS
 
 from naive import naive_boundaries, naive_total_votes, pruned_lookup
 
@@ -80,12 +81,12 @@ class TestGridEnumeration:
         assert first_block[0] == 1.0 and first_block[-1] == 0.05
 
     def test_sst_grid_size_and_order(self):
-        grid = list(sst_grid())
+        grid = list(product(SST_THETAS, *[SST_EXTREMUM_VALUES] * 6))
         assert len(grid) == 5 ** 7
-        assert grid[0] == (0.0, (0.0,) * 6)
-        assert grid[1] == (0.0, (0.0, 0.0, 0.0, 0.0, 0.0, 50.0))
-        vectors = [(theta,) + es for theta, es in grid]
-        assert vectors == sorted(vectors)
+        assert grid[0] == (0.0,) * 7
+        assert grid[1] == (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 50.0)
+        assert grid == sorted(grid)
+        assert training._sst_vectors().tolist() == list(map(list, grid))
 
 
 class TestTrainTango:
@@ -176,7 +177,7 @@ class TestTrainSst:
         train = train_anns[:1]
         result = train_sst(train, stats, "word-f")
         best = None
-        for theta, es in sst_grid():
+        for theta, *es in product(SST_THETAS, *[SST_EXTREMUM_VALUES] * 6):
             params = SstParams(theta, es)
             pairs = [(sst_segment(ann.sequence, params, stats), ann) for ann in train]
             score = pooled_score(pairs, "word-f")
@@ -266,7 +267,8 @@ class TestLazyGrid:
         result = train_sst(train_anns[:2], stats.using("ele"), "word-f")
         eager = [
             (SstParams(theta, es, "ele"), score)
-            for (theta, es), score in zip(sst_grid(), result.grid.scores.tolist())
+            for (theta, *es), score in zip(product(SST_THETAS, *[SST_EXTREMUM_VALUES] * 6),
+                                           result.grid.scores.tolist())
         ]
         check_lazy_grid(result.grid, eager)
         assert (result.params, result.score) == eager[int(result.grid.scores.argmax())]
@@ -419,6 +421,14 @@ class TestParamsFiles:
         write_tango_params(params, path)
         assert path.read_text() == "N=2,4\nt=0.4\n"
         assert read_tango_params(path) == params
+
+    @pytest.mark.parametrize("orders", ["3_0", "+4", "\u0663", "2, 3", "2,"])
+    def test_orders_take_one_to_eighteen_ascii_digits_per_field(self, tmp_path, orders):
+        # int() takes the first four, 3_0 as 30
+        path = tmp_path / "tango.params"
+        path.write_text(f"N={orders}\nt=0.5\n", encoding="utf-8")
+        with pytest.raises(FormatError, match="^malformed N or t value$"):
+            read_tango_params(path)
 
     def test_repeated_key_rejected(self, tmp_path):
         path = tmp_path / "tango.params"
