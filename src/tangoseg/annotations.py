@@ -8,6 +8,7 @@ morpheme is written with one pair of brackets.
 """
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, NamedTuple
 
 from .errors import FormatError
@@ -68,12 +69,7 @@ class FlatSegmentation:
     @classmethod
     def from_segments(cls, segments: Iterable[str]) -> "FlatSegmentation":
         segments = list(segments)
-        bounds = []
-        pos = 0
-        for seg in segments[:-1]:
-            pos += len(seg)
-            bounds.append(pos)
-        return cls("".join(segments), tuple(bounds))
+        return cls("".join(segments), tuple(accumulate(map(len, segments[:-1]))))
 
     @property
     def brackets(self) -> tuple[Bracket, ...]:

@@ -101,14 +101,15 @@ def _write_all(outputs: list) -> list:
 def cmd_build_index(args) -> int:
     if not args.out and not args.bigrams_out:
         raise ParameterError("nothing to do: give --out and/or --bigrams-out")
+    # a bad option fails before the corpus is read
+    orders = _parse_orders(args.orders) if args.out else None
     char_filter = codepoint_range_filter(args.filter_range) if args.filter_range else None
     corpus = Corpus.from_text(read_source(args.corpus), char_filter)
     if not corpus.sequences:
         raise ParameterError(f"{args.corpus}: no sequences extracted")
     size = corpus.total_chars
     print(f"corpus_size {size}", file=sys.stderr)
-    table, stats = _walk_blocks(corpus.sequences, _parse_orders(args.orders) if args.out else None,
-                                stats=bool(args.bigrams_out))
+    table, stats = _walk_blocks(corpus.sequences, orders, stats=bool(args.bigrams_out))
     if table is not None:
         for n, (_, counts) in table.items():
             print(f"order {n}: {len(counts)} distinct grams", file=sys.stderr)
@@ -152,22 +153,20 @@ def _sst_params_from_args(args) -> SstParams:
 
 
 def cmd_segment(args) -> int:
-    out = []
     if args.algorithm == "tango":
         if not args.index:
             raise ParameterError("--index is required for the tango algorithm")
         params = _tango_params_from_args(args)
         table = NGramTable.load(args.index)
         table.require_orders(params.orders)
-        for line in _input_lines(args.input):
-            out.append(serialize_flat(segment(line, params, table)))
+        segmenter = partial(segment, params=params, table=table)
     else:
         if not args.stats:
             raise ParameterError("--stats is required for the sst algorithm")
         params = _sst_params_from_args(args)
-        stats = load_stats(args.stats, params.estimator)
-        for line in _input_lines(args.input):
-            out.append(serialize_flat(sst_segment(line, params, stats)))
+        segmenter = partial(sst_segment, params=params,
+                            stats=load_stats(args.stats, params.estimator))
+    out = [serialize_flat(segmenter(line)) for line in _input_lines(args.input)]
     _write_lines(args.out, out)
     print(f"segmented {len(out)} sequences", file=sys.stderr)
     return 0
@@ -178,19 +177,11 @@ def cmd_train(args) -> int:
     if args.algorithm == "tango":
         if not args.index:
             raise ParameterError("--index is required for the tango algorithm")
-        table = NGramTable.load(args.index)
-        result = train_tango(
-            train_set,
-            table,
-            args.criterion,
-            use_local_max=not args.no_local_max,
-            use_threshold=not args.no_threshold,
-        )
+        result = train_tango(train_set, NGramTable.load(args.index), args.criterion,
+                             not args.no_local_max, not args.no_threshold)
         write_params = write_tango_params
-        described = (
-            "N={" + ",".join(str(n) for n in result.params.sorted_orders) + "}"
-            f" t={result.params.threshold:g}"
-        )
+        orders = ",".join(map(str, result.params.sorted_orders))
+        described = f"N={{{orders}}} t={result.params.threshold:g}"
     else:
         if not args.stats:
             raise ParameterError("--stats is required for the sst algorithm")

@@ -12,6 +12,7 @@ compatible.  Neither rate is a valid training criterion: bracketing each
 whole sequence as one segment scores 100 on both.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
@@ -138,16 +139,9 @@ def score_sequence(pred: FlatSegmentation, gold: TwoLevelAnnotation) -> Sequence
     _check_aligned(pred, gold)
     wm, wp, wg = _match_counts(pred, gold.words)
     mm, mp, mg = _match_counts(pred, gold.morpheme_brackets)
-    crossing = dividing = compatible = 0
-    for b in pred.brackets:
-        cls = classify_bracket(b, gold)
-        if cls is BracketClass.CROSSING:
-            crossing += 1
-        elif cls is BracketClass.MORPHEME_DIVIDING:
-            dividing += 1
-        else:
-            compatible += 1
-    return SequenceScore(wm, wp, wg, mm, mp, mg, crossing, dividing, compatible)
+    classes = Counter(classify_bracket(b, gold) for b in pred.brackets)
+    crossing, dividing = classes[BracketClass.CROSSING], classes[BracketClass.MORPHEME_DIVIDING]
+    return SequenceScore(wm, wp, wg, mm, mp, mg, crossing, dividing, wp - crossing - dividing)
 
 
 def _pooled(count: str) -> property:
@@ -222,10 +216,8 @@ class ScoreReport:
 
 
 def score_set(pairs) -> ScoreReport:
-    """Score a list of (segmentation, annotation) pairs."""
-    pairs = list(pairs)
-    if not pairs:
-        raise ParameterError("cannot score an empty set")
+    """Score a list of (segmentation, annotation) pairs; the report refuses
+    an empty set."""
     return ScoreReport([score_sequence(p, g) for p, g in pairs])
 
 

@@ -50,6 +50,7 @@ __all__ = [
 ]
 
 MAX_DIGITS = 18  # the longest order or count field of a count file; an int64 holds any
+HEX_BOUND = re.compile("[0-9A-Fa-f]{1,6}")  # a code point range's bound
 
 
 @dataclass(frozen=True)
@@ -379,27 +380,22 @@ def codepoint_range_filter(spec: str) -> re.Pattern:
     lies in given ranges.
 
     Takes a comma-separated list of hex code points or ranges, e.g.
-    ``"4E00-9FFF,3005"``, each at most 10FFFF.
+    ``"4E00-9FFF,3005"``, each bound 1 to 6 ASCII hex digits and at most
+    10FFFF; int(x, 16) would also take "+4_1", "0x5A", " 5A" and non-ASCII
+    digits.
     """
     ranges = []
     for part in spec.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        lo, _, hi = part.partition("-")
-        try:
-            lo_cp = int(lo, 16)
-            hi_cp = int(hi, 16) if hi else lo_cp
-        except ValueError:
-            raise ParameterError(f"bad codepoint range {part!r}") from None
+        bounds = part.split("-")
+        if len(bounds) > 2 or not all(HEX_BOUND.fullmatch(b) for b in bounds):
+            raise ParameterError(f"bad codepoint range {part!r}")
+        lo_cp, hi_cp = int(bounds[0], 16), int(bounds[-1], 16)
         if hi_cp < lo_cp:
             raise ParameterError(f"empty codepoint range {part!r}")
         if hi_cp > 0x10FFFF:
             raise ParameterError(f"codepoint range {part!r} goes past 10FFFF")
         # escaped, so that no code point is read as class syntax
         ranges.append(f"\\U{lo_cp:08x}-\\U{hi_cp:08x}")
-    if not ranges:
-        raise ParameterError("codepoint filter selects nothing")
     return re.compile(f"[{''.join(ranges)}]+")
 
 

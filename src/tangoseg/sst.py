@@ -14,7 +14,9 @@ and a *secondary* peak a weak one (plateaus allowed); each is accepted when
 its prominence (value above the higher adjacent minimum), rise from the
 nearest minimum on the left, and fall to the nearest minimum on the right
 meet the respective thresholds.  Profile ends count as minima, so all gated
-quantities are non-negative.
+quantities are non-negative.  As prominence is the smaller of rise and
+fall, the six thresholds act through four bounds (_peak_bounds), and the
+5^7 training grid holds 5 * 25 * 25 = 3125 distinct rules.
 
 One array engine serves sst_segment and train_sst: _gap_features gives a
 sequence's mutual information and peak features as arrays over its
@@ -261,15 +263,23 @@ def _gap_features(seq: str, stats: BigramStats) -> "tuple[np.ndarray, ...]":
     return (np.array(mi, dtype=np.float64), *extremum_features(dts_profile(seq, stats)))
 
 
+def _peak_bounds(thresholds):
+    """(primary rise, primary fall, secondary rise, secondary fall): the
+    bounds the six thresholds set.  prominence >= e1, rise >= e2 and
+    fall >= e3 hold together exactly when rise >= max(e1, e2) and
+    fall >= max(e1, e3); likewise e4 .. e6 for secondary peaks."""
+    e1, e2, e3, e4, e5, e6 = thresholds
+    return np.maximum(e1, e2), np.maximum(e1, e3), np.maximum(e4, e5), np.maximum(e4, e6)
+
+
 def _peak_test(primary, secondary, rise, fall, thresholds):
     """The peak rule: primary peaks gated by thresholds 1-3, secondary peaks
-    by thresholds 4-6, each as (prominence, rise, fall), where prominence is
-    the smaller of rise and fall.  The thresholds broadcast against the
-    feature arrays, so columns of thresholds test many settings at once."""
-    e1, e2, e3, e4, e5, e6 = thresholds
-    prominence = np.minimum(rise, fall)
-    return (primary & (prominence >= e1) & (rise >= e2) & (fall >= e3)) | (
-        secondary & (prominence >= e4) & (rise >= e5) & (fall >= e6)
+    by thresholds 4-6, each as (prominence, rise, fall), applied through
+    _peak_bounds.  The thresholds broadcast against the feature arrays, so
+    columns of thresholds test many settings at once."""
+    p_rise, p_fall, s_rise, s_fall = _peak_bounds(thresholds)
+    return (primary & (rise >= p_rise) & (fall >= p_fall)) | (
+        secondary & (rise >= s_rise) & (fall >= s_fall)
     )
 
 

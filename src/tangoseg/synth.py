@@ -85,14 +85,10 @@ def make_zipf_lexicon(
     if len(alphabet) < n_suffixes:
         raise ParameterError("alphabet too small for the requested suffixes")
     rng = random.Random(seed)
-    stems: list[str] = []
-    seen = set()
+    stems: dict[str, None] = {}  # distinct, in draw order
     while len(stems) < n_stems:
         length = rng.choice(stem_lengths)
-        word = "".join(rng.choice(alphabet) for _ in range(length))
-        if word not in seen:
-            seen.add(word)
-            stems.append(word)
+        stems.setdefault("".join(rng.choice(alphabet) for _ in range(length)))
     suffixes = rng.sample(alphabet, n_suffixes)
     entries = [
         LexiconEntry(word, 1.0 / (rank + 1) ** exponent, "stem")

@@ -6,21 +6,23 @@ settings); ties prefer fewer orders, then lexicographically smaller order
 sets, then larger thresholds.  The bigram-statistics segmenter is trained
 over five values of the mutual-information threshold crossed with five
 values of each of the six extremum thresholds (5^7 = 78125 settings); ties
-prefer the lexicographically smallest parameter vector.  Training scores
+prefer the lexicographically smallest parameter vector.  The six act through
+four peak bounds, so the grid holds 3125 distinct rules.  Training scores
 are micro-averaged over the training set.  Compatible-brackets rates are
 rejected as criteria: a degenerate whole-sequence bracketing scores 100 on
 them.
 
 Both trainers run one grid search, _grid_search, over one layout,
 _BoundaryRows: the training sequences end to end, one column per gap and
-two per sequence end.  The search walks the grid in blocks of settings
-that hold at most _CELL_BUDGET cells.  Each trainer applies its
-segmenter's one boundary rule to arrays of settings, giving one boolean
-row per setting in the block, and one routine, _BoundaryRows.scores,
-matches the rows against the gold brackets.  The best setting is the first
-maximum in grid order.  The grid is kept as its settings and a scores
-array; only the best setting becomes a parameter object, and the grid's
-other items are built when one is read.
+two per sequence end.  Settings of one rule place the same boundaries, so
+the search scores each rule once, walking the rules in blocks that hold at
+most _CELL_BUDGET cells.  Each trainer applies its segmenter's one boundary
+rule to arrays of settings, one boolean row per rule in the block, and one
+routine, _BoundaryRows.scores, matches the rows against the gold brackets;
+each setting takes its rule's score.  The best setting is the first maximum
+in grid order.  The grid is kept as its settings and a scores array; only
+the best setting becomes a parameter object, and the grid's other items are
+built when one is read.
 """
 
 import math
@@ -37,7 +39,7 @@ from .errors import FormatError, ParameterError
 from .metrics import _prf
 from .ngrams import NGramTable, read_int_list, read_key_values, write_to
 from .segmenter import TangoParams, _mean_votes, _order_votes, _padded, _tango_rule
-from .sst import BigramStats, SstParams, _gap_features, _sst_rule
+from .sst import BigramStats, SstParams, _gap_features, _peak_bounds, _sst_rule
 
 __all__ = [
     "CRITERIA",
@@ -71,12 +73,8 @@ _CELL_BUDGET = 1 << 20
 
 
 def _criterion_value(matched: int, proposed: int, gold: int, criterion: str) -> float:
-    p, r, f = _prf(matched, proposed, gold)
-    if criterion.endswith("precision"):
-        return p
-    if criterion.endswith("recall"):
-        return r
-    return f
+    kind = criterion.split("-")[1]  # "word-f" -> "f"
+    return _prf(matched, proposed, gold)[("precision", "recall", "f").index(kind)]
 
 
 class _BoundaryRows:
@@ -199,21 +197,39 @@ def _sst_vectors() -> np.ndarray:
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
 
-def _grid_search(layout: _BoundaryRows, settings, make, rows, unit: int = 1) -> TrainResult:
+def _sst_rules() -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    """(settings, rules, rule_of): the _sst_vectors() grid, one setting of
+    each distinct rule, and each setting's index into the rules.  A setting
+    acts through theta and its four _peak_bounds; theta is the grid's leading
+    axis, so the extremum part is keyed once, one integer per setting."""
+    settings = _sst_vectors()
+    per_theta = len(settings) // len(SST_THETAS)
+    key = np.zeros(per_theta, np.int64)
+    for bound in _peak_bounds(settings[:per_theta, 1:].T):
+        distinct, index = np.unique(bound, return_inverse=True)
+        key = key * len(distinct) + index
+    _, first, rule = np.unique(key, return_index=True, return_inverse=True)
+    theta = np.arange(len(SST_THETAS))[:, None]
+    rule_of = (theta * len(first) + rule).ravel()
+    return settings, settings[(theta * per_theta + first).ravel()], rule_of
+
+
+def _grid_search(layout: _BoundaryRows, settings, rule_of, make, rows, unit=1) -> TrainResult:
     """Score every setting of a grid on the layout; the best is the first maximum.
 
-    rows(lo, hi) applies the segmenter's boundary rule to settings lo .. hi-1,
+    Each rule is scored once, and setting i takes rule rule_of[i]'s score.
+    rows(lo, hi) applies the segmenter's boundary rule to rules lo .. hi-1,
     one boolean row of layout.width columns each; the sequence ends are set
     here.  Blocks start at multiples of unit and hold at most _CELL_BUDGET
     cells, or one unit.  make builds a setting's parameter object.
     """
-    scores = np.empty(len(settings))
+    scores = np.empty(int(rule_of.max()) + 1)
     step = max(1, _CELL_BUDGET // (unit * layout.width)) * unit
-    for lo in range(0, len(settings), step):
+    for lo in range(0, len(scores), step):
         block = rows(lo, lo + step)
         block[:, layout.ends] = True
         scores[lo : lo + step] = layout.scores(block)
-    grid = GridView(settings, scores, make)
+    grid = GridView(settings, scores[rule_of], make)
     return TrainResult(*grid.best(), grid)
 
 
@@ -260,7 +276,7 @@ def train_tango(
     def make(setting):
         return TangoParams(frozenset(setting[0]), setting[1], use_local_max, use_threshold)
 
-    return _grid_search(layout, settings, make, rows, per_subset)
+    return _grid_search(layout, settings, np.arange(len(settings)), make, rows, per_subset)
 
 
 def train_sst(
@@ -271,25 +287,27 @@ def train_sst(
     """Grid search for the bigram-statistics segmenter.
 
     Mutual-information values and peak features are computed once per
-    sequence by the segmenter's engine; the segmenter's boundary rule then
-    tests blocks of the 78125 settings at once, one boundary row each.  The
-    result's grid keeps the (settings x 7) parameter array and the scores
-    array; only the best setting is built as an SstParams here.
+    sequence by the segmenter's engine.  The six extremum thresholds act
+    through four peak bounds, so the segmenter's boundary rule tests one
+    setting of each of the 3125 distinct rules (_sst_rules), in blocks, one
+    boundary row each, and each of the 78125 settings takes its rule's
+    score.  The result's grid keeps the (settings x 7) parameter array and
+    the scores array; only the best setting is built as an SstParams here.
     """
     layout = _BoundaryRows(train_set, criterion)
     # the features start at gap 2; the zeros elsewhere are no peak, so no boundary
     per_gap = zip(*(_gap_features(ann.sequence, stats) for ann in train_set))
     features = [layout.spread(column, 2) for column in per_gap]
-    vectors = _sst_vectors()
+    settings, rules, rule_of = _sst_rules()
 
     def rows(lo, hi):
-        theta, *es = vectors[lo:hi, :, None].transpose(1, 0, 2)
+        theta, *es = rules[lo:hi, :, None].transpose(1, 0, 2)
         return _sst_rule(*features, theta, es)
 
     def make(vector):
         return SstParams(float(vector[0]), vector[1:], stats.estimator)
 
-    return _grid_search(layout, vectors, make, rows)
+    return _grid_search(layout, settings, rule_of, make, rows)
 
 
 def split_heldout(

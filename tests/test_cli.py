@@ -95,7 +95,21 @@ class TestBuildIndex:
         out = tmp_path / "t.tab"
         code, _, err = run(capsys, "build-index", "--corpus", abab_corpus, "--out", out,
                            "--orders", orders)
-        assert (code, err.splitlines()[-1]) == (2, f"error: bad orders list {orders!r}")
+        assert (code, err) == (2, f"error: bad orders list {orders!r}\n")
+        assert not out.exists()
+
+    def test_orders_are_read_before_the_corpus(self, tmp_path, capsys):
+        code, _, err = run(capsys, "build-index", "--corpus", tmp_path / "missing.txt",
+                           "--out", tmp_path / "t.tab", "--orders", "2,1_0")
+        assert (code, err) == (2, "error: bad orders list '2,1_0'\n")
+
+    @pytest.mark.parametrize("spec", ["+4_1-0x5A", "\u0664\u0661-5A", "41 - 5A", "0x41"])
+    def test_filter_range_bounds_take_one_to_six_ascii_hex_digits(self, tmp_path, abab_corpus,
+                                                                 capsys, spec):
+        out = tmp_path / "t.tab"
+        code, _, err = run(capsys, "build-index", "--corpus", abab_corpus, "--out", out,
+                           "--filter-range", spec)
+        assert (code, err) == (2, f"error: bad codepoint range {spec!r}\n")
         assert not out.exists()
 
     def test_filter_range_past_10ffff_exits_2(self, tmp_path, abab_corpus, capsys):

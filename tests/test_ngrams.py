@@ -56,6 +56,19 @@ class TestExtractSequences:
         with pytest.raises(ParameterError, match=f"^codepoint range '{spec}' goes past 10FFFF$"):
             codepoint_range_filter(spec)
 
+    @pytest.mark.parametrize("spec", ["+4_1-0x5A", "\u0664\u0661-5A", "41 - 5A", "0x41"])
+    def test_codepoint_filter_bounds_take_one_to_six_ascii_hex_digits(self, spec):
+        # int(x, 16) takes each of these bounds
+        with pytest.raises(ParameterError, match=f"^bad codepoint range {re.escape(repr(spec))}$"):
+            codepoint_range_filter(spec)
+
+    @pytest.mark.parametrize("spec, text, runs", [
+        ("41-5A,61-6A", "AZaj-kB", ["AZaj", "B"]),
+        ("4E00-9FFF,3005", "x\u4e00\u3005y\u9fff", ["\u4e00\u3005", "\u9fff"]),
+    ])
+    def test_codepoint_filter_takes_lists_of_ranges_and_points(self, spec, text, runs):
+        assert extract_sequences(text, codepoint_range_filter(spec)) == runs
+
     def test_codepoint_filter_takes_the_last_code_point(self):
         assert extract_sequences("a\U0010ffff\U0010ffffb", codepoint_range_filter("10FFFF")) == [
             "\U0010ffff\U0010ffff"]

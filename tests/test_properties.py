@@ -3,15 +3,19 @@ features and the synthetic corpus draws against the naive oracle, table
 round trips, the count-file loaders on edited files against the reference
 reader, the count-file writer, from dicts and from the counting walk's
 blocks, against a sorted f-string formatter, the code point range filter
-against a per-character loop, and annotation parse/serialize round trips."""
+against a per-character loop, the sst grid's distinct rules against the
+six-threshold rule at every setting, and annotation parse/serialize round
+trips."""
 
 import io
+import math
 import random
 import tempfile
 from collections import Counter
 from contextlib import redirect_stderr
 from pathlib import Path
 
+import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -38,6 +42,8 @@ from tangoseg import (
 )
 from tangoseg.cli import main
 from tangoseg.ngrams import _block_dict, _count_windows
+from tangoseg.sst import _sst_rule
+from tangoseg.training import SST_EXTREMUM_VALUES, SST_THETAS, _sst_rules
 
 from naive import (
     naive_corpus,
@@ -463,6 +469,57 @@ def test_annotation_parse_serialize_roundtrip(words):
     assert parse_annotation(serialize_annotation(ann)) == ann
     for flat in (ann.word_segmentation, ann.morpheme_segmentation):
         assert parse_flat(serialize_flat(flat)) == flat
+
+
+def on_between_and_beside(values):
+    """values, the midpoints of neighbouring values and the floats next to each."""
+    between = [(a + b) / 2 for a, b in zip(values, values[1:])]
+    beside = [float(np.nextafter(v, d)) for v in values for d in (-math.inf, math.inf)]
+    return [*values, *between, *beside]
+
+
+gap_mi = st.sampled_from(on_between_and_beside(SST_THETAS) + [-math.inf, 6.0])
+gap_extent = st.sampled_from(on_between_and_beside(SST_EXTREMUM_VALUES) + [250.0])
+
+
+@st.composite
+def gap_feature_rows(draw):
+    """(mi, primary, secondary, rise, fall) at 1 to 10 gaps, the values on,
+    between and beside the grid's theta and extremum values."""
+    m = draw(st.integers(1, 10))
+    return tuple(np.array(draw(st.lists(values, min_size=m, max_size=m)))
+                 for values in (gap_mi, st.booleans(), st.booleans(), gap_extent, gap_extent))
+
+
+def six_threshold_rows(features, grid):
+    """The sst boundary rule as stated, one row per (theta, e1 .. e6) row of
+    grid: mi below theta, and a primary (secondary) peak whose prominence,
+    the smaller of rise and fall, and whose rise and fall reach e1, e2 and
+    e3 (e4, e5 and e6)."""
+    mi, primary, secondary, rise, fall = features
+    theta, e1, e2, e3, e4, e5, e6 = grid.T[:, :, None]
+    prominence = np.minimum(rise, fall)
+    return (mi < theta) & (
+        (primary & (prominence >= e1) & (rise >= e2) & (fall >= e3))
+        | (secondary & (prominence >= e4) & (rise >= e5) & (fall >= e6))
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(gap_feature_rows())
+# a primary peak with rise and fall 0: e1 alone decides it
+@example(tuple(np.array([v]) for v in (0.5, True, False, 0.0, 0.0)))
+def test_sst_grid_scores_one_setting_per_distinct_rule(features):
+    grid, rules, rule_of = _sst_rules()
+    assert len(grid) == 5**7 and len(rules) == 5**5
+
+    def rule_rows(vectors):
+        theta, *es = vectors[:, :, None].transpose(1, 0, 2)
+        return _sst_rule(*features, theta, es)
+
+    stated = six_threshold_rows(features, grid)
+    assert np.array_equal(rule_rows(grid), stated)
+    assert np.array_equal(rule_rows(rules)[rule_of], stated)
 
 
 @st.composite

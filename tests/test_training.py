@@ -332,7 +332,7 @@ class TestBlockSize:
         assert len(blocks) < 10
         width = sum(len(ann.sequence) + 1 for ann in train_anns[:2])
         small, blocks = self.train_in_blocks(monkeypatch, 7 * width, train_sst, *args)
-        assert blocks == [7] * (5**7 // 7) + [5**7 % 7]
+        assert blocks == [7] * (5**5 // 7) + [5**5 % 7]
         self.assert_same(small, default)
 
 
