@@ -103,14 +103,9 @@ class TwoLevelAnnotation:
     @classmethod
     def from_segments(cls, words: Iterable[Iterable[str]]) -> "TwoLevelAnnotation":
         """Build from nested strings, e.g. [["data", "base"], ["system"]]."""
-        word_brackets = []
-        morph_lists = []
-        pos = 0
-        parts = []
+        word_brackets, morph_lists, parts, pos = [], [], [], 0
         for morphs in words:
-            morphs = list(morphs)
-            start = pos
-            ms = []
+            start, ms = pos, []
             for m in morphs:
                 ms.append(Bracket(pos, pos + len(m)))
                 parts.append(m)

@@ -38,7 +38,7 @@ from .ngrams import (
 )
 from .segmenter import TangoParams, segment
 from .sst import SstParams, load_stats, read_sst_params, sst_segment, write_sst_params
-from .synth import _draw_words, read_lexicon
+from .synth import _draw_words, _sequences, read_lexicon
 from .training import (
     grid_to_tsv,
     read_tango_params,
@@ -78,8 +78,7 @@ def _read_annotations(path: str):
 
 
 def _write_lines(path, lines: list[str]) -> None:
-    # one join and no string per line: the lines stay alive while the payload
-    # is built, and synth holds both of its outputs' lines until it writes
+    # one join and no string per line: the lines stay alive while the payload is built
     write_to(path or sys.stdout, "\n".join(lines) + "\n" if lines else "")
 
 
@@ -226,18 +225,21 @@ def cmd_evaluate(args) -> int:
 def cmd_synth(args) -> int:
     if not args.out_corpus and not args.out_annotations:
         raise ParameterError("nothing to do: give --out-corpus and/or --out-annotations")
-    lexicon = read_lexicon(args.lexicon)
-    raw, gold = [], []
-    for words in _draw_words(lexicon, args.sequences, args.target_chars, args.seed,
-                             args.words_min, args.words_max, args.suffix_prob):
-        raw.append("".join(map("".join, words)))
+    blocks = _draw_words(read_lexicon(args.lexicon), args.sequences, args.target_chars, args.seed,
+                         args.words_min, args.words_max, args.suffix_prob)
+    raw, gold, count = "", [], 0
+    for lines, words, ends in blocks:
+        # grown in place, so no block's text outlives its block
+        raw += "".join(lines.tolist())
+        count += len(ends)
         if args.out_annotations:
-            gold.append(serialize_annotation(TwoLevelAnnotation.from_segments(words)))
-    # every line is built before the first write
-    outputs = ((args.out_corpus, raw), (args.out_annotations, gold))
-    _write_all([(path, partial(_write_lines, lines=lines)) for path, lines in outputs if path])
-    total = sum(len(s) for s in raw)
-    print(f"generated {len(raw)} sequences, {total} characters", file=sys.stderr)
+            gold += (serialize_annotation(TwoLevelAnnotation.from_segments(w))
+                     for w in _sequences(words, ends))
+    # all output is built before the first write
+    outputs = ((args.out_corpus, partial(write_to, payload=raw)),
+               (args.out_annotations, partial(_write_lines, lines=gold)))
+    _write_all([(path, write) for path, write in outputs if path])
+    print(f"generated {count} sequences, {len(raw) - count} characters", file=sys.stderr)
     return 0
 
 

@@ -106,33 +106,15 @@ class SequenceScore:
     morpheme_dividing: int
     compatible: int
 
-    @property
-    def all_compatible(self) -> bool:
-        return self.compatible == self.word_proposed
-
-    @property
-    def word_precision_errors(self) -> int:
-        return self.word_proposed - self.word_matched
-
-    @property
-    def word_recall_errors(self) -> int:
-        return self.word_gold - self.word_matched
-
-    @property
-    def morpheme_precision_errors(self) -> int:
-        return self.morpheme_proposed - self.morpheme_matched
-
-    @property
-    def morpheme_recall_errors(self) -> int:
-        return self.morpheme_gold - self.morpheme_matched
-
-    @property
-    def word_prf(self) -> tuple[float, float, float]:
-        return _prf(self.word_matched, self.word_proposed, self.word_gold)
-
-    @property
-    def morpheme_prf(self) -> tuple[float, float, float]:
-        return _prf(self.morpheme_matched, self.morpheme_proposed, self.morpheme_gold)
+    all_compatible = property(lambda s: s.compatible == s.word_proposed)
+    word_precision_errors = property(lambda s: s.word_proposed - s.word_matched)
+    word_recall_errors = property(lambda s: s.word_gold - s.word_matched)
+    morpheme_precision_errors = property(lambda s: s.morpheme_proposed - s.morpheme_matched)
+    morpheme_recall_errors = property(lambda s: s.morpheme_gold - s.morpheme_matched)
+    # (precision, recall, F) of the sequence's word or morpheme brackets
+    word_prf = property(lambda s: _prf(s.word_matched, s.word_proposed, s.word_gold))
+    morpheme_prf = property(lambda s: _prf(s.morpheme_matched, s.morpheme_proposed,
+                                           s.morpheme_gold))
 
 
 def score_sequence(pred: FlatSegmentation, gold: TwoLevelAnnotation) -> SequenceScore:
@@ -160,7 +142,7 @@ def _macro(level: str, index: int) -> property:
     """A report property: the mean of the per-sequence percentages."""
     prf = f"{level}_prf"
     return property(
-        lambda self: sum(getattr(s, prf)[index] for s in self.per_sequence) / self.n_sequences
+        lambda self: sum(getattr(s, prf)[index] for s in self.per_sequence) / self.sequences
     )
 
 
@@ -179,7 +161,7 @@ class ScoreReport:
             raise ParameterError("cannot score an empty set")
 
     @property
-    def n_sequences(self) -> int:
+    def sequences(self) -> int:
         return len(self.per_sequence)
 
     word_matched = _pooled("word_matched")
@@ -212,7 +194,7 @@ class ScoreReport:
     @property
     def all_compatible_rate(self) -> float:
         good = sum(1 for s in self.per_sequence if s.all_compatible)
-        return 100.0 * good / self.n_sequences
+        return 100.0 * good / self.sequences
 
 
 def score_set(pairs) -> ScoreReport:
@@ -223,18 +205,8 @@ def score_set(pairs) -> ScoreReport:
 
 _METRIC_FIELDS = (
     "sequences",
-    "word_precision",
-    "word_recall",
-    "word_f",
-    "morpheme_precision",
-    "morpheme_recall",
-    "morpheme_f",
-    "macro_word_precision",
-    "macro_word_recall",
-    "macro_word_f",
-    "macro_morpheme_precision",
-    "macro_morpheme_recall",
-    "macro_morpheme_f",
+    *(f"{macro}{level}_{kind}" for macro in ("", "macro_") for level in ("word", "morpheme")
+      for kind in ("precision", "recall", "f")),
     "crossing_count",
     "morpheme_dividing_count",
     "compatible_rate",
@@ -251,17 +223,11 @@ _PER_SEQUENCE_FIELDS = (
 )
 
 
-def _metric_value(report: ScoreReport, name: str):
-    if name == "sequences":
-        return report.n_sequences
-    return getattr(report, name)
-
-
 def machine_lines(report: ScoreReport, per_sequence: bool = False) -> list[str]:
     """``metric<TAB>value`` lines; floats carry four decimals."""
     lines = []
     for name in _METRIC_FIELDS:
-        value = _metric_value(report, name)
+        value = getattr(report, name)
         text = str(value) if isinstance(value, int) else f"{value:.4f}"
         lines.append(f"{name}\t{text}")
     if per_sequence:
@@ -275,7 +241,7 @@ def format_report(report: ScoreReport, per_sequence: bool = False) -> str:
     """Aligned plain-text table of the aggregate scores."""
     rows = []
     for name in _METRIC_FIELDS:
-        value = _metric_value(report, name)
+        value = getattr(report, name)
         text = f"{value:>8}" if isinstance(value, int) else f"{value:>8.2f}"
         rows.append((name, text))
     width = max(len(name) for name, _ in rows)

@@ -406,11 +406,7 @@ class Corpus:
     sequences: list[str]
 
     @classmethod
-    def from_text(
-        cls,
-        text: "str | bytes",
-        char_filter: "re.Pattern | None" = None,
-    ) -> "Corpus":
+    def from_text(cls, text: "str | bytes", char_filter: "re.Pattern | None" = None) -> "Corpus":
         return cls(extract_sequences(text, char_filter))
 
     @property

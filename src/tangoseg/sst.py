@@ -132,21 +132,13 @@ class BigramStats:
         out.estimator = _require_estimator(estimator)
         return out
 
-    @property
-    def alphabet_size(self) -> int:
-        return len(self.unigrams)
-
-    @property
-    def bigram_types(self) -> int:
-        return len(self.bigrams)
-
     def p_char(self, x: str) -> float:
         c = self.unigrams[x]
         if self.estimator == "mle":
             if c == 0:
                 raise UndefinedStatisticError(f"character {x!r} unseen under MLE")
             return c / self.total_chars
-        return (c + 0.5) / (self.total_chars + 0.5 * self.alphabet_size)
+        return (c + 0.5) / (self.total_chars + 0.5 * len(self.unigrams))
 
     def p_pair(self, x: str, y: str) -> float:
         if self.total_bigrams == 0:
@@ -154,7 +146,7 @@ class BigramStats:
         c = self.bigrams[x + y]
         if self.estimator == "mle":
             return c / self.total_bigrams
-        return (c + 0.5) / (self.total_bigrams + 0.5 * self.bigram_types)
+        return (c + 0.5) / (self.total_bigrams + 0.5 * len(self.bigrams))
 
     def p_cond(self, y: str, x: str) -> float:
         """Probability that y immediately follows x."""
@@ -164,7 +156,7 @@ class BigramStats:
             if cx == 0:
                 raise UndefinedStatisticError(f"character {x!r} unseen under MLE")
             return cxy / cx
-        return (cxy + 0.5) / (cx + 0.5 * self.alphabet_size)
+        return (cxy + 0.5) / (cx + 0.5 * len(self.unigrams))
 
     def var_cond(self, y: str, x: str) -> float:
         """Binomial variance of the conditional relative frequency."""
@@ -210,12 +202,8 @@ def dts_terms(stats: BigramStats, c: str, d: str, w: str, x: str) -> DtsTerms:
     of the difference of conditional probabilities with pooled binomial
     variances.
     """
-    p_wd = stats.p_cond(w, d)
-    p_dc = stats.p_cond(d, c)
-    p_xw = stats.p_cond(x, w)
-    v_wd = stats.var_cond(w, d)
-    v_dc = stats.var_cond(d, c)
-    v_xw = stats.var_cond(x, w)
+    p_wd, p_dc, p_xw = stats.p_cond(w, d), stats.p_cond(d, c), stats.p_cond(x, w)
+    v_wd, v_dc, v_xw = stats.var_cond(w, d), stats.var_cond(d, c), stats.var_cond(x, w)
     left, left_degen = _t_term(p_wd - p_dc, v_wd + v_dc)
     right, right_degen = _t_term(p_xw - p_wd, v_xw + v_wd)
     return DtsTerms(left - right, left, right, left_degen, right_degen)

@@ -325,14 +325,11 @@ def split_heldout(
     items = list(items)
     if train_n >= len(items):
         raise ParameterError(f"train_n={train_n} must be < {len(items)} items")
-    rng = random.Random(seed)
-    rng.shuffle(items)
-    train = items[:train_n]
-    test = items[train_n:]
+    random.Random(seed).shuffle(items)
+    train, test = items[:train_n], items[train_n:]
     keyf = key if key is not None else lambda x: x
-    test_keys = {keyf(t) for t in test}
-    train = [t for t in train if keyf(t) not in test_keys]
-    return train, test
+    test_keys = set(map(keyf, test))
+    return [t for t in train if keyf(t) not in test_keys], test
 
 
 def write_tango_params(params: TangoParams, destination) -> None:

@@ -577,6 +577,26 @@ class TestSynth:
         assert hashlib.sha256(gold.read_bytes()).hexdigest() == (
             "69e16883ea8a379c9d85c4f94714eb284bb6fa487f6c269606fce83c6fd287f2")
 
+    def test_acceptance_corpus_is_pinned_across_chunks(self, tmp_path, acceptance_lexicon,
+                                                       capsys):
+        # the pipeline benchmark's corpus.txt: about 230 chunks of the random stream
+        corpus = tmp_path / "c.txt"
+        code, _, err = run(capsys, "synth", "--lexicon", acceptance_lexicon,
+                           "--target-chars", "1000000", "--seed", "101", "--out-corpus", corpus)
+        assert code == 0
+        assert err == "generated 68061 sequences, 1000008 characters\n"
+        assert hashlib.sha256(corpus.read_bytes()).hexdigest() == (
+            "08976261f36069375a64d356c1a07ce57f94fe3ba565f78275597a8ba1d4749c")
+
+    @pytest.mark.parametrize("words_max", ["1025", "10000000000"])
+    def test_words_max_above_the_bound_exits_2(self, tmp_path, capsys, words_max):
+        corpus = tmp_path / "c.txt"
+        code, _, err = run(capsys, "synth", "--lexicon", DATA / "toy_lexicon.tsv",
+                           "--sequences", "1", "--words-max", words_max, "--out-corpus", corpus)
+        assert code == 2
+        assert err == "error: need 1 <= words_min <= words_max <= 1024\n"
+        assert not corpus.exists()
+
     @pytest.mark.parametrize("rows, message", [
         ("ab\tnan\tstem\n", "line 1"),
         ("ab\t1\tstem\ncd\tinf\tstem\n", "line 2"),

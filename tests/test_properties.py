@@ -1,9 +1,10 @@
 """Property tests: the counting engine, the vote kernel, the sst peak
-features and the synthetic corpus draws against the naive oracle, table
-round trips, the count-file loaders on edited files against the reference
-reader, the count-file writer, from dicts and from the counting walk's
-blocks, against a sorted f-string formatter, the code point range filter
-against a per-character loop, the sst grid's distinct rules against the
+features and the synthetic corpus draws, in one chunk of the random stream
+and across many, against the naive oracle, table round trips, the
+count-file loaders on edited files against the reference reader, the
+count-file writer, from dicts and from the counting walk's blocks, against
+a sorted f-string formatter, the code point range filter against a
+per-character loop, the sst grid's distinct rules against the
 six-threshold rule at every setting, and annotation parse/serialize round
 trips."""
 
@@ -14,6 +15,7 @@ import tempfile
 from collections import Counter
 from contextlib import redirect_stderr
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import assume, example, given, settings
@@ -40,6 +42,7 @@ from tangoseg import (
     vote_profile,
     write_lexicon,
 )
+from tangoseg import synth
 from tangoseg.cli import main
 from tangoseg.ngrams import _block_dict, _count_windows
 from tangoseg.sst import _sst_rule
@@ -525,17 +528,20 @@ def test_sst_grid_scores_one_setting_per_distinct_rule(features):
 @st.composite
 def synth_instances(draw):
     """(lexicon, generate_corpus keywords): lexicons with and without
-    suffixes, roles interleaved, suffix_prob 0 and 1 and words_min ==
-    words_max among the cases."""
+    suffixes, roles interleaved, suffix_prob 0 and 1 among the cases, and
+    word-count widths (words_max - words_min + 1) on both sides of randint's
+    bit-length steps: a try of width 7 reads 3 bits, of 8 or 9 reads 4 and
+    of 16 or 17 reads 5; width 1 reads 1 bit and retries half its tries."""
     entry = st.tuples(st.text("abcdef", min_size=1, max_size=3), st.floats(1e-3, 1e3))
     lexicon = [LexiconEntry(w, x, "stem") for w, x in draw(st.lists(entry, min_size=1, max_size=6))]
     lexicon += [LexiconEntry(w, x, "suffix") for w, x in draw(st.lists(entry, max_size=4))]
     lexicon = draw(st.permutations(lexicon))
     words_min = draw(st.integers(1, 4))
+    width = draw(st.sampled_from([1, 7, 8, 9, 16, 17]) | st.integers(1, 6))
     kwargs = {
         "seed": draw(st.integers(0, 2**32)),
         "words_min": words_min,
-        "words_max": draw(st.just(words_min) | st.integers(words_min, 6)),
+        "words_max": words_min + width - 1,
         "suffix_prob": draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)),
     }
     if draw(st.booleans()):
@@ -570,3 +576,12 @@ def test_synth_draws_match_choices_oracle(instance):
         gold = (d / "both.ann").read_text(encoding="utf-8")
     assert corpus_only == both == "".join(r + "\n" for r in raw)
     assert gold == "".join(serialize_annotation(a) + "\n" for a in annotations)
+
+
+@settings(max_examples=150, deadline=None)
+@given(synth_instances(), st.integers(3, 64))
+def test_synth_draws_match_choices_oracle_across_chunks(instance, chunk_words):
+    # chunks of a few sequences' worth: sequences carry over from one chunk to
+    # the next at every kind of stream word (word count, stem, flag, suffix)
+    with mock.patch.object(synth, "_CHUNK_WORDS", chunk_words):
+        test_synth_draws_match_choices_oracle.hypothesis.inner_test(instance)

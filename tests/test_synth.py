@@ -13,6 +13,7 @@ from tangoseg import (
     serialize_annotation,
     write_lexicon,
 )
+from tangoseg.synth import WORDS_MAX
 
 
 class TestLexicon:
@@ -148,6 +149,18 @@ class TestGenerateCorpus:
     def test_empty_targets_rejected(self, lexicon, target):
         with pytest.raises(ParameterError, match="at least 1"):
             generate_corpus(lexicon, **target)
+
+    @pytest.mark.parametrize("words", [{"words_max": 1025}, {"words_max": 10**10},
+                                       {"words_min": 2000, "words_max": 2000}])
+    def test_words_max_above_the_bound_rejected(self, lexicon, words):
+        # a sequence of WORDS_MAX words fits one chunk of the random stream
+        with pytest.raises(ParameterError, match=f"words_max <= {WORDS_MAX}$"):
+            generate_corpus(lexicon, sequences=1, **words)
+
+    def test_words_max_at_the_bound(self, lexicon):
+        _, annotations = generate_corpus(lexicon, sequences=2, seed=8,
+                                         words_min=WORDS_MAX, words_max=WORDS_MAX)
+        assert [len(a.words) for a in annotations] == [WORDS_MAX] * 2
 
     @pytest.mark.parametrize("role", ["stem", "suffix"])
     def test_overflowing_weights_rejected(self, role):
