@@ -60,23 +60,24 @@ def _partial_overlap(a: Bracket, b: Bracket) -> bool:
 
 def classify_bracket(b: Bracket, gold: TwoLevelAnnotation) -> BracketClass:
     """Classify one proposed bracket; morpheme-dividing takes precedence."""
-    morphemes = gold.morpheme_brackets
+    return _classify(b, gold.words, gold.morpheme_brackets)
+
+
+def _classify(b: Bracket, words: tuple, morphemes: tuple) -> BracketClass:
     for m in morphemes:
         if m.start <= b.start and b.end <= m.end and b != m:
             return BracketClass.MORPHEME_DIVIDING
-    annotation = gold.words + morphemes
+    annotation = words + morphemes
     for a in annotation:
         if _partial_overlap(b, a):
             return BracketClass.CROSSING
-    if b in set(annotation):
+    if b in annotation:
         return BracketClass.EXACT_COMPATIBLE
     return BracketClass.CONTAINED_COMPATIBLE
 
 
-def _match_counts(pred: FlatSegmentation, gold_brackets) -> tuple[int, int, int]:
-    proposed = pred.brackets
-    matched = len(set(proposed) & set(gold_brackets))
-    return matched, len(proposed), len(gold_brackets)
+def _match_counts(proposed: tuple, gold: tuple) -> tuple[int, int, int]:
+    return len(set(proposed) & set(gold)), len(proposed), len(gold)
 
 
 def _prf(matched: int, proposed: int, gold: int) -> tuple[float, float, float]:
@@ -119,9 +120,11 @@ class SequenceScore:
 
 def score_sequence(pred: FlatSegmentation, gold: TwoLevelAnnotation) -> SequenceScore:
     _check_aligned(pred, gold)
-    wm, wp, wg = _match_counts(pred, gold.words)
-    mm, mp, mg = _match_counts(pred, gold.morpheme_brackets)
-    classes = Counter(classify_bracket(b, gold) for b in pred.brackets)
+    # each bracket view is built once, not once per proposed bracket
+    proposed, words, morphemes = pred.brackets, gold.words, gold.morpheme_brackets
+    wm, wp, wg = _match_counts(proposed, words)
+    mm, mp, mg = _match_counts(proposed, morphemes)
+    classes = Counter(_classify(b, words, morphemes) for b in proposed)
     crossing, dividing = classes[BracketClass.CROSSING], classes[BracketClass.MORPHEME_DIVIDING]
     return SequenceScore(wm, wp, wg, mm, mp, mg, crossing, dividing, wp - crossing - dividing)
 

@@ -105,13 +105,15 @@ def read_source(source) -> str:
 
 
 def write_to(destination, payload: "str | bytes") -> None:
-    """Write payload to an open file, or to a path (text as UTF-8).
+    """Write payload to a text stream, a binary stream or a path.
 
-    Text is encoded before a path is opened, so text UTF-8 cannot encode (a
-    lone surrogate) raises ParameterError and leaves the file as it was.
+    A text stream (anything with an ``encoding``) takes text, bytes being
+    decoded as UTF-8; a binary stream or a path takes bytes, text being
+    encoded first, so text UTF-8 cannot encode (a lone surrogate) raises
+    ParameterError and leaves the file as it was.
     """
-    if hasattr(destination, "write"):
-        destination.write(payload)
+    if hasattr(destination, "encoding"):
+        destination.write(payload if isinstance(payload, str) else payload.decode("utf-8"))
         return
     if isinstance(payload, str):
         try:
@@ -121,7 +123,10 @@ def write_to(destination, payload: "str | bytes") -> None:
                 f"{destination}: character {payload[exc.start]!r} at offset {exc.start} "
                 "cannot be encoded as UTF-8"
             ) from None
-    Path(destination).write_bytes(payload)
+    if hasattr(destination, "write"):
+        destination.write(payload)
+    else:
+        Path(destination).write_bytes(payload)
 
 
 def read_key_values(source) -> dict[str, str]:

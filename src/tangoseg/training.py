@@ -98,10 +98,11 @@ class _BoundaryRows:
         self.offsets = list(accumulate([0] + [n + 1 for n in lengths[:-1]]))
         self.width = sum(lengths) + len(lengths)
         self.ends = self.offsets + [o + n for o, n in zip(self.offsets, lengths)]
+        by_word = criterion.startswith("word")
         gold = [
             (o + b.start, o + b.end)
             for o, ann in zip(self.offsets, train_set)
-            for b in (ann.words if criterion.startswith("word") else ann.morpheme_brackets)
+            for b in (ann.word_segmentation if by_word else ann.morpheme_segmentation).brackets
         ]
         self.gold_starts, self.gold_ends = np.array(gold, dtype=np.int64).reshape(-1, 2).T
         self.criterion = criterion

@@ -99,7 +99,7 @@ class TestSerialize:
             serialize_flat(seg)
 
     def test_annotation_rejects_bracket_in_content(self):
-        ann = TwoLevelAnnotation("a[b", (Bracket(0, 3),), ((Bracket(0, 3),),))
+        ann = TwoLevelAnnotation(FlatSegmentation("a[b"), FlatSegmentation("a[b"))
         with pytest.raises(FormatError):
             serialize_annotation(ann)
 
@@ -137,14 +137,12 @@ class TestStructures:
             FlatSegmentation("abc", (2, 1))
 
     def test_annotation_partition_enforced(self):
+        # the two segmentations cover different sequences
         with pytest.raises(ValueError):
-            TwoLevelAnnotation("ab", (Bracket(0, 1),), ((Bracket(0, 1),),))
+            TwoLevelAnnotation(FlatSegmentation("ab"), FlatSegmentation("a"))
+        # a word boundary that is not a morpheme boundary
         with pytest.raises(ValueError):
-            TwoLevelAnnotation(
-                "ab",
-                (Bracket(0, 2),),
-                ((Bracket(0, 1),),),
-            )
+            TwoLevelAnnotation(FlatSegmentation("ab", (1,)), FlatSegmentation("ab"))
 
     def test_word_and_morpheme_segmentations(self):
         ann = parse_annotation("[[data][base]][system]")

@@ -6,14 +6,22 @@ import numpy as np
 import pytest
 
 from tangoseg import (
+    BigramStats,
     Corpus,
     FormatError,
+    LexiconEntry,
     NGramTable,
     ParameterError,
+    SstParams,
+    TangoParams,
     UnsupportedOrderError,
     build_table,
     codepoint_range_filter,
     extract_sequences,
+    save_stats,
+    write_lexicon,
+    write_sst_params,
+    write_tango_params,
 )
 from tangoseg.ngrams import TABLE, split_lines, write_counts
 
@@ -376,3 +384,27 @@ class TestSaveLoad:
     def test_truncated_header(self):
         with pytest.raises(FormatError):
             NGramTable.load(io.BytesIO(b"tango-ngrams v1\ncorpus_size 4\n"))
+
+
+def _writers():
+    """(name, write(destination) -> returned value) of each file writer."""
+    corpus = Corpus(["ab\U00020000abé", "\U00020000abéab"])
+    return [
+        ("table", build_table(corpus, range(2, 5)).save),
+        ("stats", lambda d: save_stats(BigramStats.from_corpus(corpus), d)),
+        ("tango", lambda d: write_tango_params(TangoParams(frozenset({2, 4}), 0.4), d)),
+        ("sst", lambda d: write_sst_params(SstParams(2.5, (0, 1, 2, 3, 4, 200), "mle"), d)),
+        ("lexicon", lambda d: write_lexicon([LexiconEntry("é\U00020000", 1.5, "stem")], d)),
+    ]
+
+
+@pytest.mark.parametrize("stream", [io.StringIO, io.BytesIO])
+@pytest.mark.parametrize("name", [name for name, _ in _writers()])
+def test_writers_take_text_and_binary_streams(tmp_path, name, stream):
+    write = dict(_writers())[name]
+    path = tmp_path / name
+    written = write(path)
+    buf = stream()
+    assert write(buf) == written
+    expected = path.read_bytes()
+    assert buf.getvalue() == (expected.decode("utf-8") if stream is io.StringIO else expected)

@@ -5,8 +5,8 @@ count-file loaders on edited files against the reference reader, the
 count-file writer, from dicts and from the counting walk's blocks, against
 a sorted f-string formatter, the code point range filter against a
 per-character loop, the sst grid's distinct rules against the
-six-threshold rule at every setting, and annotation parse/serialize round
-trips."""
+six-threshold rule at every setting, annotation parse/serialize round
+trips, and the annotation bracket views against a plain loop."""
 
 import io
 import math
@@ -18,6 +18,7 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -472,6 +473,43 @@ def test_annotation_parse_serialize_roundtrip(words):
     assert parse_annotation(serialize_annotation(ann)) == ann
     for flat in (ann.word_segmentation, ann.morpheme_segmentation):
         assert parse_flat(serialize_flat(flat)) == flat
+
+
+# Nested morpheme strings, astral-plane characters drawn as often as the rest.
+astral_words = st.lists(
+    st.lists(st.text(st.characters(exclude_characters="[]|")
+                     | st.characters(min_codepoint=0x10000), min_size=1, max_size=4),
+             min_size=1, max_size=4),
+    min_size=1, max_size=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(astral_words, st.data())
+def test_annotation_views_match_a_plain_loop(words, data):
+    ann = TwoLevelAnnotation.from_segments(words)
+    pos, word_brackets, groups = 0, [], []
+    for morphs in words:
+        start, group = pos, []
+        for m in morphs:
+            group.append((pos, pos + len(m)))
+            pos += len(m)
+        word_brackets.append((start, pos))
+        groups.append(tuple(group))
+    assert ann.sequence == "".join(m for morphs in words for m in morphs)
+    assert ann.words == ann.word_segmentation.brackets == tuple(word_brackets)
+    assert ann.morphemes == tuple(groups)
+    assert ann.morpheme_brackets == ann.morpheme_segmentation.brackets == sum(groups, ())
+    assert parse_annotation(serialize_annotation(ann)) == ann
+    # an empty word, or an empty morpheme, anywhere is refused
+    i = data.draw(st.integers(0, len(words)))
+    with pytest.raises(ValueError):
+        TwoLevelAnnotation.from_segments(words[:i] + [[]] + words[i:])
+    i = data.draw(st.integers(0, len(words) - 1))
+    j = data.draw(st.integers(0, len(words[i])))
+    with pytest.raises(ValueError):
+        TwoLevelAnnotation.from_segments(
+            words[:i] + [words[i][:j] + [""] + words[i][j:]] + words[i + 1:])
 
 
 def on_between_and_beside(values):
