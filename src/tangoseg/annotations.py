@@ -10,6 +10,7 @@ morpheme is written with one pair of brackets.
 
 from dataclasses import dataclass
 from itertools import accumulate
+from numbers import Integral
 from typing import Iterable, NamedTuple
 
 from .errors import FormatError
@@ -32,6 +33,14 @@ class Bracket(NamedTuple):
     end: int
 
 
+def _integer_boundary(k) -> int:
+    """k as a plain int: a NumPy integer is the int it holds; a bool or a
+    float is no boundary."""
+    if isinstance(k, bool) or not isinstance(k, Integral):
+        raise ValueError(f"boundary {k!r} is not an integer")
+    return int(k)
+
+
 @dataclass(frozen=True, slots=True)
 class FlatSegmentation:
     """A sequence plus a sorted set of boundary locations.
@@ -49,7 +58,12 @@ class FlatSegmentation:
         object.__setattr__(self, "boundaries", tuple(self.boundaries))
         last = 0
         for k in self.boundaries:
-            if not isinstance(k, int) or not 0 < k < len(self.sequence):
+            if type(k) is not int:
+                # checked again as the plain ints they hold
+                boundaries = tuple(map(_integer_boundary, self.boundaries))
+                object.__setattr__(self, "boundaries", boundaries)
+                return self.__post_init__()
+            if not 0 < k < len(self.sequence):
                 raise ValueError(f"boundary {k!r} out of range 1..{len(self.sequence) - 1}")
             if k <= last:
                 raise ValueError("boundaries not strictly increasing")

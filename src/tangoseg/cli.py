@@ -37,9 +37,10 @@ from .ngrams import (
     write_to,
 )
 from .segmenter import TangoParams, segment
-from .sst import SstParams, load_stats, read_sst_params, sst_segment, write_sst_params
+from .sst import ESTIMATORS, SstParams, load_stats, read_sst_params, sst_segment, write_sst_params
 from .synth import _draw_words, _sequences, read_lexicon
 from .training import (
+    CRITERIA,
     grid_to_tsv,
     read_tango_params,
     train_sst,
@@ -57,24 +58,18 @@ def _parse_orders(text: str) -> frozenset[int]:
         raise ParameterError(f"bad orders list {text!r}") from None
 
 
-def _input_lines(path: str) -> list[str]:
-    lines = split_lines(read_source(path))
-    for lineno, line in enumerate(lines, start=1):
-        if not line:
-            raise FormatError("blank input line", line=lineno)
-    return lines
-
-
-def _read_annotations(path: str):
-    annotations = []
-    for lineno, line in enumerate(_input_lines(path), start=1):
+def _read_lines(path: str, parse=str) -> list:
+    """Each line of the file through parse; a blank line or a parse error
+    names the file and the line."""
+    parsed = []
+    for lineno, line in enumerate(split_lines(read_source(path)), start=1):
         try:
-            annotations.append(parse_annotation(line))
+            if not line:
+                raise FormatError("blank input line")
+            parsed.append(parse(line))
         except FormatError as exc:
             raise FormatError(f"{path}: {exc}", line=lineno) from None
-    if not annotations:
-        raise ParameterError(f"{path}: no annotations found")
-    return annotations
+    return parsed
 
 
 def _write_lines(path, lines: list[str]) -> None:
@@ -165,14 +160,16 @@ def cmd_segment(args) -> int:
         params = _sst_params_from_args(args)
         segmenter = partial(sst_segment, params=params,
                             stats=load_stats(args.stats, params.estimator))
-    out = [serialize_flat(segmenter(line)) for line in _input_lines(args.input)]
+    out = [serialize_flat(segmenter(line)) for line in _read_lines(args.input)]
     _write_lines(args.out, out)
     print(f"segmented {len(out)} sequences", file=sys.stderr)
     return 0
 
 
 def cmd_train(args) -> int:
-    train_set = _read_annotations(args.train)
+    train_set = _read_lines(args.train, parse_annotation)
+    if not train_set:
+        raise ParameterError(f"{args.train}: no annotations found")
     if args.algorithm == "tango":
         if not args.index:
             raise ParameterError("--index is required for the tango algorithm")
@@ -202,19 +199,11 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    pred_lines = _input_lines(args.pred)
-    gold_lines = _input_lines(args.gold)
-    if len(pred_lines) != len(gold_lines):
-        raise ParameterError(
-            f"{args.pred} has {len(pred_lines)} lines but {args.gold} has {len(gold_lines)}"
-        )
-    pairs = []
-    for lineno, (pred_line, gold_line) in enumerate(zip(pred_lines, gold_lines), start=1):
-        try:
-            pairs.append((parse_flat(pred_line), parse_annotation(gold_line)))
-        except FormatError as exc:
-            raise FormatError(f"line {lineno}: {exc}") from None
-    report = score_set(pairs)
+    pred = _read_lines(args.pred, parse_flat)
+    gold = _read_lines(args.gold, parse_annotation)
+    if len(pred) != len(gold):
+        raise ParameterError(f"{args.pred} has {len(pred)} lines but {args.gold} has {len(gold)}")
+    report = score_set(zip(pred, gold))
     if args.machine:
         print("\n".join(machine_lines(report, per_sequence=args.per_sequence)))
     else:
@@ -243,13 +232,6 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _add_tango_flags(parser):
-    parser.add_argument("--no-local-max", action="store_true",
-                        help="disable the local-maximum boundary condition")
-    parser.add_argument("--no-threshold", action="store_true",
-                        help="disable the threshold boundary condition")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tangoseg",
@@ -257,6 +239,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    # the model flags that segment and train share
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument("--algorithm", choices=("tango", "sst"), default="tango")
+    model.add_argument("--index", help="n-gram count table (tango)")
+    model.add_argument("--stats", help="bigram statistics file (sst)")
+    model.add_argument("--estimator", choices=ESTIMATORS, default="mle")
+    model.add_argument("--no-local-max", action="store_true",
+                       help="disable the local-maximum boundary condition")
+    model.add_argument("--no-threshold", action="store_true",
+                       help="disable the threshold boundary condition")
 
     p = sub.add_parser("build-index", help="build n-gram count tables from a raw corpus")
     p.add_argument("--corpus", required=True, help="raw unsegmented corpus file")
@@ -267,34 +259,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bigrams-out", help="also write raw bigram statistics for sst")
     p.set_defaults(func=cmd_build_index)
 
-    p = sub.add_parser("segment", help="segment sequences, one per input line")
-    p.add_argument("--algorithm", choices=("tango", "sst"), default="tango")
+    p = sub.add_parser("segment", parents=[model],
+                       help="segment sequences, one per input line")
     p.add_argument("--input", required=True, help="file of sequences, one per line")
     p.add_argument("--out", help="output file (default: stdout)")
-    p.add_argument("--index", help="n-gram count table (tango)")
-    p.add_argument("--stats", help="bigram statistics file (sst)")
     p.add_argument("--params", help="trained parameter file")
     p.add_argument("--orders", help="comma list of orders (tango, with --threshold)")
     p.add_argument("--threshold", type=float, help="vote threshold in [0,1] (tango)")
-    _add_tango_flags(p)
     p.add_argument("--theta", type=float, help="mutual-information threshold (sst)")
     p.add_argument("--extremum", default="0,0,0,0,0,0",
                    help="six comma-separated extremum thresholds (sst)")
-    p.add_argument("--estimator", choices=("mle", "ele"), default="mle")
     p.set_defaults(func=cmd_segment)
 
-    p = sub.add_parser("train", help="grid-search parameters on an annotated set")
-    p.add_argument("--algorithm", choices=("tango", "sst"), default="tango")
+    p = sub.add_parser("train", parents=[model],
+                       help="grid-search parameters on an annotated set")
     p.add_argument("--train", required=True, help="annotation file, one sequence per line")
-    p.add_argument("--criterion", required=True,
-                   help="word-precision|word-recall|word-f|morpheme-precision|"
-                        "morpheme-recall|morpheme-f")
+    p.add_argument("--criterion", required=True, help="|".join(CRITERIA))
     p.add_argument("--out", required=True, help="output parameter file")
-    p.add_argument("--index", help="n-gram count table (tango)")
-    p.add_argument("--stats", help="bigram statistics file (sst)")
-    p.add_argument("--estimator", choices=("mle", "ele"), default="mle")
     p.add_argument("--grid-out", help="optional TSV dump of the full grid")
-    _add_tango_flags(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="score predictions against gold annotations")

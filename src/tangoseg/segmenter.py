@@ -78,6 +78,9 @@ class VoteProfile:
     per_order: "dict[int, list[float]] | None" = None
 
     def __post_init__(self):
+        # the error FlatSegmentation gives, so that both segmenters refuse "" alike
+        if not self.sequence:
+            raise ValueError("segmentation over an empty sequence")
         if len(self.votes) != len(self.sequence) - 1:
             raise ParameterError(
                 f"profile needs {len(self.sequence) - 1} votes, got {len(self.votes)}"

@@ -132,31 +132,29 @@ class BigramStats:
         out.estimator = _require_estimator(estimator)
         return out
 
+    def _estimate(self, count: int, total: int, types: int) -> float:
+        """The one estimate: relative frequency under MLE, add-half over the
+        types under ELE."""
+        k = 0.0 if self.estimator == "mle" else 0.5
+        return (count + k) / (total + k * types)
+
     def p_char(self, x: str) -> float:
         c = self.unigrams[x]
-        if self.estimator == "mle":
-            if c == 0:
-                raise UndefinedStatisticError(f"character {x!r} unseen under MLE")
-            return c / self.total_chars
-        return (c + 0.5) / (self.total_chars + 0.5 * len(self.unigrams))
+        if c == 0 and self.estimator == "mle":
+            raise UndefinedStatisticError(f"character {x!r} unseen under MLE")
+        return self._estimate(c, self.total_chars, len(self.unigrams))
 
     def p_pair(self, x: str, y: str) -> float:
         if self.total_bigrams == 0:
             raise UndefinedStatisticError("corpus contains no bigram tokens")
-        c = self.bigrams[x + y]
-        if self.estimator == "mle":
-            return c / self.total_bigrams
-        return (c + 0.5) / (self.total_bigrams + 0.5 * len(self.bigrams))
+        return self._estimate(self.bigrams[x + y], self.total_bigrams, len(self.bigrams))
 
     def p_cond(self, y: str, x: str) -> float:
         """Probability that y immediately follows x."""
         cx = self.unigrams[x]
-        cxy = self.bigrams[x + y]
-        if self.estimator == "mle":
-            if cx == 0:
-                raise UndefinedStatisticError(f"character {x!r} unseen under MLE")
-            return cxy / cx
-        return (cxy + 0.5) / (cx + 0.5 * len(self.unigrams))
+        if cx == 0 and self.estimator == "mle":
+            raise UndefinedStatisticError(f"character {x!r} unseen under MLE")
+        return self._estimate(self.bigrams[x + y], cx, len(self.unigrams))
 
     def var_cond(self, y: str, x: str) -> float:
         """Binomial variance of the conditional relative frequency."""

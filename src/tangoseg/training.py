@@ -1,4 +1,4 @@
-"""Exhaustive grid search for segmenter parameters, plus split utilities.
+"""Exhaustive grid search for segmenter parameters, and tango parameter files.
 
 The voting segmenter is trained over every non-empty subset of orders
 {2,3,4,5,6} crossed with thresholds 0.05 .. 1.00 in steps of 0.05 (620
@@ -26,7 +26,6 @@ built when one is read.
 """
 
 import math
-import random
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import accumulate, combinations
@@ -46,7 +45,6 @@ __all__ = [
     "TrainResult",
     "grid_to_tsv",
     "read_tango_params",
-    "split_heldout",
     "tango_grid",
     "train_sst",
     "train_tango",
@@ -309,28 +307,6 @@ def train_sst(
         return SstParams(float(vector[0]), vector[1:], stats.estimator)
 
     return _grid_search(layout, settings, rule_of, make, rows)
-
-
-def split_heldout(
-    items: Sequence,
-    train_n: int,
-    seed: int,
-    key: "Callable[[Any], Any] | None" = None,
-) -> tuple[list, list]:
-    """Seeded shuffle into a train_n-item training side and a test side.
-
-    Training items that duplicate a test item (under key) are discarded, so
-    the sides are guaranteed disjoint; the training side may come back
-    smaller than train_n.
-    """
-    items = list(items)
-    if train_n >= len(items):
-        raise ParameterError(f"train_n={train_n} must be < {len(items)} items")
-    random.Random(seed).shuffle(items)
-    train, test = items[:train_n], items[train_n:]
-    keyf = key if key is not None else lambda x: x
-    test_keys = set(map(keyf, test))
-    return [t for t in train if keyf(t) not in test_keys], test
 
 
 def write_tango_params(params: TangoParams, destination) -> None:

@@ -1,5 +1,7 @@
 import random
+import re
 
+import numpy as np
 import pytest
 
 from tangoseg import (
@@ -135,6 +137,27 @@ class TestStructures:
             FlatSegmentation("abc", (3,))
         with pytest.raises(ValueError):
             FlatSegmentation("abc", (2, 1))
+
+    @pytest.mark.parametrize("boundaries, outcome", [
+        ((np.int64(1),), (1,)),
+        ((1, np.int32(2)), (1, 2)),
+        ((np.uint8(2),), (2,)),
+        ((True,), "boundary True is not an integer"),
+        ((np.bool_(True),), "is not an integer"),
+        ((1.0,), "boundary 1.0 is not an integer"),
+        ((np.float64(2.0),), "is not an integer"),
+        ((np.int64(3),), "boundary 3 out of range 1..2"),
+        ((np.int64(2), 1), "boundaries not strictly increasing"),
+    ])
+    def test_flat_boundary_types(self, boundaries, outcome):
+        # a NumPy integer is kept as the plain int it holds; a bool or a float is refused
+        if isinstance(outcome, str):
+            with pytest.raises(ValueError, match=re.escape(outcome)):
+                FlatSegmentation("abc", boundaries)
+        else:
+            seg = FlatSegmentation("abc", boundaries)
+            assert seg.boundaries == outcome
+            assert [type(k) for k in seg.boundaries] == [int] * len(outcome)
 
     def test_annotation_partition_enforced(self):
         # the two segmentations cover different sequences

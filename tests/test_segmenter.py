@@ -3,15 +3,18 @@ import random
 import pytest
 
 from tangoseg import (
+    BigramStats,
     Corpus,
     NGramTable,
     ParameterError,
+    SstParams,
     TangoParams,
     UnsupportedOrderError,
     VoteProfile,
     build_table,
     place_boundaries,
     segment,
+    sst_segment,
     vote_profile,
 )
 from tangoseg.segmenter import _gap_counts
@@ -175,6 +178,14 @@ class TestSegment:
         # zero votes still meet t = 0, the one way such sequences split
         seg = segment("AB", TangoParams(frozenset({6}), 0.0), toy_table)
         assert seg.segments == ("A", "B")
+
+    def test_empty_sequence_refused_like_sst(self, toy_table):
+        stats = BigramStats.from_corpus(["ABCD"])
+        for call in (lambda: segment("", both(0.5), toy_table),
+                     lambda: vote_profile("", (2, 3), toy_table),
+                     lambda: sst_segment("", SstParams(0.0, (0,) * 6), stats)):
+            with pytest.raises(ValueError, match="^segmentation over an empty sequence$"):
+                call()
 
     def test_matches_naive_transcription(self, toy_table):
         rng = random.Random(29)

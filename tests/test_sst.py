@@ -141,6 +141,32 @@ class TestDts:
             dts_terms(stats, "A", "Z", "B", "A")
 
 
+@pytest.mark.parametrize("estimator", ["mle", "ele"])
+@pytest.mark.parametrize("seed", range(5))
+def test_estimates_equal_naive_oracle_exactly(estimator, seed):
+    # compared with ==, so that a one-ulp change in any estimate fails
+    rng = random.Random(seed)
+    alphabet = "ABCDEFGHIJ"[: rng.randint(5, 10)]
+    weights = [rng.random() ** 2 for _ in alphabet]
+    lines = ["".join(rng.choices(alphabet, weights, k=rng.randint(1, 20)))
+             for _ in range(rng.randint(5, 20))]
+    stats = BigramStats.from_corpus(lines, estimator)
+    naive = NaiveBigramModel(lines, estimator)
+    seen = sorted(naive.uni)
+    pairs = [(x, y) for x in seen for y in seen]
+    # every pair of seen characters, the unseen ones included
+    assert {x + y for x, y in pairs} - set(naive.bi)
+    assert [stats.p_char(x) for x in seen] == [naive.p(x) for x in seen]
+    assert [stats.p_pair(x, y) for x, y in pairs] == [naive.p_pair(x, y) for x, y in pairs]
+    assert [stats.p_cond(y, x) for x, y in pairs] == [naive.p_cond(y, x) for x, y in pairs]
+    assert [stats.var_cond(y, x) for x, y in pairs] == [naive.var_cond(y, x) for x, y in pairs]
+    if estimator == "ele":
+        # an unseen character still has estimates under ELE
+        assert stats.p_char("Z") == naive.p("Z")
+        assert stats.p_pair("Z", seen[0]) == naive.p_pair("Z", seen[0])
+        assert stats.p_cond(seen[0], "Z") == naive.p_cond(seen[0], "Z")
+
+
 class TestExtremumFeatures:
     def test_interior_peak(self):
         columns = feature_columns([0.0, 3.0, 1.0])

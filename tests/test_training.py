@@ -24,7 +24,6 @@ from tangoseg import (
     make_zipf_lexicon,
     read_tango_params,
     segment,
-    split_heldout,
     sst_segment,
     tango_grid,
     train_sst,
@@ -381,37 +380,6 @@ def test_tango_grid_matches_oracle(data):
         ]
         expected.append(pooled_score(pairs, criterion))
     assert result.grid.scores.tolist() == expected
-
-
-class TestSplitHeldout:
-    def test_sizes_and_disjointness(self):
-        items = [f"seq{i}" for i in range(10)]
-        train, test = split_heldout(items, 2, seed=0)
-        assert len(train) == 2 and len(test) == 8
-        assert not set(train) & set(test)
-        assert sorted(train + test) == sorted(items)
-
-    def test_duplicates_dropped_from_train(self):
-        items = ["a", "b", "c", "a", "d"]
-        for seed in range(20):
-            train, test = split_heldout(items, 2, seed=seed)
-            assert not set(train) & set(test)
-
-    def test_deterministic(self):
-        items = [f"seq{i}" for i in range(30)]
-        assert split_heldout(items, 5, seed=42) == split_heldout(items, 5, seed=42)
-
-    def test_key_function(self):
-        items = [("a", 1), ("a", 2), ("b", 3), ("c", 4)]
-        for seed in range(10):
-            train, test = split_heldout(items, 2, seed=seed, key=lambda t: t[0])
-            train_keys = {t[0] for t in train}
-            test_keys = {t[0] for t in test}
-            assert not train_keys & test_keys
-
-    def test_train_n_too_large(self):
-        with pytest.raises(ParameterError):
-            split_heldout(["a", "b"], 2, seed=0)
 
 
 class TestParamsFiles:
