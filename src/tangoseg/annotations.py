@@ -147,8 +147,7 @@ def parse_annotation(line: str) -> TwoLevelAnnotation:
     depth = 0
     start = 0  # of the open word or morpheme
     has_morphemes = False  # whether the open word holds morpheme brackets
-    for idx, ch in enumerate(line):
-        col = idx + 1
+    for col, ch in enumerate(line, start=1):
         if depth == 0:
             if ch != "[":
                 raise FormatError(f"character {ch!r} outside brackets", column=col)
@@ -214,13 +213,9 @@ def parse_flat(line: str) -> FlatSegmentation:
     """Parse a pipe-delimited segmentation, e.g. ``|data|base|system|``."""
     if len(line) < 3 or line[0] != "|" or line[-1] != "|":
         raise FormatError("segmentation must start and end with '|'", column=1)
-    segments = line[1:-1].split("|")
-    col = 1
-    for seg in segments:
-        if not seg:
-            raise FormatError("empty segment", column=col + 1)
-        col += len(seg) + 1
-    return FlatSegmentation.from_segments(segments)
+    if "||" in line:  # the column of the first empty segment's closing '|'
+        raise FormatError("empty segment", column=line.index("||") + 2)
+    return FlatSegmentation.from_segments(line[1:-1].split("|"))
 
 
 def serialize_flat(seg: FlatSegmentation) -> str:

@@ -31,8 +31,8 @@ from .ngrams import (
     _walk_blocks,
     codepoint_range_filter,
     read_int_list,
+    read_lines,
     read_source,
-    split_lines,
     write_counts,
     write_to,
 )
@@ -56,20 +56,6 @@ def _parse_orders(text: str) -> frozenset[int]:
         return frozenset(read_int_list(text))
     except ValueError:
         raise ParameterError(f"bad orders list {text!r}") from None
-
-
-def _read_lines(path: str, parse=str) -> list:
-    """Each line of the file through parse; a blank line or a parse error
-    names the file and the line."""
-    parsed = []
-    for lineno, line in enumerate(split_lines(read_source(path)), start=1):
-        try:
-            if not line:
-                raise FormatError("blank input line")
-            parsed.append(parse(line))
-        except FormatError as exc:
-            raise FormatError(f"{path}: {exc}", line=lineno) from None
-    return parsed
 
 
 def _write_lines(path, lines: list[str]) -> None:
@@ -100,7 +86,7 @@ def cmd_build_index(args) -> int:
     char_filter = codepoint_range_filter(args.filter_range) if args.filter_range else None
     corpus = Corpus.from_text(read_source(args.corpus), char_filter)
     if not corpus.sequences:
-        raise ParameterError(f"{args.corpus}: no sequences extracted")
+        raise FormatError("no sequences extracted", path=args.corpus)
     size = corpus.total_chars
     print(f"corpus_size {size}", file=sys.stderr)
     table, stats = _walk_blocks(corpus.sequences, orders, stats=bool(args.bigrams_out))
@@ -160,16 +146,18 @@ def cmd_segment(args) -> int:
         params = _sst_params_from_args(args)
         segmenter = partial(sst_segment, params=params,
                             stats=load_stats(args.stats, params.estimator))
-    out = [serialize_flat(segmenter(line)) for line in _read_lines(args.input)]
+    # each line is segmented as it is read, so a line the segmenter refuses, a blank one
+    # too, is named by its file and line
+    out = read_lines(args.input, lambda line: serialize_flat(segmenter(line)))
     _write_lines(args.out, out)
     print(f"segmented {len(out)} sequences", file=sys.stderr)
     return 0
 
 
 def cmd_train(args) -> int:
-    train_set = _read_lines(args.train, parse_annotation)
+    train_set = read_lines(args.train, parse_annotation)
     if not train_set:
-        raise ParameterError(f"{args.train}: no annotations found")
+        raise FormatError("no annotations found", path=args.train)
     if args.algorithm == "tango":
         if not args.index:
             raise ParameterError("--index is required for the tango algorithm")
@@ -199,8 +187,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    pred = _read_lines(args.pred, parse_flat)
-    gold = _read_lines(args.gold, parse_annotation)
+    pred = read_lines(args.pred, parse_flat)
+    gold = read_lines(args.gold, parse_annotation)
     if len(pred) != len(gold):
         raise ParameterError(f"{args.pred} has {len(pred)} lines but {args.gold} has {len(gold)}")
     report = score_set(zip(pred, gold))

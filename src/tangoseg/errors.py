@@ -23,23 +23,24 @@ class UnsupportedOrderError(ParameterError):
 
 
 class FormatError(Error, ValueError):
-    """Malformed input text or file.
+    """Malformed input text or file: ``path: message (line L, column C)``.
 
     Attributes:
+        message -- what is wrong
         line -- 1-based line number, when known
         column -- 1-based column number, when known
+        path -- the file read, when known
     """
 
-    def __init__(self, message, line=None, column=None):
+    def __init__(self, message, line=None, column=None, path=None):
+        self.message = message
         self.line = line
         self.column = column
-        where = ""
-        if line is not None:
-            where += f" (line {line}"
-            where += f", column {column})" if column is not None else ")"
-        elif column is not None:
-            where += f" (column {column})"
-        super().__init__(message + where)
+        self.path = path
+        where = ", ".join(f"{name} {value}" for name, value in (("line", line), ("column", column))
+                          if value is not None)
+        text = f"{message} ({where})" if where else message
+        super().__init__(text if path is None else f"{path}: {text}")
 
 
 class UndefinedStatisticError(Error, ValueError):

@@ -25,10 +25,10 @@ only where a lookup table is needed (``_block_dict``); ``_dict_blocks`` turns
 one back into blocks for writing.
 
 Every file format of the package is read and written here once: lines
-(``split_lines``), files (``read_source``, ``write_to``), integer lists
-(``read_int_list``), ``key=value`` files (``read_key_values``) and count
-files (``write_counts``, ``read_counts``) of two layouts, ``TABLE`` for the
-pruned table, its orders declared in the file, and ``STATS`` for the bigrams.
+(``split_lines``, ``read_lines``), files (``read_source``, ``write_to``),
+integer lists (``read_int_list``), ``key=value`` files (``read_key_values``)
+and count files (``write_counts``, ``read_counts``) of two layouts, ``TABLE``
+for the pruned table, declaring its orders, and ``STATS`` for the bigrams.
 """
 
 import codecs
@@ -80,14 +80,13 @@ def split_lines(text: str) -> list[str]:
     return lines
 
 
-def _decode_utf8(data: bytes) -> str:
-    """data decoded as UTF-8; FormatError naming the first bad byte offset."""
+def _decode_utf8(data: bytes, path=None) -> str:
+    """data decoded as UTF-8; FormatError naming the path and the first bad byte offset."""
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise FormatError(
-            f"invalid UTF-8 at byte offset {exc.start}: {exc.reason}"
-        ) from exc
+        message = f"invalid UTF-8 at byte offset {exc.start}: {exc.reason}"
+        raise FormatError(message, path=path) from exc
 
 
 def read_source(source) -> str:
@@ -98,10 +97,23 @@ def read_source(source) -> str:
     if hasattr(source, "read"):
         payload = source.read()
         return _decode_utf8(payload) if isinstance(payload, bytes) else payload
-    try:
-        return _decode_utf8(Path(source).read_bytes())
-    except FormatError as exc:
-        raise FormatError(f"{source}: {exc}") from exc
+    return _decode_utf8(Path(source).read_bytes(), source)
+
+
+def read_lines(source, parse: Callable[[str], object]) -> list:
+    """parse(line) of each line of source, in order, None results dropped; a
+    ValueError from parse becomes a FormatError at its line and column."""
+    parsed = []
+    for lineno, line in enumerate(split_lines(read_source(source)), start=1):
+        try:
+            value = parse(line)
+        except ValueError as exc:
+            path = None if hasattr(source, "read") else source
+            raise FormatError(getattr(exc, "message", str(exc)), lineno,
+                              getattr(exc, "column", None), path) from None
+        if value is not None:
+            parsed.append(value)
+    return parsed
 
 
 def write_to(destination, payload: "str | bytes") -> None:
@@ -133,16 +145,19 @@ def read_key_values(source) -> dict[str, str]:
     """The ``key=value`` lines of a parameter file; blank lines are skipped
     and a key may appear once."""
     values: dict[str, str] = {}
-    for lineno, line in enumerate(split_lines(read_source(source)), start=1):
+
+    def parse(line: str) -> None:
         if not line.strip():
-            continue
+            return
         key, sep, value = line.partition("=")
         if not sep:
-            raise FormatError("expected key=value", line=lineno)
+            raise FormatError("expected key=value")
         key = key.strip()
         if key in values:
-            raise FormatError(f"duplicate key {key!r}", line=lineno)
+            raise FormatError(f"duplicate key {key!r}")
         values[key] = value.strip()
+
+    read_lines(source, parse)
     return values
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .annotations import TwoLevelAnnotation
 from .errors import FormatError, ParameterError
-from .ngrams import read_source, split_lines, write_to
+from .ngrams import read_lines, write_to
 
 __all__ = [
     "LexiconEntry",
@@ -49,20 +49,18 @@ class LexiconEntry:
             raise ParameterError(f"role must be one of {ROLES}, got {self.role!r}")
 
 
+def _lexicon_entry(line: str) -> "LexiconEntry | None":
+    if not line.strip():
+        return None
+    if line.count("\t") != 2:
+        raise FormatError("expected word<TAB>weight<TAB>role")
+    word, weight, role = line.split("\t")
+    return LexiconEntry(word, float(weight), role)
+
+
 def read_lexicon(source) -> list[LexiconEntry]:
-    """Read ``word<TAB>weight<TAB>role`` lines."""
-    entries = []
-    for lineno, line in enumerate(split_lines(read_source(source)), start=1):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise FormatError("expected word<TAB>weight<TAB>role", line=lineno)
-        word, weight, role = parts
-        try:
-            entries.append(LexiconEntry(word, float(weight), role))
-        except (ValueError, ParameterError) as exc:
-            raise FormatError(str(exc), line=lineno) from None
+    """Read ``word<TAB>weight<TAB>role`` lines; blank lines are skipped."""
+    entries = read_lines(source, _lexicon_entry)
     if not entries:
         raise FormatError("lexicon is empty")
     return entries

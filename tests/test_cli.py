@@ -651,6 +651,42 @@ class TestSynth:
         assert list(Path("d").iterdir()) == []
 
 
+class TestLineFileErrors:
+    """A bad line of a line file exits 2 with ``file: message (line L, column C)``."""
+
+    @pytest.fixture
+    def files(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        NGramTable({2}, {"AB": 2}, 4).save("c.tab")
+        Path("c.big").write_text("tango-bigrams v1\ntotal_chars 4\n1\t2\tA\n1\t2\tB\n2\t2\tAB\n")
+        Path("in.txt").write_text("ABAB\n")
+        Path("gold.ann").write_text("[ab]\n[a]\n")
+        Path("good.pred").write_text("|ab|\n|a|\n")
+
+    @pytest.mark.parametrize("name, text, argv, message", [
+        ("bad.pred", "|ab|\n|a||\n", ["evaluate", "--pred", "bad.pred", "--gold", "gold.ann"],
+         "bad.pred: empty segment (line 2, column 4)"),
+        ("bad.ann", "[ab]\n[a]]\n", ["evaluate", "--pred", "good.pred", "--gold", "bad.ann"],
+         "bad.ann: character ']' outside brackets (line 2, column 4)"),
+        ("bad.params", "N=2\nt\n",
+         ["segment", "--index", "c.tab", "--input", "in.txt", "--params", "bad.params"],
+         "bad.params: expected key=value (line 2)"),
+        ("bad.params", "theta=1\ntheta=2\n",
+         ["segment", "--algorithm", "sst", "--stats", "c.big", "--input", "in.txt",
+          "--params", "bad.params"],
+         "bad.params: duplicate key 'theta' (line 2)"),
+        ("lex.tsv", "ab\t1\tstem\ncd\tx\tstem\n",
+         ["synth", "--lexicon", "lex.tsv", "--sequences", "2", "--out-corpus", "c.txt"],
+         "lex.tsv: could not convert string to float: 'x' (line 2)"),
+        ("lex.tsv", "ab\t1\tstem\n\ncd\t1\n",
+         ["synth", "--lexicon", "lex.tsv", "--sequences", "2", "--out-corpus", "c.txt"],
+         "lex.tsv: expected word<TAB>weight<TAB>role (line 3)"),
+    ], ids=["pred", "gold", "tango-params", "sst-params", "lexicon-weight", "lexicon-fields"])
+    def test_bad_line_names_file_line_and_column(self, files, capsys, name, text, argv, message):
+        Path(name).write_text(text)
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 class TestNonUtf8Files:
     """A file holding byte 0xff gives a message and exit status 2, not a traceback."""
 

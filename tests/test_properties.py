@@ -3,10 +3,11 @@ features and the synthetic corpus draws, in one chunk of the random stream
 and across many, against the naive oracle, table round trips, the
 count-file loaders on edited files against the reference reader, the
 count-file writer, from dicts and from the counting walk's blocks, against
-a sorted f-string formatter, the code point range filter against a
-per-character loop, the sst grid's distinct rules against the
-six-threshold rule at every setting, annotation parse/serialize round
-trips, and the annotation bracket views against a plain loop."""
+a sorted f-string formatter, the line reader's error places, the code
+point range filter against a per-character loop, the sst grid's distinct
+rules against the six-threshold rule at every setting, annotation
+parse/serialize round trips, and the annotation bracket views against a
+plain loop."""
 
 import io
 import math
@@ -28,6 +29,7 @@ from tangoseg import (
     FormatError,
     LexiconEntry,
     NGramTable,
+    ParameterError,
     TwoLevelAnnotation,
     build_table,
     codepoint_range_filter,
@@ -45,7 +47,7 @@ from tangoseg import (
 )
 from tangoseg import synth
 from tangoseg.cli import main
-from tangoseg.ngrams import _block_dict, _count_windows
+from tangoseg.ngrams import _block_dict, _count_windows, read_lines
 from tangoseg.sst import _sst_rule
 from tangoseg.training import SST_EXTREMUM_VALUES, SST_THETAS, _sst_rules
 
@@ -216,6 +218,48 @@ def test_edited_count_file_loads_as_the_reference_reader_reads_it(instance):
     else:
         assert len(expected) == 3, f"the loader reads the file, the reference says {expected}"
         assert counts == expected[2]
+
+
+# any character but the line break, other Unicode separators included, no surrogate
+line_chars = st.characters(exclude_characters="\n\r", exclude_categories=["Cs"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.text(line_chars, max_size=6), min_size=1, max_size=8), st.data())
+def test_read_lines_reports_a_parse_error_at_its_line_and_column(lines, data):
+    """The parse fails on a drawn line with a drawn column, or on none; lines
+    whose parse returns None are dropped but still counted."""
+    bad = data.draw(st.none() | st.integers(0, len(lines) - 1))
+    error = data.draw(st.sampled_from([FormatError, ParameterError, ValueError]))
+    column = data.draw(st.none() | st.integers(1, 80)) if error is FormatError else None
+    empty = data.draw(st.sets(st.integers(0, len(lines) - 1)))
+    seen = []
+
+    def parse(line):
+        seen.append(line)
+        i = len(seen) - 1
+        if i == bad:
+            raise FormatError("bad", column=column) if error is FormatError else error("bad")
+        return None if i in empty else (i, line)
+
+    text = "".join(line + "\n" for line in lines)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "lines.txt"
+        path.write_bytes(text.encode("utf-8"))
+        for source, name in ((path, path), (io.StringIO(text), None)):
+            seen.clear()
+            if bad is None:
+                assert read_lines(source, parse) == [
+                    (i, line) for i, line in enumerate(lines) if i not in empty]
+                assert seen == lines
+                continue
+            with pytest.raises(FormatError) as caught:
+                read_lines(source, parse)
+            exc = caught.value
+            assert (exc.message, exc.line, exc.column, exc.path) == ("bad", bad + 1, column, name)
+            where = f"line {bad + 1}" + (f", column {column}" if column is not None else "")
+            assert str(exc) == (f"{name}: " if name else "") + f"bad ({where})"
+            assert seen == lines[: bad + 1]
 
 
 def writer_reference(header, size_line, orders_line, counts):

@@ -404,6 +404,12 @@ class TestParamsFiles:
         with pytest.raises(FormatError, match=r"duplicate key 'N' \(line 2\)"):
             read_tango_params(path)
 
+    def test_blank_lines_are_skipped_before_the_duplicate_check(self, tmp_path):
+        # an "=x" line stores the key "", which a blank line must not repeat
+        path = tmp_path / "tango.params"
+        path.write_text("=x\n\nN=2\n   \nt=0.5\n\n")
+        assert read_tango_params(path) == TangoParams(frozenset({2}), 0.5)
+
     def test_flags_applied_at_read_time(self, tmp_path):
         path = tmp_path / "tango.params"
         write_tango_params(TangoParams(frozenset({2}), 0.5), path)
