@@ -50,6 +50,9 @@ from .training import (
 
 __all__ = ["main"]
 
+# the model flags each algorithm ignores; giving one is an error
+IGNORED_FLAGS = {"tango": ("stats", "estimator"), "sst": ("index", "no_local_max", "no_threshold")}
+
 
 def _parse_orders(text: str) -> frozenset[int]:
     try:
@@ -106,22 +109,32 @@ def cmd_build_index(args) -> int:
     return 0
 
 
+def _refuse_ignored_flags(args) -> None:
+    """ParameterError naming a given model flag that the chosen algorithm does not read."""
+    for name in IGNORED_FLAGS[args.algorithm]:
+        if getattr(args, name) not in (None, False):
+            flag = "--" + name.replace("_", "-")
+            raise ParameterError(f"{flag} is not read by the {args.algorithm} algorithm")
+
+
 def _tango_params_from_args(args) -> TangoParams:
-    use_local_max = not args.no_local_max
-    use_threshold = not args.no_threshold
     if args.params:
-        if args.orders or args.threshold is not None:
-            raise ParameterError("give either --params or --orders/--threshold, not both")
-        return read_tango_params(args.params, use_local_max, use_threshold)
+        # the file holds the orders, the threshold and the conditions
+        if args.orders or args.threshold is not None or args.no_local_max or args.no_threshold:
+            raise ParameterError("give either --params or "
+                                 "--orders/--threshold/--no-local-max/--no-threshold, not both")
+        return read_tango_params(args.params)
     if not args.orders or args.threshold is None:
         raise ParameterError("need --params or both --orders and --threshold")
-    return TangoParams(_parse_orders(args.orders), args.threshold, use_local_max, use_threshold)
+    return TangoParams(_parse_orders(args.orders), args.threshold,
+                       not args.no_local_max, not args.no_threshold)
 
 
 def _sst_params_from_args(args) -> SstParams:
     if args.params:
-        if args.theta is not None:
-            raise ParameterError("give either --params or --theta/--extremum, not both")
+        # the file holds the estimator too
+        if args.theta is not None or args.estimator is not None:
+            raise ParameterError("give either --params or --theta/--extremum/--estimator, not both")
         return read_sst_params(args.params)
     if args.theta is None:
         raise ParameterError("need --params or --theta")
@@ -129,10 +142,11 @@ def _sst_params_from_args(args) -> SstParams:
         thresholds = tuple(float(p) for p in args.extremum.split(","))
     except ValueError:
         raise ParameterError(f"bad extremum list {args.extremum!r}") from None
-    return SstParams(args.theta, thresholds, args.estimator)
+    return SstParams(args.theta, thresholds, args.estimator or "mle")
 
 
 def cmd_segment(args) -> int:
+    _refuse_ignored_flags(args)
     if args.algorithm == "tango":
         if not args.index:
             raise ParameterError("--index is required for the tango algorithm")
@@ -155,6 +169,7 @@ def cmd_segment(args) -> int:
 
 
 def cmd_train(args) -> int:
+    _refuse_ignored_flags(args)
     train_set = read_lines(args.train, parse_annotation)
     if not train_set:
         raise FormatError("no annotations found", path=args.train)
@@ -169,7 +184,7 @@ def cmd_train(args) -> int:
     else:
         if not args.stats:
             raise ParameterError("--stats is required for the sst algorithm")
-        stats = load_stats(args.stats, args.estimator)
+        stats = load_stats(args.stats, args.estimator or "mle")
         result = train_sst(train_set, stats, args.criterion)
         write_params = write_sst_params
         es = ",".join(f"{e:g}" for e in result.params.extremum_thresholds)
@@ -232,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     model.add_argument("--algorithm", choices=("tango", "sst"), default="tango")
     model.add_argument("--index", help="n-gram count table (tango)")
     model.add_argument("--stats", help="bigram statistics file (sst)")
-    model.add_argument("--estimator", choices=ESTIMATORS, default="mle")
+    model.add_argument("--estimator", choices=ESTIMATORS, help="sst estimator (default: mle)")
     model.add_argument("--no-local-max", action="store_true",
                        help="disable the local-maximum boundary condition")
     model.add_argument("--no-threshold", action="store_true",

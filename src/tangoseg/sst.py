@@ -158,11 +158,15 @@ class BigramStats:
 
     def var_cond(self, y: str, x: str) -> float:
         """Binomial variance of the conditional relative frequency."""
+        return self._transition(y, x)[1]
+
+    def _transition(self, y: str, x: str) -> tuple[float, float]:
+        """(p_cond(y, x), var_cond(y, x)), the conditional estimated once."""
         p = self.p_cond(y, x)
         cx = self.unigrams[x]
         if cx == 0:
-            return math.inf
-        return p * (1.0 - p) / cx
+            return p, math.inf
+        return p, p * (1.0 - p) / cx
 
 
 def mutual_information(stats: BigramStats, d: str, w: str) -> float:
@@ -200,8 +204,9 @@ def dts_terms(stats: BigramStats, c: str, d: str, w: str, x: str) -> DtsTerms:
     of the difference of conditional probabilities with pooled binomial
     variances.
     """
-    p_wd, p_dc, p_xw = stats.p_cond(w, d), stats.p_cond(d, c), stats.p_cond(x, w)
-    v_wd, v_dc, v_xw = stats.var_cond(w, d), stats.var_cond(d, c), stats.var_cond(x, w)
+    p_wd, v_wd = stats._transition(w, d)
+    p_dc, v_dc = stats._transition(d, c)
+    p_xw, v_xw = stats._transition(x, w)
     left, left_degen = _t_term(p_wd - p_dc, v_wd + v_dc)
     right, right_degen = _t_term(p_xw - p_wd, v_xw + v_wd)
     return DtsTerms(left - right, left, right, left_degen, right_degen)

@@ -310,14 +310,18 @@ def train_sst(
 
 
 def write_tango_params(params: TangoParams, destination) -> None:
-    """Key=value parameter file: ``N=2,4`` and ``t=0.4``."""
+    """Key=value parameter file: ``N=2,4`` and ``t=0.4``, then, when one
+    boundary condition is disabled, the other: ``conditions=threshold``."""
     orders = ",".join(str(n) for n in params.sorted_orders)
-    write_to(destination, f"N={orders}\nt={params.threshold:g}\n")
+    text = f"N={orders}\nt={params.threshold:g}\n"
+    if not (params.use_local_max and params.use_threshold):
+        text += f"conditions={'local-max' if params.use_local_max else 'threshold'}\n"
+    write_to(destination, text)
 
 
-def read_tango_params(
-    source, use_local_max: bool = True, use_threshold: bool = True
-) -> TangoParams:
+def read_tango_params(source) -> TangoParams:
+    """The parameters write_tango_params writes; both conditions are enabled
+    when the file names none."""
     values = read_key_values(source)
     try:
         orders = frozenset(read_int_list(values["N"]))
@@ -326,7 +330,11 @@ def read_tango_params(
         raise FormatError(f"missing parameter {exc.args[0]!r}") from None
     except ValueError:
         raise FormatError("malformed N or t value") from None
-    return TangoParams(orders, threshold, use_local_max, use_threshold)
+    conditions = values.get("conditions", "local-max,threshold").split(",")
+    if not set(conditions) <= {"local-max", "threshold"}:
+        raise FormatError("conditions must name local-max, threshold or both, "
+                          f"got {values['conditions']!r}")
+    return TangoParams(orders, threshold, "local-max" in conditions, "threshold" in conditions)
 
 
 def _formatted(values: np.ndarray, spec: str) -> np.ndarray:

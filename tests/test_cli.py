@@ -651,6 +651,66 @@ class TestSynth:
         assert list(Path("d").iterdir()) == []
 
 
+class TestModelFlags:
+    """A model flag the chosen algorithm ignores, or one a parameter file
+    already holds, exits 2 naming it."""
+
+    @pytest.fixture
+    def models(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run(capsys, "build-index", "--corpus", DATA / "toy_corpus.txt",
+                   "--out", "c.tab", "--bigrams-out", "c.big")[0] == 0
+        Path("in.txt").write_text("ABAB\n")
+        Path("tango.params").write_text("N=2\nt=0.5\n")
+        Path("sst.params").write_text("theta=5\n" + "".join(f"e{i}=0\n" for i in range(1, 7)))
+
+    @pytest.mark.parametrize("command", ["segment", "train"])
+    @pytest.mark.parametrize("algorithm, model, flag", [
+        ("tango", ["--index", "c.tab"], ["--stats", "c.big"]),
+        ("tango", ["--index", "c.tab"], ["--estimator", "mle"]),
+        ("sst", ["--stats", "c.big"], ["--index", "c.tab"]),
+        ("sst", ["--stats", "c.big"], ["--no-local-max"]),
+        ("sst", ["--stats", "c.big"], ["--no-threshold"]),
+    ])
+    def test_flag_the_algorithm_ignores_exits_2(self, models, capsys, command, algorithm, model,
+                                                flag):
+        rest = (["--input", "in.txt", "--params", f"{algorithm}.params"] if command == "segment"
+                else ["--train", DATA / "toy_gold.txt", "--criterion", "word-f", "--out", "p.txt"])
+        code, out, err = run(capsys, command, "--algorithm", algorithm, *model, *flag, *rest)
+        assert (code, out, err) == (2, "", f"error: {flag[0]} is not read by the {algorithm} "
+                                           "algorithm\n")
+        assert not Path("p.txt").exists()
+
+    @pytest.mark.parametrize("algorithm, model, flag, message", [
+        ("tango", ["--index", "c.tab"], "--no-local-max",
+         "--orders/--threshold/--no-local-max/--no-threshold"),
+        ("tango", ["--index", "c.tab"], "--no-threshold",
+         "--orders/--threshold/--no-local-max/--no-threshold"),
+        ("sst", ["--stats", "c.big"], "--estimator=ele", "--theta/--extremum/--estimator"),
+    ])
+    def test_flag_the_params_file_holds_exits_2(self, models, capsys, algorithm, model, flag,
+                                                message):
+        code, out, err = run(capsys, "segment", "--algorithm", algorithm, *model, flag,
+                             "--input", "in.txt", "--params", f"{algorithm}.params")
+        assert (code, out, err) == (2, "", f"error: give either --params or {message}, not both\n")
+
+    @pytest.mark.parametrize("flag", ["--no-local-max", "--no-threshold"])
+    def test_trained_condition_reaches_segment_through_the_file(self, models, capsys, flag):
+        assert run(capsys, "train", "--index", "c.tab", "--train", DATA / "toy_gold.txt",
+                   "--criterion", "word-f", "--out", "p.txt", flag)[0] == 0
+        values = dict(line.split("=") for line in Path("p.txt").read_text().splitlines())
+        kept = "threshold" if flag == "--no-local-max" else "local-max"
+        assert values["conditions"] == kept
+        Path("in.txt").write_text((DATA / "toy_input.txt").read_text())
+        code, from_file, _ = run(capsys, "segment", "--index", "c.tab", "--input", "in.txt",
+                                 "--params", "p.txt")
+        assert code == 0
+        code, inline, _ = run(capsys, "segment", "--index", "c.tab", "--input", "in.txt",
+                              "--orders", values["N"], "--threshold", values["t"], flag)
+        assert code == 0
+        assert from_file == inline
+
+
 class TestLineFileErrors:
     """A bad line of a line file exits 2 with ``file: message (line L, column C)``."""
 

@@ -2,6 +2,7 @@ import io
 import math
 import random
 from collections import Counter
+from itertools import product
 
 import numpy as np
 import pytest
@@ -165,6 +166,27 @@ def test_estimates_equal_naive_oracle_exactly(estimator, seed):
         assert stats.p_char("Z") == naive.p("Z")
         assert stats.p_pair("Z", seen[0]) == naive.p_pair("Z", seen[0])
         assert stats.p_cond(seen[0], "Z") == naive.p_cond(seen[0], "Z")
+
+
+@pytest.mark.parametrize("estimator", ["mle", "ele"])
+def test_dts_terms_estimates_each_conditional_once(monkeypatch, estimator):
+    lines = ["ABCABD", "BCDAB", "CABDC", "DDAB"]
+    stats = BigramStats.from_corpus(lines, estimator)
+    naive = NaiveBigramModel(lines, estimator)
+    calls = []
+    estimate = BigramStats._estimate
+
+    def counted(self, *args):
+        calls.append(args)
+        return estimate(self, *args)
+
+    monkeypatch.setattr(BigramStats, "_estimate", counted)
+    for c, d, w, x in product("ABCD", repeat=4):
+        calls.clear()
+        value = dts_terms(stats, c, d, w, x).value
+        # three transitions, each estimated once
+        assert len(calls) == 3
+        assert value == naive.dts(c, d, w, x)
 
 
 class TestExtremumFeatures:

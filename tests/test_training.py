@@ -411,10 +411,25 @@ class TestParamsFiles:
         assert read_tango_params(path) == TangoParams(frozenset({2}), 0.5)
 
     def test_flags_applied_at_read_time(self, tmp_path):
+        # a disabled condition is recorded in the file, and read back from it
         path = tmp_path / "tango.params"
-        write_tango_params(TangoParams(frozenset({2}), 0.5), path)
-        loaded = read_tango_params(path, use_threshold=False)
-        assert loaded.use_threshold is False
+        for local_max, threshold, line in ((True, False, "conditions=local-max\n"),
+                                           (False, True, "conditions=threshold\n")):
+            params = TangoParams(frozenset({2}), 0.5, local_max, threshold)
+            write_tango_params(params, path)
+            assert path.read_text() == "N=2\nt=0.5\n" + line
+            loaded = read_tango_params(path)
+            assert (loaded.use_local_max, loaded.use_threshold) == (local_max, threshold)
+            assert loaded == params
+        path.write_text("N=2\nt=0.5\nconditions=threshold,local-max\n")
+        assert read_tango_params(path) == TangoParams(frozenset({2}), 0.5)
+
+    @pytest.mark.parametrize("conditions", ["", "both", "threshold,", "local_max", "local-max;threshold"])
+    def test_unknown_condition_rejected(self, tmp_path, conditions):
+        path = tmp_path / "tango.params"
+        path.write_text(f"N=2\nt=0.5\nconditions={conditions}\n")
+        with pytest.raises(FormatError, match="^conditions must name local-max, threshold or both"):
+            read_tango_params(path)
 
     def test_grid_tsv_headers(self, toy_setup):
         table, stats, train_anns = toy_setup
