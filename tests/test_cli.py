@@ -671,7 +671,7 @@ class TestModelFlags:
         ("sst", ["--stats", "c.big"], ["--index", "c.tab"]),
         ("sst", ["--stats", "c.big"], ["--no-local-max"]),
         ("sst", ["--stats", "c.big"], ["--no-threshold"]),
-    ])
+    ], ids=["tango-stats", "tango-estimator", "sst-index", "sst-no-local-max", "sst-no-threshold"])
     def test_flag_the_algorithm_ignores_exits_2(self, models, capsys, command, algorithm, model,
                                                 flag):
         rest = (["--input", "in.txt", "--params", f"{algorithm}.params"] if command == "segment"
@@ -687,7 +687,7 @@ class TestModelFlags:
         ("tango", ["--index", "c.tab"], "--no-threshold",
          "--orders/--threshold/--no-local-max/--no-threshold"),
         ("sst", ["--stats", "c.big"], "--estimator=ele", "--theta/--extremum/--estimator"),
-    ])
+    ], ids=["tango-no-local-max", "tango-no-threshold", "sst-estimator"])
     def test_flag_the_params_file_holds_exits_2(self, models, capsys, algorithm, model, flag,
                                                 message):
         code, out, err = run(capsys, "segment", "--algorithm", algorithm, *model, flag,
