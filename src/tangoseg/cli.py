@@ -50,8 +50,10 @@ from .training import (
 
 __all__ = ["main"]
 
-# the model flags each algorithm ignores; giving one is an error
-IGNORED_FLAGS = {"tango": ("stats", "estimator"), "sst": ("index", "no_local_max", "no_threshold")}
+# per algorithm: its model-file flag, then the flags its parameter file holds; a model flag
+# is given when its value is not None, and no other algorithm's flag may be given
+MODEL_FLAGS = {"tango": ("index", ("orders", "threshold", "no_local_max", "no_threshold")),
+               "sst": ("stats", ("theta", "extremum", "estimator"))}
 
 
 def _parse_orders(text: str) -> frozenset[int]:
@@ -109,21 +111,25 @@ def cmd_build_index(args) -> int:
     return 0
 
 
-def _refuse_ignored_flags(args) -> None:
-    """ParameterError naming a given model flag that the chosen algorithm does not read."""
-    for name in IGNORED_FLAGS[args.algorithm]:
-        if getattr(args, name) not in (None, False):
-            flag = "--" + name.replace("_", "-")
-            raise ParameterError(f"{flag} is not read by the {args.algorithm} algorithm")
+def _check_model_flags(args) -> None:
+    """ParameterError for a model flag of another algorithm, a missing model
+    file, or a flag given with the --params file that holds it."""
+    def flag(name):
+        return "--" + name.replace("_", "-")
+
+    model, held = MODEL_FLAGS[args.algorithm]
+    given = {name for name, value in vars(args).items() if value is not None}
+    ignored = [name for other, (m, h) in MODEL_FLAGS.items() if other != args.algorithm
+               for name in (m, *h) if name in given]
+    if ignored:
+        raise ParameterError(f"{flag(ignored[0])} is not read by the {args.algorithm} algorithm")
+    if not getattr(args, model):
+        raise ParameterError(f"{flag(model)} is required for the {args.algorithm} algorithm")
+    if "params" in given and given.intersection(held):
+        raise ParameterError(f"give either --params or {'/'.join(map(flag, held))}, not both")
 
 
 def _tango_params_from_args(args) -> TangoParams:
-    if args.params:
-        # the file holds the orders, the threshold and the conditions
-        if args.orders or args.threshold is not None or args.no_local_max or args.no_threshold:
-            raise ParameterError("give either --params or "
-                                 "--orders/--threshold/--no-local-max/--no-threshold, not both")
-        return read_tango_params(args.params)
     if not args.orders or args.threshold is None:
         raise ParameterError("need --params or both --orders and --threshold")
     return TangoParams(_parse_orders(args.orders), args.threshold,
@@ -131,35 +137,27 @@ def _tango_params_from_args(args) -> TangoParams:
 
 
 def _sst_params_from_args(args) -> SstParams:
-    if args.params:
-        # the file holds the estimator too
-        if args.theta is not None or args.estimator is not None:
-            raise ParameterError("give either --params or --theta/--extremum/--estimator, not both")
-        return read_sst_params(args.params)
     if args.theta is None:
         raise ParameterError("need --params or --theta")
+    extremum = "0,0,0,0,0,0" if args.extremum is None else args.extremum
     try:
-        thresholds = tuple(float(p) for p in args.extremum.split(","))
+        thresholds = tuple(float(p) for p in extremum.split(","))
     except ValueError:
-        raise ParameterError(f"bad extremum list {args.extremum!r}") from None
+        raise ParameterError(f"bad extremum list {extremum!r}") from None
     return SstParams(args.theta, thresholds, args.estimator or "mle")
 
 
 def cmd_segment(args) -> int:
-    _refuse_ignored_flags(args)
+    _check_model_flags(args)
     if args.algorithm == "tango":
-        if not args.index:
-            raise ParameterError("--index is required for the tango algorithm")
-        params = _tango_params_from_args(args)
+        params = read_tango_params(args.params) if args.params else _tango_params_from_args(args)
         table = NGramTable.load(args.index)
         table.require_orders(params.orders)
         segmenter = partial(segment, params=params, table=table)
     else:
-        if not args.stats:
-            raise ParameterError("--stats is required for the sst algorithm")
-        params = _sst_params_from_args(args)
-        segmenter = partial(sst_segment, params=params,
-                            stats=load_stats(args.stats, params.estimator))
+        # sst_segment applies the params' estimator to the statistics
+        params = read_sst_params(args.params) if args.params else _sst_params_from_args(args)
+        segmenter = partial(sst_segment, params=params, stats=load_stats(args.stats))
     # each line is segmented as it is read, so a line the segmenter refuses, a blank one
     # too, is named by its file and line
     out = read_lines(args.input, lambda line: serialize_flat(segmenter(line)))
@@ -169,21 +167,17 @@ def cmd_segment(args) -> int:
 
 
 def cmd_train(args) -> int:
-    _refuse_ignored_flags(args)
+    _check_model_flags(args)
     train_set = read_lines(args.train, parse_annotation)
     if not train_set:
         raise FormatError("no annotations found", path=args.train)
     if args.algorithm == "tango":
-        if not args.index:
-            raise ParameterError("--index is required for the tango algorithm")
         result = train_tango(train_set, NGramTable.load(args.index), args.criterion,
                              not args.no_local_max, not args.no_threshold)
         write_params = write_tango_params
         orders = ",".join(map(str, result.params.sorted_orders))
         described = f"N={{{orders}}} t={result.params.threshold:g}"
     else:
-        if not args.stats:
-            raise ParameterError("--stats is required for the sst algorithm")
         stats = load_stats(args.stats, args.estimator or "mle")
         result = train_sst(train_set, stats, args.criterion)
         write_params = write_sst_params
@@ -248,9 +242,9 @@ def build_parser() -> argparse.ArgumentParser:
     model.add_argument("--index", help="n-gram count table (tango)")
     model.add_argument("--stats", help="bigram statistics file (sst)")
     model.add_argument("--estimator", choices=ESTIMATORS, help="sst estimator (default: mle)")
-    model.add_argument("--no-local-max", action="store_true",
+    model.add_argument("--no-local-max", action="store_true", default=None,
                        help="disable the local-maximum boundary condition")
-    model.add_argument("--no-threshold", action="store_true",
+    model.add_argument("--no-threshold", action="store_true", default=None,
                        help="disable the threshold boundary condition")
 
     p = sub.add_parser("build-index", help="build n-gram count tables from a raw corpus")
@@ -270,8 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--orders", help="comma list of orders (tango, with --threshold)")
     p.add_argument("--threshold", type=float, help="vote threshold in [0,1] (tango)")
     p.add_argument("--theta", type=float, help="mutual-information threshold (sst)")
-    p.add_argument("--extremum", default="0,0,0,0,0,0",
-                   help="six comma-separated extremum thresholds (sst)")
+    p.add_argument("--extremum",
+                   help="six comma-separated extremum thresholds (sst, default: 0,0,0,0,0,0)")
     p.set_defaults(func=cmd_segment)
 
     p = sub.add_parser("train", parents=[model],

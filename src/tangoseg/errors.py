@@ -29,10 +29,12 @@ class FormatError(Error, ValueError):
         message -- what is wrong
         line -- 1-based line number, when known
         column -- 1-based column number, when known
-        path -- the file read, when known
+        path -- the file read, when known; an open file is not named
     """
 
     def __init__(self, message, line=None, column=None, path=None):
+        if hasattr(path, "read"):
+            path = None
         self.message = message
         self.line = line
         self.column = column

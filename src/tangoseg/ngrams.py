@@ -94,10 +94,8 @@ def read_source(source) -> str:
 
     A decoding error from a path names the path.
     """
-    if hasattr(source, "read"):
-        payload = source.read()
-        return _decode_utf8(payload) if isinstance(payload, bytes) else payload
-    return _decode_utf8(Path(source).read_bytes(), source)
+    payload = source.read() if hasattr(source, "read") else Path(source).read_bytes()
+    return _decode_utf8(payload, source) if isinstance(payload, bytes) else payload
 
 
 def read_lines(source, parse: Callable[[str], object]) -> list:
@@ -108,9 +106,8 @@ def read_lines(source, parse: Callable[[str], object]) -> list:
         try:
             value = parse(line)
         except ValueError as exc:
-            path = None if hasattr(source, "read") else source
             raise FormatError(getattr(exc, "message", str(exc)), lineno,
-                              getattr(exc, "column", None), path) from None
+                              getattr(exc, "column", None), source) from None
         if value is not None:
             parsed.append(value)
     return parsed
@@ -314,22 +311,23 @@ def read_counts(source, layout: CountFile) -> "tuple[int, frozenset[int], dict[s
     del text
     if not lines or lines[0] != layout.header:
         found = lines[0] if lines else "<empty file>"
-        raise FormatError(f"expected header {layout.header!r}, found {found!r}", line=1)
+        raise FormatError(f"expected header {layout.header!r}, found {found!r}", line=1,
+                          path=source)
     if len(lines) < 2 or not lines[1].startswith(size_key + " "):
-        raise FormatError(f"expected '{size_key} <int>'", line=2)
+        raise FormatError(f"expected '{size_key} <int>'", line=2, path=source)
     try:
         (size,) = read_int_list(lines[1].split(" ", 1)[1])
     except ValueError:
-        raise FormatError(f"bad {size_key} value", line=2) from None
+        raise FormatError(f"bad {size_key} value", line=2, path=source) from None
     if orders is None:
         if len(lines) < 3 or not lines[2].startswith("orders "):
-            raise FormatError("expected 'orders <comma-list>'", line=3)
+            raise FormatError("expected 'orders <comma-list>'", line=3, path=source)
         try:
             orders = read_int_list(lines[2].split(" ", 1)[1])
         except ValueError:
-            raise FormatError("bad orders list", line=3) from None
+            raise FormatError("bad orders list", line=3, path=source) from None
         if any(n < 2 for n in orders):
-            raise FormatError("orders must all be >= 2", line=3)
+            raise FormatError("orders must all be >= 2", line=3, path=source)
     orders = frozenset(orders)
     codes = np.frombuffer(body.encode("utf-32-le", "surrogatepass"), np.uint32)
     del body
@@ -374,7 +372,7 @@ def read_counts(source, layout: CountFile) -> "tuple[int, frozenset[int], dict[s
 
     cut(bad, disorder)
     if error is not None:
-        raise FormatError(error, line=first + 1 + k)
+        raise FormatError(error, line=first + 1 + k, path=source)
     del codes, tabs, tab, ends, starts
     names = grams(k)
     del blocks  # only the names and counts stay

@@ -306,9 +306,9 @@ def read_sst_params(source) -> SstParams:
         theta = float(values["theta"])
         thresholds = tuple(float(values[f"e{i}"]) for i in range(1, 7))
     except KeyError as exc:
-        raise FormatError(f"missing parameter {exc.args[0]!r}") from None
+        raise FormatError(f"missing parameter {exc.args[0]!r}", path=source) from None
     except ValueError:
-        raise FormatError("non-numeric parameter value") from None
+        raise FormatError("non-numeric parameter value", path=source) from None
     estimator = values.get("estimator", "mle")
     return SstParams(theta, thresholds, estimator)
 

@@ -327,13 +327,13 @@ def read_tango_params(source) -> TangoParams:
         orders = frozenset(read_int_list(values["N"]))
         threshold = float(values["t"])
     except KeyError as exc:
-        raise FormatError(f"missing parameter {exc.args[0]!r}") from None
+        raise FormatError(f"missing parameter {exc.args[0]!r}", path=source) from None
     except ValueError:
-        raise FormatError("malformed N or t value") from None
+        raise FormatError("malformed N or t value", path=source) from None
     conditions = values.get("conditions", "local-max,threshold").split(",")
     if not set(conditions) <= {"local-max", "threshold"}:
         raise FormatError("conditions must name local-max, threshold or both, "
-                          f"got {values['conditions']!r}")
+                          f"got {values['conditions']!r}", path=source)
     return TangoParams(orders, threshold, "local-max" in conditions, "threshold" in conditions)
 
 

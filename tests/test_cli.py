@@ -664,14 +664,22 @@ class TestModelFlags:
         Path("tango.params").write_text("N=2\nt=0.5\n")
         Path("sst.params").write_text("theta=5\n" + "".join(f"e{i}=0\n" for i in range(1, 7)))
 
-    @pytest.mark.parametrize("command", ["segment", "train"])
-    @pytest.mark.parametrize("algorithm, model, flag", [
-        ("tango", ["--index", "c.tab"], ["--stats", "c.big"]),
-        ("tango", ["--index", "c.tab"], ["--estimator", "mle"]),
-        ("sst", ["--stats", "c.big"], ["--index", "c.tab"]),
-        ("sst", ["--stats", "c.big"], ["--no-local-max"]),
-        ("sst", ["--stats", "c.big"], ["--no-threshold"]),
-    ], ids=["tango-stats", "tango-estimator", "sst-index", "sst-no-local-max", "sst-no-threshold"])
+    # the flags that only segment takes are tried with segment alone
+    @pytest.mark.parametrize("command, algorithm, model, flag", [
+        pytest.param(command, algorithm, model, flag, id=f"{algorithm}-{flag[0][2:]}-{command}")
+        for algorithm, model, flag, commands in [
+            ("tango", ["--index", "c.tab"], ["--stats", "c.big"], ["segment", "train"]),
+            ("tango", ["--index", "c.tab"], ["--estimator", "mle"], ["segment", "train"]),
+            ("tango", ["--index", "c.tab"], ["--theta", "3"], ["segment"]),
+            ("tango", ["--index", "c.tab"], ["--extremum", "0,0,0,0,0,0"], ["segment"]),
+            ("sst", ["--stats", "c.big"], ["--index", "c.tab"], ["segment", "train"]),
+            ("sst", ["--stats", "c.big"], ["--no-local-max"], ["segment", "train"]),
+            ("sst", ["--stats", "c.big"], ["--no-threshold"], ["segment", "train"]),
+            ("sst", ["--stats", "c.big"], ["--orders", "2"], ["segment"]),
+            ("sst", ["--stats", "c.big"], ["--threshold", "0.5"], ["segment"]),
+        ]
+        for command in commands
+    ])
     def test_flag_the_algorithm_ignores_exits_2(self, models, capsys, command, algorithm, model,
                                                 flag):
         rest = (["--input", "in.txt", "--params", f"{algorithm}.params"] if command == "segment"
@@ -687,12 +695,21 @@ class TestModelFlags:
         ("tango", ["--index", "c.tab"], "--no-threshold",
          "--orders/--threshold/--no-local-max/--no-threshold"),
         ("sst", ["--stats", "c.big"], "--estimator=ele", "--theta/--extremum/--estimator"),
-    ], ids=["tango-no-local-max", "tango-no-threshold", "sst-estimator"])
+        ("sst", ["--stats", "c.big"], "--extremum=0,50,0,0,0,0", "--theta/--extremum/--estimator"),
+    ], ids=["tango-no-local-max", "tango-no-threshold", "sst-estimator", "sst-extremum"])
     def test_flag_the_params_file_holds_exits_2(self, models, capsys, algorithm, model, flag,
                                                 message):
         code, out, err = run(capsys, "segment", "--algorithm", algorithm, *model, flag,
                              "--input", "in.txt", "--params", f"{algorithm}.params")
         assert (code, out, err) == (2, "", f"error: give either --params or {message}, not both\n")
+
+    def test_train_with_both_conditions_disabled_exits_2(self, models, capsys):
+        code, out, err = run(capsys, "train", "--index", "c.tab", "--train", DATA / "toy_gold.txt",
+                             "--criterion", "word-f", "--out", "p.txt",
+                             "--no-local-max", "--no-threshold")
+        assert (code, out, err) == (2, "", "error: at least one boundary condition must be "
+                                           "enabled\n")
+        assert not Path("p.txt").exists()
 
     @pytest.mark.parametrize("flag", ["--no-local-max", "--no-threshold"])
     def test_trained_condition_reaches_segment_through_the_file(self, models, capsys, flag):
@@ -741,7 +758,19 @@ class TestLineFileErrors:
         ("lex.tsv", "ab\t1\tstem\n\ncd\t1\n",
          ["synth", "--lexicon", "lex.tsv", "--sequences", "2", "--out-corpus", "c.txt"],
          "lex.tsv: expected word<TAB>weight<TAB>role (line 3)"),
-    ], ids=["pred", "gold", "tango-params", "sst-params", "lexicon-weight", "lexicon-fields"])
+        ("miss.params", "N=2\n",
+         ["segment", "--index", "c.tab", "--input", "in.txt", "--params", "miss.params"],
+         "miss.params: missing parameter 't'"),
+        ("bad.params", "theta=x\n" + "".join(f"e{i}=0\n" for i in range(1, 7)),
+         ["segment", "--algorithm", "sst", "--stats", "c.big", "--input", "in.txt",
+          "--params", "bad.params"],
+         "bad.params: non-numeric parameter value"),
+        ("bad.tab", "tango-ngrams v1\ncorpus_size 4\norders 2\n2\tx\tAB\n",
+         ["segment", "--index", "bad.tab", "--input", "in.txt", "--orders", "2",
+          "--threshold", "0.5"],
+         "bad.tab: non-integer order or count (line 4)"),
+    ], ids=["pred", "gold", "tango-params", "sst-params", "lexicon-weight", "lexicon-fields",
+            "tango-params-missing-t", "sst-params-theta", "count-file"])
     def test_bad_line_names_file_line_and_column(self, files, capsys, name, text, argv, message):
         Path(name).write_text(text)
         assert run(capsys, *argv) == (2, "", f"error: {message}\n")

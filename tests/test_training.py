@@ -146,6 +146,17 @@ class TestTrainTango:
                 best = (params, score)
         assert result.params == best[0]
 
+    def test_both_conditions_disabled_rejected_before_any_vote(self, toy_setup, monkeypatch):
+        table, _, train_anns = toy_setup
+
+        def no_votes(*args):
+            raise AssertionError("votes computed")
+
+        monkeypatch.setattr(training, "_order_votes", no_votes)
+        with pytest.raises(ParameterError) as exc:
+            train_tango(train_anns, table, "word-f", use_local_max=False, use_threshold=False)
+        assert str(exc.value) == "at least one boundary condition must be enabled"
+
     def test_morpheme_criterion(self, toy_setup):
         table, _, train_anns = toy_setup
         result = train_tango(train_anns, table, "morpheme-precision")
@@ -395,8 +406,9 @@ class TestParamsFiles:
         # int() takes the first four, 3_0 as 30
         path = tmp_path / "tango.params"
         path.write_text(f"N={orders}\nt=0.5\n", encoding="utf-8")
-        with pytest.raises(FormatError, match="^malformed N or t value$"):
+        with pytest.raises(FormatError) as exc:
             read_tango_params(path)
+        assert (exc.value.message, exc.value.path) == ("malformed N or t value", path)
 
     def test_repeated_key_rejected(self, tmp_path):
         path = tmp_path / "tango.params"
@@ -428,8 +440,10 @@ class TestParamsFiles:
     def test_unknown_condition_rejected(self, tmp_path, conditions):
         path = tmp_path / "tango.params"
         path.write_text(f"N=2\nt=0.5\nconditions={conditions}\n")
-        with pytest.raises(FormatError, match="^conditions must name local-max, threshold or both"):
+        with pytest.raises(FormatError) as exc:
             read_tango_params(path)
+        message = f"conditions must name local-max, threshold or both, got {conditions!r}"
+        assert (exc.value.message, exc.value.path) == (message, path)
 
     def test_grid_tsv_headers(self, toy_setup):
         table, stats, train_anns = toy_setup
