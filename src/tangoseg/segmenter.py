@@ -8,12 +8,14 @@ local maximum, meets the threshold, or both, depending on the enabled
 conditions.
 
 One kernel serves segment, vote_profile and train_tango: it looks each
-n-gram window up once per order and reads every gap's comparisons from
-those counts.  vote_profile is the one public entry to the votes: its
-``votes[k-1]`` is the total vote at gap k, and with keep_per_order its
-``per_order[n][k-1]`` is order n's vote there.  One placement rule, local
-maximum or threshold, serves place_boundaries on one profile's floats and
-train_tango on arrays of settings.
+n-gram window up once and counts every gap's comparisons through a plan
+that depends only on the length and the sorted order set; the last 64
+plans are kept, at about 760 bytes per character under orders 2..6.
+vote_profile is the one public entry to the votes: its ``votes[k-1]`` is
+the total vote at gap k, and with keep_per_order its ``per_order[n][k-1]``
+is order n's vote there.  One placement rule, local maximum or threshold,
+serves place_boundaries on one profile's floats and train_tango on arrays
+of settings.
 
 Edge conventions (pinned by tests):
   * only comparisons between existing n-grams are performed; the vote
@@ -27,9 +29,11 @@ Edge conventions (pinned by tests):
 """
 
 import math
-from bisect import bisect_left
-from itertools import compress, repeat
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import compress, repeat
+
+import numpy as np
 
 from .annotations import FlatSegmentation
 from .errors import ParameterError
@@ -89,60 +93,69 @@ class VoteProfile:
             raise ParameterError("votes must lie in [0, 1]")
 
 
-def _gap_counts(seq: str, orders, table: NGramTable) -> list[list[tuple[int, int]]]:
-    """The vote kernel: per order, (affirmative, comparisons) at gaps 1..len-1.
+@lru_cache(maxsize=64)
+def _plan(length: int, orders: "tuple[int, ...]") -> "tuple[np.ndarray, ...]":
+    """(side, straddling, cell, comparisons), read-only intp arrays, for any
+    sequence of this length under these sorted orders: comparison i sets
+    window side[i] against straddling[i] in cell[i], row * (length - 1) +
+    k - 1 for orders[row] at gap k, and comparisons holds each cell's count
+    in _gap_counts' shape.  Windows are numbered as _gap_counts looks them up."""
+    k = np.arange(1, length)[:, None]  # one row per gap
+    parts = []
+    base = 0  # the number of the order's first window
+    for row, n in enumerate(orders):
+        last = length - n  # start of the last window
+        d = np.arange(1, n)
+        # each side window, ending or starting at k, against each straddling one
+        pairs = np.repeat(np.hstack([k - n, k]), n - 1, axis=1)
+        against = np.hstack([k - n + d, k - d])
+        fits = (pairs >= 0) & (pairs <= last) & (against >= 0) & (against <= last)
+        cells = np.broadcast_to(row * (length - 1) + k - 1, fits.shape)
+        parts.append((base + pairs[fits], base + against[fits], cells[fits]))
+        base += max(0, last + 1)
+    plan = [np.concatenate(a).astype(np.intp) for a in zip(*parts)]
+    comparisons = np.bincount(plan[2], minlength=len(orders) * (length - 1))
+    plan.append(comparisons.reshape(len(orders), length - 1))
+    for a in plan:
+        a.flags.writeable = False
+    return tuple(plan)
 
-    Row i belongs to orders[i]; its entry k-1 counts, at gap k, the
+
+def _gap_counts(seq: str, orders, table: NGramTable) -> "tuple[np.ndarray, np.ndarray]":
+    """The vote kernel: (affirmative, comparisons), one row per order and
+    one column per gap 1..len-1.
+
+    Row i belongs to orders[i]; its column k-1 counts, at gap k, the
     comparisons in which a side n-gram (the n characters ending at k, or the
     n starting at k+1) outnumbers a straddling one, and all comparisons
     made.  Only pairs whose both members fit the sequence are compared, so
     a gap no order-n side window fits gets (0, 0).  A table that does not
     cover every order raises UnsupportedOrderError.
 
-    Each order-n window seq[i:i+n] is looked up once, into c[i].  Gap k
-    compares its side windows c[k-n] and c[k] with the straddling windows
-    c[max(0, k-n+1) : min(k-1, len-n)+1]; windows outside the sequence take
-    no part.  A gap with a side window always has a straddling one.  With
-    the straddling counts sorted, the number a side count beats is one
-    bisection.
+    Each window is looked up once.  _plan keeps the comparisons per (length,
+    sorted orders), never per sequence or table, for the last 64 keys: 24
+    bytes for each of about 2(n-1) per character and order n, and 8 per
+    cell, so about 760 bytes per character under orders 2..6.
     """
     table.require_orders(orders)
-    counts = table.counts
-    length = len(seq)
-    rows = []
-    for n in orders:
-        c = [counts.get(seq[i : i + n], 1) for i in range(length - n + 1)]
-        last = length - n  # start of the last window
-        row = []
-        for k in range(1, length):
-            lo = k - n + 1
-            straddling = sorted(c[lo if lo > 0 else 0 : k if k <= last else last + 1])
-            if n <= k <= last:
-                both = bisect_left(straddling, c[k - n]) + bisect_left(straddling, c[k])
-                row.append((both, 2 * len(straddling)))
-            elif k <= last:
-                row.append((bisect_left(straddling, c[k]), len(straddling)))
-            elif k >= n:
-                row.append((bisect_left(straddling, c[k - n]), len(straddling)))
-            else:  # no side window fits the sequence
-                row.append((0, 0))
-        rows.append(row)
-    return rows
+    side, straddling, cell, comparisons = _plan(len(seq), tuple(orders))
+    get = table.counts.get
+    counts = [get(seq[i : i + n], 1) for n in orders for i in range(len(seq) - n + 1)]
+    c = np.fromiter(counts, np.int64, len(counts))
+    affirmative = np.bincount(cell[c[side] > c[straddling]], minlength=comparisons.size)
+    return affirmative.reshape(comparisons.shape), comparisons
 
 
-def _order_votes(seq: str, orders, table: NGramTable) -> "list[list[float | None]]":
-    """Per order, the vote at every gap; None where the order has no evidence."""
-    return [[a / c if c else None for a, c in row] for row in _gap_counts(seq, orders, table)]
+def _order_votes(seq: str, orders, table: NGramTable) -> "tuple[np.ndarray, np.ndarray]":
+    """Per order and gap, the vote (0 without evidence) and whether there is evidence."""
+    affirmative, comparisons = _gap_counts(seq, orders, table)
+    return affirmative / np.maximum(comparisons, 1), comparisons > 0
 
 
-def _mean_votes(rows) -> list[float]:
-    """Per gap, the mean of the rows' votes in row order, skipping None; 0
-    where no row has evidence."""
-    means = []
-    for gap in zip(*rows):
-        found = [v for v in gap if v is not None]
-        means.append(sum(found) / len(found) if found else 0.0)
-    return means
+def _mean_votes(votes: np.ndarray, evidence: np.ndarray) -> np.ndarray:
+    """Per gap, the mean of the rows' votes over the rows with evidence
+    there, summed row after row; 0 where no row has evidence."""
+    return sum(votes[1:], votes[0]) / np.maximum(evidence.sum(0), 1)
 
 
 def _padded(votes: list[float]) -> list[float]:
@@ -173,11 +186,11 @@ def vote_profile(
     orders = sorted(set(orders))
     if not orders:
         raise ParameterError("order set must be non-empty")
-    rows = _order_votes(seq, orders, table)
-    per_order = None
-    if keep_per_order:
-        per_order = {n: [0.0 if v is None else v for v in row] for n, row in zip(orders, rows)}
-    return VoteProfile(seq, _mean_votes(rows), per_order)
+    if not seq:
+        raise ValueError("segmentation over an empty sequence")
+    votes, evidence = _order_votes(seq, orders, table)
+    per_order = dict(zip(orders, votes.tolist())) if keep_per_order else None
+    return VoteProfile(seq, _mean_votes(votes, evidence).tolist(), per_order)
 
 
 def place_boundaries(profile: VoteProfile, params: TangoParams) -> FlatSegmentation:

@@ -241,9 +241,10 @@ def train_tango(
 ) -> TrainResult:
     """Grid search for the voting segmenter on an annotated training set.
 
-    Per-order votes are computed once per sequence, and each order subset's
-    mean votes once per sequence; one call of the placement rule places them
-    under all of the subset's thresholds.  The returned parameters carry the
+    Per-order votes are computed once per sequence and laid out as the
+    boundary rows are, and each order subset's mean votes are taken once
+    over that layout; one call of the placement rule places them under all
+    of the subset's thresholds.  The returned parameters carry the
     condition flags used.  A table that does not cover orders 2..6 raises
     UnsupportedOrderError.  The result's grid keeps the tango_grid()
     settings and their scores; only the best setting is built as a
@@ -252,24 +253,25 @@ def train_tango(
     layout = _BoundaryRows(train_set, criterion)
     if not (use_local_max or use_threshold):
         raise ParameterError("at least one boundary condition must be enabled")
-    # per sequence, per order: the vote at each gap, None without evidence
-    order_votes = [
-        dict(zip(TANGO_ORDER_POOL, _order_votes(ann.sequence, TANGO_ORDER_POOL, table)))
-        for ann in train_set
-    ]
+    order_votes = [_order_votes(ann.sequence, TANGO_ORDER_POOL, table) for ann in train_set]
+    # per order, every sequence's votes (0 without evidence) and evidence at its gaps' columns
+    votes = np.array([layout.spread(rows, 1) for rows in zip(*(v for v, _ in order_votes))])
+    evidence = np.array([layout.spread(rows, 1) for rows in zip(*(e for _, e in order_votes))])
+    # each sequence's edge value in its end columns, the neighbours of its first and last gaps
+    edges = layout.spread([_padded([0.0] * (len(ann.sequence) - 1)) for ann in train_set])
     settings = list(tango_grid())
     per_subset = len(TANGO_THRESHOLDS)
     thresholds = np.array(TANGO_THRESHOLDS if use_threshold else [math.inf] * per_subset)
+    # per subset, its orders' rows in votes and evidence
+    picks = [[TANGO_ORDER_POOL.index(n) for n in subset] for subset, _ in settings[::per_subset]]
 
     def rows(lo, hi):
-        # per subset, each sequence's mean votes with its edge value in its
-        # end columns, so that a gap's neighbours are the columns beside it
-        votes = np.array([
-            layout.spread([_padded(_mean_votes([v[n] for n in subset])) for v in order_votes])
-            for subset, _ in settings[lo:hi:per_subset]
+        means = np.array([
+            _mean_votes(votes[pick], evidence[pick]) + edges
+            for pick in picks[lo // per_subset : hi // per_subset]
         ])[:, None]
-        left, right = np.roll(votes, 1, -1), np.roll(votes, -1, -1)
-        placed = _tango_rule(left, votes, right, use_local_max, thresholds[:, None])
+        left, right = np.roll(means, 1, -1), np.roll(means, -1, -1)
+        placed = _tango_rule(left, means, right, use_local_max, thresholds[:, None])
         return placed.reshape(-1, layout.width)
 
     def make(setting):

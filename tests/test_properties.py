@@ -1,13 +1,13 @@
-"""Property tests: the counting engine, the vote kernel, the sst peak
-features and the synthetic corpus draws, in one chunk of the random stream
-and across many, against the naive oracle, table round trips, the
-count-file loaders on edited files against the reference reader, the
-count-file writer, from dicts and from the counting walk's blocks, against
-a sorted f-string formatter, the line reader's error places, the code
-point range filter against a per-character loop, the sst grid's distinct
-rules against the six-threshold rule at every setting, annotation
-parse/serialize round trips, and the annotation bracket views against a
-plain loop."""
+"""Property tests: the counting engine, the vote kernel and its plan
+cache, the sst peak features and the synthetic corpus draws, in one chunk
+of the random stream and across many, against the naive oracle, table
+round trips, the count-file loaders on edited files against the reference
+reader, the count-file writer, from dicts and from the counting walk's
+blocks, against a sorted f-string formatter, the line reader's error
+places, the code point range filter against a per-character loop, the sst
+grid's distinct rules against the six-threshold rule at every setting,
+annotation parse/serialize round trips, and the annotation bracket views
+against a plain loop."""
 
 import io
 import math
@@ -45,7 +45,7 @@ from tangoseg import (
     vote_profile,
     write_lexicon,
 )
-from tangoseg import synth
+from tangoseg import segmenter, synth
 from tangoseg.cli import main
 from tangoseg.ngrams import _block_dict, _count_windows, read_lines
 from tangoseg.sst import _sst_rule
@@ -84,6 +84,27 @@ def test_vote_profile_matches_oracle(instance):
     for n in orders:
         expected = [naive_order_vote(seq, k, n, look) for k in range(1, len(seq))]
         assert profile.per_order[n] == [0.0 if v is None else v for v in expected]
+
+
+@settings(max_examples=200, deadline=None)
+@given(vote_instances(), st.data())
+def test_vote_plans_are_keyed_by_length_and_order_set_only(instance, data):
+    # two sequences of one length, under the orders given as a set, a list and a
+    # frozenset, share one plan, and each votes as the oracle does
+    corpus, first, orders = instance
+    second = data.draw(st.text("abcde", min_size=len(first), max_size=len(first)))
+    assume(second != first)
+    table = build_table(Corpus(corpus), range(2, 7))
+    look = pruned_lookup(corpus, range(2, 7))
+    segmenter._plan.cache_clear()
+    for seq, given_orders in [(first, set(orders)), (second, sorted(orders, reverse=True)),
+                              (first, frozenset(orders)), (second, set(orders))]:
+        profile = vote_profile(seq, given_orders, table, keep_per_order=True)
+        assert profile.votes == naive_total_votes(seq, orders, look)
+        for n in orders:
+            expected = [naive_order_vote(seq, k, n, look) for k in range(1, len(seq))]
+            assert profile.per_order[n] == [0.0 if v is None else v for v in expected]
+    assert segmenter._plan.cache_info().misses == 1
 
 
 # profile values from a small set, so that plateaus and ties are common

@@ -17,9 +17,10 @@ from tangoseg import (
     sst_segment,
     vote_profile,
 )
-from tangoseg.segmenter import _gap_counts
+import tangoseg.segmenter as segmenter
+from tangoseg.segmenter import _gap_counts, _plan
 
-from naive import naive_boundaries, naive_total_votes, pruned_lookup
+from naive import naive_boundaries, naive_order_vote, naive_total_votes, pruned_lookup
 
 
 def both(t):
@@ -36,18 +37,20 @@ class TestOrderVote:
     def test_separator_location_unanimous(self, toy_table):
         # ABCD and WXYZ each seen 9 times, straddling 4-grams unseen
         assert vote_profile("ABCDWXYZ", {4}, toy_table).votes[3] == 1.0
-        assert _gap_counts("ABCDWXYZ", (4,), toy_table)[0][3] == (6, 6)
+        affirmative, comparisons = _gap_counts("ABCDWXYZ", (4,), toy_table)
+        assert (affirmative[0][3], comparisons[0][3]) == (6, 6)
 
     def test_edge_gap_uses_existing_grams_only(self):
         table = build_table(Corpus(["BCBC", "ABX"]), {2})
         # at gap 1 of ABCD only the right 2-gram exists; one comparison
-        affirmative, comparisons = _gap_counts("ABCD", (2,), table)[0][0]
-        assert comparisons == 1
-        assert affirmative == int(table.count("BC") > table.count("AB"))
+        affirmative, comparisons = _gap_counts("ABCD", (2,), table)
+        assert comparisons[0][0] == 1
+        assert affirmative[0][0] == int(table.count("BC") > table.count("AB"))
 
     def test_no_pairs_returns_zero(self):
         table = NGramTable({2}, {}, 0)
-        assert _gap_counts("AB", (2,), table) == [[(0, 0)]]
+        affirmative, comparisons = _gap_counts("AB", (2,), table)
+        assert (affirmative.tolist(), comparisons.tolist()) == ([[0]], [[0]])
         assert vote_profile("AB", {2}, table).votes == [0.0]
 
     def test_unsupported_order(self, toy_table):
@@ -61,6 +64,41 @@ class TestOrderVote:
             k = rng.randint(1, len(seq) - 1)
             n = rng.choice((2, 3, 4))
             assert 0.0 <= vote_profile(seq, {n}, toy_table).votes[k - 1] <= 1.0
+
+
+class TestPlanCache:
+    def test_long_sequence_matches_oracle(self):
+        rng = random.Random(41)
+        corpus = ["".join(rng.choice("ABCDE") for _ in range(rng.randint(2, 12))) for _ in range(300)]
+        table = build_table(Corpus(corpus), range(2, 7))
+        look = pruned_lookup(corpus, range(2, 7))
+        seq = "".join(rng.choice("ABCDE") for _ in range(3000))
+        profile = vote_profile(seq, range(2, 7), table, keep_per_order=True)
+        assert profile.votes == naive_total_votes(seq, range(2, 7), look)
+        for n in range(2, 7):
+            expected = [naive_order_vote(seq, k, n, look) for k in range(1, len(seq))]
+            assert profile.per_order[n] == [0.0 if v is None else v for v in expected]
+
+    def test_plan_arrays_refuse_writes(self):
+        for array in _plan(9, (2, 3)):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 7
+
+    def test_cache_is_bounded(self):
+        assert _plan.cache_info().maxsize is not None
+
+    def test_votes_are_plain_floats(self, toy_table):
+        profile = vote_profile("ABCDWXYZ", {2, 4}, toy_table, keep_per_order=True)
+        values = profile.votes + profile.per_order[2] + profile.per_order[4]
+        assert {type(v) for v in values} == {float}
+
+    def test_empty_sequence_refused_before_any_plan(self, toy_table, monkeypatch):
+        def no_plan(*args):
+            raise AssertionError("plan built")
+
+        monkeypatch.setattr(segmenter, "_plan", no_plan)
+        with pytest.raises(ValueError, match="^segmentation over an empty sequence$"):
+            vote_profile("", (2, 3), toy_table)
 
 
 class TestTotalVote:
