@@ -41,6 +41,7 @@ from .sst import ESTIMATORS, SstParams, load_stats, read_sst_params, sst_segment
 from .synth import _draw_words, _sequences, read_lexicon
 from .training import (
     CRITERIA,
+    TANGO_ORDER_POOL,
     grid_to_tsv,
     read_tango_params,
     train_sst,
@@ -130,7 +131,7 @@ def _check_model_flags(args) -> None:
 
 
 def _tango_params_from_args(args) -> TangoParams:
-    if not args.orders or args.threshold is None:
+    if args.orders is None or args.threshold is None:
         raise ParameterError("need --params or both --orders and --threshold")
     return TangoParams(_parse_orders(args.orders), args.threshold,
                        not args.no_local_max, not args.no_threshold)
@@ -250,7 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build-index", help="build n-gram count tables from a raw corpus")
     p.add_argument("--corpus", required=True, help="raw unsegmented corpus file")
     p.add_argument("--out", help="output path for the n-gram count table")
-    p.add_argument("--orders", default="2,3,4,5,6", help="comma list of n-gram orders")
+    p.add_argument("--orders", default=",".join(map(str, TANGO_ORDER_POOL)),
+                   help="comma list of n-gram orders")
     p.add_argument("--filter-range",
                    help="hex codepoint ranges selecting sequence characters, e.g. 4E00-9FFF")
     p.add_argument("--bigrams-out", help="also write raw bigram statistics for sst")

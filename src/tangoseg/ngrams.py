@@ -26,9 +26,10 @@ one back into blocks for writing.
 
 Every file format of the package is read and written here once: lines
 (``split_lines``, ``read_lines``), files (``read_source``, ``write_to``),
-integer lists (``read_int_list``), ``key=value`` files (``read_key_values``)
-and count files (``write_counts``, ``read_counts``) of two layouts, ``TABLE``
-for the pruned table, declaring its orders, and ``STATS`` for the bigrams.
+integer lists (``read_int_list``), ``key=value`` files (``read_key_values``,
+``float_text``) and count files (``write_counts``, ``read_counts``) of two
+layouts, ``TABLE`` for the pruned table, declaring its orders, and ``STATS``
+for the bigrams.  ``order_set`` is the package's one order-set rule.
 """
 
 import codecs
@@ -66,6 +67,15 @@ class CountFile:
 
 TABLE = CountFile("tango-ngrams v1", "corpus_size", None, 2)
 STATS = CountFile("tango-bigrams v1", "total_chars", (1, 2), 1)
+
+
+def order_set(orders: Iterable[int], name: str = "orders") -> "tuple[int, ...]":
+    """The distinct orders ascending; ParameterError unless one or more ints >= 2."""
+    distinct = set(orders)
+    if distinct and all(isinstance(n, int) and n >= 2 for n in distinct):
+        return tuple(sorted(distinct))
+    got = sorted(distinct, key=repr)
+    raise ParameterError(f"{name} must be one or more integers >= 2, got {got}")
 
 
 def split_lines(text: str) -> list[str]:
@@ -138,9 +148,10 @@ def write_to(destination, payload: "str | bytes") -> None:
         Path(destination).write_bytes(payload)
 
 
-def read_key_values(source) -> dict[str, str]:
-    """The ``key=value`` lines of a parameter file; blank lines are skipped
-    and a key may appear once."""
+def read_key_values(source, keys: "dict[str, str | None]") -> dict[str, str]:
+    """The values of a parameter file's ``key=value`` lines, blank lines
+    skipped: keys maps each key the reader knows to its default, None for a
+    key the file must give, and a key may appear once."""
     values: dict[str, str] = {}
 
     def parse(line: str) -> None:
@@ -150,12 +161,22 @@ def read_key_values(source) -> dict[str, str]:
         if not sep:
             raise FormatError("expected key=value")
         key = key.strip()
+        if key not in keys:
+            raise FormatError(f"unknown parameter {key!r}")
         if key in values:
             raise FormatError(f"duplicate key {key!r}")
         values[key] = value.strip()
 
     read_lines(source, parse)
-    return values
+    missing = [key for key, default in keys.items() if default is None and key not in values]
+    if missing:
+        raise FormatError(f"missing parameter {missing[0]!r}", path=source)
+    return {**keys, **values}
+
+
+def float_text(value: float) -> str:
+    """The shortest text float() reads back as value, a trailing ".0" dropped."""
+    return repr(float(value)).removesuffix(".0")
 
 
 def _code_text(codes) -> str:
@@ -217,24 +238,22 @@ def write_counts(
     ``<order>\\t<count>\\t<gram>`` line per gram of the count blocks
     ``{n: (grams, counts)}``, orders ascending, each block as it comes.
     Whatever read_counts would reject raises ParameterError before anything
-    is written: a negative size, a declared order below 2, a gram whose
+    is written: a negative size, declared orders order_set refuses, a gram whose
     length is not one of the orders, a count below the layout's min_count or
     of over MAX_DIGITS digits, a gram holding tab, newline or CR, grams not
     strictly ascending within a block, or a gram UTF-8 cannot encode.
     """
-    orders = sorted(set(orders))
     if size < 0:
         raise ParameterError(f"{layout.size_key} must be >= 0, got {size}")
     parts = [f"{layout.header}\n{layout.size_key} {size}\n"]
+    orders = sorted(set(orders)) if layout.orders else order_set(orders, "declared orders")
     if layout.orders is None:
-        if not orders or orders[0] < 2:
-            raise ParameterError(f"declared orders must be integers >= 2, got {orders}")
         parts.append("orders " + ",".join(map(str, orders)) + "\n")
     blocks = [(n, g, c) for n, (g, c) in sorted(blocks.items()) if len(c)]
     low, high = layout.min_count, 10**MAX_DIGITS
     for n, grams, count in blocks:
         if n not in orders:
-            raise ParameterError(f"gram of order {n} is not of the orders {orders}")
+            raise ParameterError(f"gram of order {n} is not of the orders {list(orders)}")
         bad = (count < low) | (count >= high)
         if bad.any():
             i = int(np.argmax(bad))
@@ -577,19 +596,14 @@ def _walk_blocks(
     """The count blocks of the table of table_orders and of the bigram stats,
     each None when not asked for, from one counting walk over sequences.
 
-    The table's orders must be integers >= 2 and its corpus must hold no
+    The table's orders follow order_set and its corpus must hold no
     tab, newline or CR, which its file cannot store; the stats need at least
     one character.  The stats keep every count and the table counts of 2 or
     more, so an order 2 the two share is pruned after the walk.
     """
     walk = {1: 1, 2: 1} if stats else {}  # {order: min_count}; the stats' win on order 2
     if table_orders is not None:
-        table_orders = sorted(set(table_orders))
-        if not table_orders:
-            raise ParameterError("orders must be non-empty")
-        for n in table_orders:
-            if not isinstance(n, int) or n < 2:
-                raise ParameterError(f"n-gram order must be an integer >= 2, got {n!r}")
+        table_orders = order_set(table_orders)
         text = "".join(sequences)
         for bad in "\t\n\r":
             if bad in text:

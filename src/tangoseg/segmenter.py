@@ -7,15 +7,12 @@ averaged, and a gap becomes a boundary when the averaged vote is a strict
 local maximum, meets the threshold, or both, depending on the enabled
 conditions.
 
-One kernel serves segment, vote_profile and train_tango: it looks each
-n-gram window up once and counts every gap's comparisons through a plan
-that depends only on the length and the sorted order set; the last 64
-plans are kept, at about 760 bytes per character under orders 2..6.
-vote_profile is the one public entry to the votes: its ``votes[k-1]`` is
-the total vote at gap k, and with keep_per_order its ``per_order[n][k-1]``
-is order n's vote there.  One placement rule, local maximum or threshold,
-serves place_boundaries on one profile's floats and train_tango on arrays
-of settings.
+One kernel, _gap_counts, serves segment, vote_profile and train_tango: it
+looks each n-gram window up once and counts every gap's comparisons
+through a plan that depends only on the length and the sorted order set.
+One placement rule, _tango_rule, local maximum or threshold, serves
+place_boundaries on one profile's floats and train_tango on arrays of
+settings.  The order set follows ngrams.order_set.
 
 Edge conventions (pinned by tests):
   * only comparisons between existing n-grams are performed; the vote
@@ -37,7 +34,7 @@ import numpy as np
 
 from .annotations import FlatSegmentation
 from .errors import ParameterError
-from .ngrams import NGramTable
+from .ngrams import NGramTable, order_set
 
 __all__ = [
     "TangoParams",
@@ -46,6 +43,11 @@ __all__ = [
     "segment",
     "vote_profile",
 ]
+
+
+def _require_condition(use_local_max: bool, use_threshold: bool) -> None:
+    if not (use_local_max or use_threshold):
+        raise ParameterError("at least one boundary condition must be enabled")
 
 
 @dataclass(frozen=True)
@@ -58,15 +60,10 @@ class TangoParams:
     use_threshold: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "orders", frozenset(self.orders))
-        if not self.orders:
-            raise ParameterError("order set must be non-empty")
-        if any(not isinstance(n, int) or n < 2 for n in self.orders):
-            raise ParameterError("all orders must be integers >= 2")
+        object.__setattr__(self, "orders", frozenset(order_set(self.orders)))
         if not 0.0 <= self.threshold <= 1.0:
             raise ParameterError(f"threshold must be in [0, 1], got {self.threshold}")
-        if not (self.use_local_max or self.use_threshold):
-            raise ParameterError("at least one boundary condition must be enabled")
+        _require_condition(self.use_local_max, self.use_threshold)
 
     @property
     def sorted_orders(self) -> tuple[int, ...]:
@@ -138,7 +135,7 @@ def _gap_counts(seq: str, orders, table: NGramTable) -> "tuple[np.ndarray, np.nd
     cell, so about 760 bytes per character under orders 2..6.
     """
     table.require_orders(orders)
-    side, straddling, cell, comparisons = _plan(len(seq), tuple(orders))
+    side, straddling, cell, comparisons = _plan(len(seq), orders)
     get = table.counts.get
     counts = [get(seq[i : i + n], 1) for n in orders for i in range(len(seq) - n + 1)]
     c = np.fromiter(counts, np.int64, len(counts))
@@ -183,9 +180,7 @@ def vote_profile(
     """Total vote at every gap: votes[k-1] is the mean vote at gap k over the
     orders with evidence there, 0 where none has.  With keep_per_order,
     per_order[n][k-1] is order n's vote at gap k, 0 without evidence."""
-    orders = sorted(set(orders))
-    if not orders:
-        raise ParameterError("order set must be non-empty")
+    orders = order_set(orders)
     if not seq:
         raise ValueError("segmentation over an empty sequence")
     votes, evidence = _order_votes(seq, orders, table)

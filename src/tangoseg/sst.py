@@ -43,6 +43,7 @@ from .ngrams import (
     _block_dict,
     _dict_blocks,
     _walk_blocks,
+    float_text,
     read_counts,
     read_key_values,
     write_counts,
@@ -294,23 +295,21 @@ def sst_segment(seq: str, params: SstParams, stats: BigramStats) -> FlatSegmenta
 
 def write_sst_params(params: SstParams, destination) -> None:
     """Plain key=value parameter file (theta, e1..e6, estimator)."""
-    lines = [f"theta={params.theta:g}"]
-    lines += [f"e{i + 1}={e:g}" for i, e in enumerate(params.extremum_thresholds)]
+    lines = [f"theta={float_text(params.theta)}"]
+    lines += [f"e{i + 1}={float_text(e)}" for i, e in enumerate(params.extremum_thresholds)]
     lines.append(f"estimator={params.estimator}")
     write_to(destination, "\n".join(lines) + "\n")
 
 
 def read_sst_params(source) -> SstParams:
-    values = read_key_values(source)
+    extremum = [f"e{i}" for i in range(1, 7)]
+    values = read_key_values(source, {"theta": None, **dict.fromkeys(extremum), "estimator": "mle"})
     try:
         theta = float(values["theta"])
-        thresholds = tuple(float(values[f"e{i}"]) for i in range(1, 7))
-    except KeyError as exc:
-        raise FormatError(f"missing parameter {exc.args[0]!r}", path=source) from None
+        thresholds = tuple(float(values[e]) for e in extremum)
     except ValueError:
         raise FormatError("non-numeric parameter value", path=source) from None
-    estimator = values.get("estimator", "mle")
-    return SstParams(theta, thresholds, estimator)
+    return SstParams(theta, thresholds, values["estimator"])
 
 
 def save_stats(stats: BigramStats, destination) -> int:

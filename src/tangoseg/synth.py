@@ -62,7 +62,7 @@ def read_lexicon(source) -> list[LexiconEntry]:
     """Read ``word<TAB>weight<TAB>role`` lines; blank lines are skipped."""
     entries = read_lines(source, _lexicon_entry)
     if not entries:
-        raise FormatError("lexicon is empty")
+        raise FormatError("lexicon is empty", path=source)
     return entries
 
 

@@ -36,8 +36,9 @@ import numpy as np
 from .annotations import TwoLevelAnnotation
 from .errors import FormatError, ParameterError
 from .metrics import _prf
-from .ngrams import NGramTable, read_int_list, read_key_values, write_to
-from .segmenter import TangoParams, _mean_votes, _order_votes, _padded, _tango_rule
+from .ngrams import NGramTable, float_text, read_int_list, read_key_values, write_to
+from .segmenter import (TangoParams, _mean_votes, _order_votes, _padded, _require_condition,
+                        _tango_rule)
 from .sst import BigramStats, SstParams, _gap_features, _peak_bounds, _sst_rule
 
 __all__ = [
@@ -251,8 +252,7 @@ def train_tango(
     TangoParams here.
     """
     layout = _BoundaryRows(train_set, criterion)
-    if not (use_local_max or use_threshold):
-        raise ParameterError("at least one boundary condition must be enabled")
+    _require_condition(use_local_max, use_threshold)
     order_votes = [_order_votes(ann.sequence, TANGO_ORDER_POOL, table) for ann in train_set]
     # per order, every sequence's votes (0 without evidence) and evidence at its gaps' columns
     votes = np.array([layout.spread(rows, 1) for rows in zip(*(v for v, _ in order_votes))])
@@ -315,7 +315,7 @@ def write_tango_params(params: TangoParams, destination) -> None:
     """Key=value parameter file: ``N=2,4`` and ``t=0.4``, then, when one
     boundary condition is disabled, the other: ``conditions=threshold``."""
     orders = ",".join(str(n) for n in params.sorted_orders)
-    text = f"N={orders}\nt={params.threshold:g}\n"
+    text = f"N={orders}\nt={float_text(params.threshold)}\n"
     if not (params.use_local_max and params.use_threshold):
         text += f"conditions={'local-max' if params.use_local_max else 'threshold'}\n"
     write_to(destination, text)
@@ -324,15 +324,13 @@ def write_tango_params(params: TangoParams, destination) -> None:
 def read_tango_params(source) -> TangoParams:
     """The parameters write_tango_params writes; both conditions are enabled
     when the file names none."""
-    values = read_key_values(source)
+    values = read_key_values(source, {"N": None, "t": None, "conditions": "local-max,threshold"})
     try:
         orders = frozenset(read_int_list(values["N"]))
         threshold = float(values["t"])
-    except KeyError as exc:
-        raise FormatError(f"missing parameter {exc.args[0]!r}", path=source) from None
     except ValueError:
         raise FormatError("malformed N or t value", path=source) from None
-    conditions = values.get("conditions", "local-max,threshold").split(",")
+    conditions = values["conditions"].split(",")
     if not set(conditions) <= {"local-max", "threshold"}:
         raise FormatError("conditions must name local-max, threshold or both, "
                           f"got {values['conditions']!r}", path=source)

@@ -74,6 +74,69 @@ def naive_boundaries(votes, t, use_local_max=True, use_threshold=True):
     return bounds
 
 
+def naive_brackets(length, boundaries):
+    """The (start, end) segments that a set of boundary locations cuts the
+    characters 0 .. length into, end exclusive."""
+    edges = [0] + sorted(boundaries) + [length]
+    return [(edges[i], edges[i + 1]) for i in range(len(edges) - 1)]
+
+
+def naive_percentages(matched, proposed, gold):
+    """Precision and recall in percent, 100 when nothing is proposed (or in
+    the gold), and F, their harmonic mean, 0 when both are 0."""
+    precision = 100.0 * matched / proposed if proposed else 100.0
+    recall = 100.0 * matched / gold if gold else 100.0
+    f = 2.0 * precision * recall / (precision + recall) if precision + recall else 0.0
+    return precision, recall, f
+
+
+def naive_sequence_score(length, proposed, words, morphemes):
+    """The compatible-bracket counts of one proposed segmentation against a
+    two-level annotation, each given as its boundary set, one proposed
+    bracket at a time.
+
+    A proposed bracket is morpheme-dividing when some morpheme bracket
+    contains it and is not equal to it; otherwise crossing when it partially
+    overlaps some word or morpheme bracket (the two share a character and
+    neither contains the other); otherwise compatible.  A bracket matches
+    a level when it equals one of that level's brackets.
+    """
+    proposed = naive_brackets(length, proposed)
+    words = naive_brackets(length, words)
+    morphemes = naive_brackets(length, morphemes)
+
+    def contains(outer, inner):
+        return outer[0] <= inner[0] and inner[1] <= outer[1]
+
+    def partially_overlap(a, b):
+        share = max(a[0], b[0]) < min(a[1], b[1])
+        return share and not contains(a, b) and not contains(b, a)
+
+    crossing = dividing = compatible = 0
+    for b in proposed:
+        if any(contains(m, b) and m != b for m in morphemes):
+            dividing += 1
+        elif any(partially_overlap(b, a) for a in words + morphemes):
+            crossing += 1
+        else:
+            compatible += 1
+    word_matched = sum(1 for b in proposed if b in words)
+    morpheme_matched = sum(1 for b in proposed if b in morphemes)
+    return {
+        "word_matched": word_matched,
+        "word_proposed": len(proposed),
+        "word_gold": len(words),
+        "morpheme_matched": morpheme_matched,
+        "morpheme_proposed": len(proposed),
+        "morpheme_gold": len(morphemes),
+        "crossing": crossing,
+        "morpheme_dividing": dividing,
+        "compatible": compatible,
+        "word_prf": naive_percentages(word_matched, len(proposed), len(words)),
+        "morpheme_prf": naive_percentages(morpheme_matched, len(proposed), len(morphemes)),
+    }
+
+
 def naive_extremum_features(values):
     """Per profile position, (strict peak, weak peak, rise, fall): the peak
     kinds compare the position with each neighbour it has, and rise (fall)

@@ -18,6 +18,7 @@ from tangoseg import (
     train_sst,
     write_lexicon,
 )
+from tangoseg import cli
 from tangoseg.cli import main
 from tangoseg.training import SST_EXTREMUM_VALUES, SST_THETAS
 
@@ -769,11 +770,59 @@ class TestLineFileErrors:
          ["segment", "--index", "bad.tab", "--input", "in.txt", "--orders", "2",
           "--threshold", "0.5"],
          "bad.tab: non-integer order or count (line 4)"),
+        ("bad.params", "N=2\nt=0.5\nconditons=threshold\n",
+         ["segment", "--index", "c.tab", "--input", "in.txt", "--params", "bad.params"],
+         "bad.params: unknown parameter 'conditons' (line 3)"),
     ], ids=["pred", "gold", "tango-params", "sst-params", "lexicon-weight", "lexicon-fields",
-            "tango-params-missing-t", "sst-params-theta", "count-file"])
+            "tango-params-missing-t", "sst-params-theta", "count-file", "tango-params-unknown"])
     def test_bad_line_names_file_line_and_column(self, files, capsys, name, text, argv, message):
         Path(name).write_text(text)
         assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+class TestRefusals:
+    """Each refusal exits 2 with its message and writes nothing to stdout."""
+
+    @pytest.fixture
+    def files(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run(capsys, "build-index", "--corpus", DATA / "toy_corpus.txt",
+                   "--out", "c.tab", "--bigrams-out", "c.big")[0] == 0
+        Path("in.txt").write_text("ABAB\n")
+        Path("sst.params").write_text("theta=5\n" + "".join(f"e{i}=0\n" for i in range(1, 7)))
+        Path("blank.txt").write_text("\n\n")
+        Path("empty.txt").write_text("")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["build-index", "--corpus", "blank.txt", "--out", "t.tab"],
+         "blank.txt: no sequences extracted"),
+        (["segment", "--algorithm", "sst", "--input", "in.txt", "--params", "sst.params"],
+         "--stats is required for the sst algorithm"),
+        (["segment", "--index", "c.tab", "--input", "in.txt"],
+         "need --params or both --orders and --threshold"),
+        (["segment", "--algorithm", "sst", "--stats", "c.big", "--input", "in.txt"],
+         "need --params or --theta"),
+        (["segment", "--algorithm", "sst", "--stats", "c.big", "--input", "in.txt",
+          "--theta", "1", "--extremum", "a,b"],
+         "bad extremum list 'a,b'"),
+        (["train", "--index", "c.tab", "--train", "empty.txt", "--criterion", "word-f",
+          "--out", "p.txt"],
+         "empty.txt: no annotations found"),
+        (["synth", "--lexicon", "blank.txt", "--sequences", "2", "--out-corpus", "s.txt"],
+         "blank.txt: lexicon is empty"),
+        (["synth", "--lexicon", DATA / "toy_lexicon.tsv", "--sequences", "2",
+          "--suffix-prob", "2", "--out-corpus", "s.txt"],
+         "suffix_prob must be in [0, 1]"),
+    ], ids=["no-sequences", "sst-no-stats", "tango-no-params", "sst-no-theta", "bad-extremum",
+            "no-annotations", "empty-lexicon", "suffix-prob"])
+    def test_refusal_exits_2_with_its_message(self, files, capsys, argv, message):
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+        assert not any(Path(name).exists() for name in ("t.tab", "p.txt", "s.txt"))
+
+    def test_default_orders_are_the_training_pool(self, files, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "TANGO_ORDER_POOL", (2, 3))
+        assert run(capsys, "build-index", "--corpus", "in.txt", "--out", "t.tab")[0] == 0
+        assert NGramTable.load("t.tab").orders == frozenset({2, 3})
 
 
 class TestNonUtf8Files:

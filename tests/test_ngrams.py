@@ -55,6 +55,10 @@ class TestExtractSequences:
         f = codepoint_range_filter("41-5A")
         assert extract_sequences("xxABCyyA", f) == ["ABC", "A"]
 
+    def test_codepoint_filter_rejects_an_empty_range(self):
+        with pytest.raises(ParameterError, match="^empty codepoint range '5A-41'$"):
+            codepoint_range_filter("41-5A,5A-41")
+
     def test_codepoint_filter_rejects_garbage(self):
         with pytest.raises(ParameterError):
             codepoint_range_filter("ZZ-QQ")
@@ -292,6 +296,12 @@ class TestSaveLoad:
     def test_declared_order_below_two_rejected_before_writing(self, orders):
         self.rejected_before_writing(NGramTable(orders, {}, 4), "declared orders")
 
+    def test_non_integer_declared_order_rejected_before_writing(self):
+        # written as "orders 2.0", which the loader refuses at line 3
+        self.rejected_before_writing(
+            NGramTable({2.0}, {"ab": 2}, 2),
+            re.escape("declared orders must be one or more integers >= 2, got [2.0]"))
+
     @pytest.mark.parametrize("count", [3.0, "3", True])
     def test_count_that_is_not_an_int_rejected_before_writing(self, count):
         # a float was written as 3.0, which the loader refuses
@@ -353,6 +363,17 @@ class TestSaveLoad:
         header[number - 1] = line
         payload = "\n".join(header) + "\n2\t2\tAB\n"
         with pytest.raises(FormatError, match=rf"^{message} \(line {number}\)$"):
+            NGramTable.load(io.StringIO(payload))
+
+    @pytest.mark.parametrize("line, number, message", [
+        ("size 4", 2, "expected 'corpus_size <int>'"),
+        ("orders 1,2", 3, "orders must all be >= 2"),
+    ])
+    def test_bad_header_line_refused_at_its_line(self, line, number, message):
+        header = ["tango-ngrams v1", "corpus_size 4", "orders 2"]
+        header[number - 1] = line
+        payload = "\n".join(header) + "\n2\t2\tAB\n"
+        with pytest.raises(FormatError, match=rf"^{re.escape(message)} \(line {number}\)$"):
             NGramTable.load(io.StringIO(payload))
 
     def test_eighteen_digit_header_integers_load(self):

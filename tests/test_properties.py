@@ -6,8 +6,9 @@ reader, the count-file writer, from dicts and from the counting walk's
 blocks, against a sorted f-string formatter, the line reader's error
 places, the code point range filter against a per-character loop, the sst
 grid's distinct rules against the six-threshold rule at every setting,
-annotation parse/serialize round trips, and the annotation bracket views
-against a plain loop."""
+annotation parse/serialize round trips, the annotation bracket views
+against a plain loop, sequence scores against the bracket oracle, and
+parameter file round trips."""
 
 import io
 import math
@@ -26,10 +27,13 @@ from hypothesis import strategies as st
 from tangoseg import (
     BigramStats,
     Corpus,
+    FlatSegmentation,
     FormatError,
     LexiconEntry,
     NGramTable,
     ParameterError,
+    SstParams,
+    TangoParams,
     TwoLevelAnnotation,
     build_table,
     codepoint_range_filter,
@@ -39,11 +43,16 @@ from tangoseg import (
     load_stats,
     parse_annotation,
     parse_flat,
+    read_sst_params,
+    read_tango_params,
     save_stats,
+    score_sequence,
     serialize_annotation,
     serialize_flat,
     vote_profile,
     write_lexicon,
+    write_sst_params,
+    write_tango_params,
 )
 from tangoseg import segmenter, synth
 from tangoseg.cli import main
@@ -58,6 +67,7 @@ from naive import (
     naive_order_vote,
     naive_read_counts,
     naive_runs,
+    naive_sequence_score,
     naive_total_votes,
     pruned_lookup,
 )
@@ -575,6 +585,55 @@ def test_annotation_views_match_a_plain_loop(words, data):
     with pytest.raises(ValueError):
         TwoLevelAnnotation.from_segments(
             words[:i] + [words[i][:j] + [""] + words[i][j:]] + words[i + 1:])
+
+
+@st.composite
+def scored_pairs(draw):
+    """(length, proposed, words, morphemes): a sequence of 1 to 12
+    characters, the boundary sets of a two-level annotation of it (every
+    word boundary a morpheme boundary) and of a proposed segmentation, which
+    is either level or any set of gaps."""
+    length = draw(st.integers(1, 12))
+    gaps = st.sets(st.integers(1, length - 1)) if length > 1 else st.just(set())
+    morphemes = draw(gaps)
+    words = draw(st.sets(st.sampled_from(sorted(morphemes)))) if morphemes else set()
+    return length, draw(st.one_of(gaps, st.just(words), st.just(morphemes))), words, morphemes
+
+
+@settings(max_examples=500, deadline=None)
+@given(scored_pairs())
+@example((1, set(), set(), set()))  # one character: one bracket of each kind
+@example((6, set(), {2, 4}, {2, 4}))  # the whole sequence, against single-morpheme words
+@example((6, {2, 4}, {2, 4}, {1, 2, 4}))  # the words: a two-morpheme word, two single ones
+@example((6, {1, 2, 3}, {4}, {2, 4}))  # three brackets dividing morphemes, one crossing
+def test_sequence_scores_match_the_bracket_oracle(instance):
+    length, proposed, words, morphemes = instance
+    seq = "ABCDEFGHIJKL"[:length]
+    gold = TwoLevelAnnotation(FlatSegmentation(seq, tuple(sorted(words))),
+                              FlatSegmentation(seq, tuple(sorted(morphemes))))
+    score = score_sequence(FlatSegmentation(seq, tuple(sorted(proposed))), gold)
+    expected = naive_sequence_score(length, proposed, words, morphemes)
+    assert {name: getattr(score, name) for name in expected} == expected
+
+
+condition_pairs = st.sampled_from([(True, True), (True, False), (False, True)])
+non_negative = st.floats(min_value=0.0, allow_nan=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sets(st.integers(2, 10**18 - 1), min_size=1, max_size=5), st.floats(0.0, 1.0),
+       condition_pairs, non_negative, st.lists(non_negative, min_size=6, max_size=6),
+       st.sampled_from(["mle", "ele"]))
+def test_parameter_files_read_back_what_was_written(orders, threshold, conditions, theta,
+                                                    extremum, estimator):
+    for params, write, read in (
+        (TangoParams(orders, threshold, *conditions), write_tango_params, read_tango_params),
+        (SstParams(theta, extremum, estimator), write_sst_params, read_sst_params),
+    ):
+        buf = io.StringIO()
+        write(params, buf)
+        buf.seek(0)
+        assert read(buf) == params
 
 
 def on_between_and_beside(values):

@@ -278,3 +278,24 @@ class TestTangoParams:
             VoteProfile("ABC", [0.1])
         with pytest.raises(ParameterError):
             VoteProfile("ABC", [0.1, 1.5])
+
+    def test_profile_of_an_empty_sequence_refused(self):
+        with pytest.raises(ValueError) as exc:
+            VoteProfile("", [])
+        assert str(exc.value) == "segmentation over an empty sequence"
+
+
+class TestOrderSetRule:
+    """Every entry that takes an order set refuses a bad one with one message."""
+
+    @pytest.mark.parametrize("orders, got", [
+        ([], "[]"), ([1], "[1]"), ([3, 1, 3], "[1, 3]"), ([2.0], "[2.0]"), (["2"], "['2']"),
+    ])
+    def test_one_message_for_each_bad_order_set(self, toy_table, orders, got):
+        message = f"orders must be one or more integers >= 2, got {got}"
+        for refuse in (lambda: TangoParams(orders, 0.5),
+                       lambda: build_table(Corpus(["ABAB"]), orders),
+                       lambda: vote_profile("ABAB", orders, toy_table)):
+            with pytest.raises(ParameterError) as exc:
+                refuse()
+            assert str(exc.value) == message

@@ -136,6 +136,12 @@ class TestDts:
             assert mirrored.right_term == -fwd.left_term
             assert mirrored.value == fwd.value
 
+    def test_pair_probability_without_bigrams_raises(self):
+        stats = BigramStats.from_corpus(["A", "B"])
+        with pytest.raises(UndefinedStatisticError) as exc:
+            stats.p_pair("A", "B")
+        assert str(exc.value) == "corpus contains no bigram tokens"
+
     def test_unseen_conditioning_character_raises_under_mle(self):
         stats = BigramStats.from_corpus(["ABAB"])
         with pytest.raises(UndefinedStatisticError):
@@ -320,6 +326,29 @@ class TestSstParams:
         params = SstParams(2.5, (0.0, 50.0, 100.0, 150.0, 200.0, 0.0), "ele")
         path = tmp_path / "sst.params"
         write_sst_params(params, path)
+        assert read_sst_params(path) == params
+
+    @pytest.mark.parametrize("key", ["estimater", "e7"])
+    def test_params_file_unknown_key_refused_at_its_line(self, key):
+        # a misspelt estimator key must not fall back to mle unnoticed
+        payload = "theta=1\n" + "".join(f"e{i}=0\n" for i in range(1, 7)) + f"{key}=ele\n"
+        with pytest.raises(FormatError) as exc:
+            read_sst_params(io.StringIO(payload))
+        assert str(exc.value) == f"unknown parameter {key!r} (line 8)"
+
+    def test_params_file_missing_threshold_refused(self):
+        payload = "theta=1\n" + "".join(f"e{i}=0\n" for i in (1, 2, 4, 5, 6))
+        with pytest.raises(FormatError) as exc:
+            read_sst_params(io.StringIO(payload))
+        assert str(exc.value) == "missing parameter 'e3'"
+
+    def test_params_file_written_losslessly(self, tmp_path):
+        # six significant digits would write e1=1.23457e+06, another float
+        params = SstParams(0.1234567, (1234567.0, 0.0, 50.0, 0.0, 0.0, 0.0))
+        path = tmp_path / "sst.params"
+        write_sst_params(params, path)
+        assert path.read_text() == ("theta=0.1234567\ne1=1234567\ne2=0\ne3=50\ne4=0\ne5=0\n"
+                                    "e6=0\nestimator=mle\n")
         assert read_sst_params(path) == params
 
     def test_params_file_repeated_key_rejected(self):

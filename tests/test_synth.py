@@ -59,6 +59,22 @@ class TestLexicon:
         with pytest.raises(FormatError):
             read_lexicon(path)
 
+    def test_read_rejects_an_empty_lexicon_naming_it(self, tmp_path):
+        path = tmp_path / "lex.tsv"
+        path.write_text("\n  \n")
+        with pytest.raises(FormatError) as exc:
+            read_lexicon(path)
+        assert str(exc.value) == f"{path}: lexicon is empty"
+
+    @pytest.mark.parametrize("args, message", [
+        ({"n_stems": 0}, "need at least one stem"),
+        ({"n_suffixes": 4, "alphabet": "abc"}, "alphabet too small for the requested suffixes"),
+    ])
+    def test_zipf_lexicon_refusals(self, args, message):
+        with pytest.raises(ParameterError) as exc:
+            make_zipf_lexicon(**args)
+        assert str(exc.value) == message
+
     def test_entry_validation(self):
         with pytest.raises(ParameterError):
             LexiconEntry("", 1.0, "stem")

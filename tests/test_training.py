@@ -31,7 +31,8 @@ from tangoseg import (
     write_tango_params,
 )
 from tangoseg.metrics import _prf
-from tangoseg.training import SST_EXTREMUM_VALUES, SST_THETAS
+from tangoseg.ngrams import float_text
+from tangoseg.training import SST_EXTREMUM_VALUES, SST_THETAS, TANGO_THRESHOLDS
 
 from naive import naive_boundaries, naive_total_votes, pruned_lookup
 
@@ -417,10 +418,35 @@ class TestParamsFiles:
             read_tango_params(path)
 
     def test_blank_lines_are_skipped_before_the_duplicate_check(self, tmp_path):
-        # an "=x" line stores the key "", which a blank line must not repeat
+        # a blank line holds no key; an "=x" line names the key "", which no reader knows
         path = tmp_path / "tango.params"
-        path.write_text("=x\n\nN=2\n   \nt=0.5\n\n")
+        path.write_text("\nN=2\n   \nt=0.5\n\n")
         assert read_tango_params(path) == TangoParams(frozenset({2}), 0.5)
+        path.write_text("N=2\n\n=x\nt=0.5\n")
+        with pytest.raises(FormatError) as exc:
+            read_tango_params(path)
+        assert str(exc.value) == f"{path}: unknown parameter '' (line 3)"
+
+    def test_unknown_key_refused_at_its_line(self, tmp_path):
+        # a misspelt key must not leave both conditions on unnoticed
+        path = tmp_path / "tango.params"
+        path.write_text("N=2\nt=0.5\nconditons=threshold\n")
+        with pytest.raises(FormatError) as exc:
+            read_tango_params(path)
+        assert str(exc.value) == f"{path}: unknown parameter 'conditons' (line 3)"
+
+    def test_threshold_written_losslessly(self, tmp_path):
+        # six significant digits would write t=0.123457, another float
+        params = TangoParams(frozenset({2, 3}), 0.1234567)
+        path = tmp_path / "tango.params"
+        write_tango_params(params, path)
+        assert path.read_text() == "N=2,3\nt=0.1234567\n"
+        assert read_tango_params(path) == params
+
+    def test_grid_values_keep_their_text(self):
+        # trained parameter files are written as before
+        for value in TANGO_THRESHOLDS + SST_THETAS + SST_EXTREMUM_VALUES:
+            assert float_text(value) == f"{value:g}"
 
     def test_flags_applied_at_read_time(self, tmp_path):
         # a disabled condition is recorded in the file, and read back from it
