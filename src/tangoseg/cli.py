@@ -30,6 +30,7 @@ from .ngrams import (
     NGramTable,
     _walk_blocks,
     codepoint_range_filter,
+    order_set,
     read_int_list,
     read_lines,
     read_source,
@@ -57,11 +58,12 @@ MODEL_FLAGS = {"tango": ("index", ("orders", "threshold", "no_local_max", "no_th
                "sst": ("stats", ("theta", "extremum", "estimator"))}
 
 
-def _parse_orders(text: str) -> frozenset[int]:
+def _parse_orders(text: str) -> "tuple[int, ...]":
     try:
-        return frozenset(read_int_list(text))
+        orders = read_int_list(text)
     except ValueError:
         raise ParameterError(f"bad orders list {text!r}") from None
+    return order_set(orders)
 
 
 def _write_lines(path, lines: list[str]) -> None:

@@ -20,9 +20,13 @@ with no Python object per window.
 Counts travel as blocks: per order n, a (k, n) uint32 matrix of the code
 points of k grams in string order and an int64 array of their counts.  The
 walk yields blocks and the count-file writer formats them, so ``build-index``
-writes both files with no string per gram.  A ``{gram: count}`` dict is made
-only where a lookup table is needed (``_block_dict``); ``_dict_blocks`` turns
-one back into blocks for writing.
+writes both files with no string per gram.  A table holds its grams as one
+sorted int64 key array with a count array (``_Counts``), made from the
+walk's blocks or the count file's parsed arrays, found with one
+searchsorted per key step, and read back into blocks to be saved.  A
+``{gram: count}`` dict is made only for the sst counts and when a table's
+counts are iterated (``_block_dict``); ``_dict_blocks`` turns one into
+blocks, for a table given as a dict and for the stats file.
 
 Every file format of the package is read and written here once: lines
 (``split_lines``, ``read_lines``), files (``read_source``, ``write_to``),
@@ -34,7 +38,9 @@ for the bigrams.  ``order_set`` is the package's one order-set rule.
 
 import codecs
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -51,6 +57,8 @@ __all__ = [
 ]
 
 MAX_DIGITS = 18  # the longest order or count field of a count file; an int64 holds any
+PAD = 0x110000  # past every code point: the code of a slot past a gram's end
+LAST = np.iinfo(np.int64).max  # the last key of every step, past every gram's
 HEX_BOUND = re.compile("[0-9A-Fa-f]{1,6}")  # a code point range's bound
 
 
@@ -313,8 +321,8 @@ def read_int_list(text: str) -> list[int]:
     return list(map(int, fields))
 
 
-def read_counts(source, layout: CountFile) -> "tuple[int, frozenset[int], dict[str, int]]":
-    """Read a count file of the layout written by write_counts: (size, orders, counts).
+def read_counts(source, layout: CountFile) -> "tuple[int, frozenset[int], _Counts]":
+    """Read a count file of the layout written by write_counts: (size, orders, keyed counts).
 
     After the header comes ``<size_key> <int>`` and, when the layout declares
     no orders, ``orders <comma-list>`` (orders >= 2), each integer 1 to
@@ -369,33 +377,22 @@ def read_counts(source, layout: CountFile) -> "tuple[int, frozenset[int], dict[s
     length = ends - tab[:, 1] - 1
     cut(length != order, lambda i: f"gram length {length[i]} does not match order {order[i]}")
     cut(count < layout.min_count, lambda i: f"stored counts must be >= {layout.min_count}")
-    # the writer's order, comparing the rest of each line (gram and newline) as one string
-    ends, starts, order = ends[:k], tab[:k, 1] + 1, order[:k]
-    bad = np.r_[False, order[1:] < order[:-1]]
-    blocks = []
-    for n in np.flatnonzero(np.bincount(order)).tolist():
-        rows = np.flatnonzero(order == n)
-        rest = _windows(codes, n + 1)[starts[rows]]
-        bad[rows[1:]] |= (rows[1:] == rows[:-1] + 1) & (rest[1:] <= rest[:-1])
-        blocks.append((rows, rest))
-
-    def grams(k: int) -> list[str]:
-        """The grams of the first k lines by order, so in file order once those pass."""
-        return "".join(_code_text(g[: np.searchsorted(r, k)]) for r, g in blocks).split("\n")[:-1]
+    # the writer's order is key order: each line's key above the one before
+    order, starts, top = order[:k], tab[:k, 1] + 1, max(orders)
+    grams = codes[np.minimum(starts[:, None] + np.arange(top), len(codes) - 1)]
+    grams[np.arange(top) >= order[:, None]] = PAD
+    counts = _Counts(order, grams, count[:k])
+    key = counts.key
 
     def disorder(i: int) -> str:
-        gram, earlier = _code_text(codes[starts[i] : ends[i]]), grams(i)
-        if gram in earlier:
-            return f"duplicate gram {gram!r}"
-        return f"entry out of order after {earlier[-1]!r}"
+        if (key[:i] == key[i]).any():
+            return f"duplicate gram {_code_text(codes[starts[i] : ends[i]])!r}"
+        return f"entry out of order after {_code_text(codes[starts[i - 1] : ends[i - 1]])!r}"
 
-    cut(bad, disorder)
+    cut(np.r_[False, key[1:-1] <= key[:-2]], disorder)
     if error is not None:
         raise FormatError(error, line=first + 1 + k, path=source)
-    del codes, tabs, tab, ends, starts
-    names = grams(k)
-    del blocks  # only the names and counts stay
-    return size, orders, dict(zip(names, count[:k].tolist()))
+    return size, orders, counts
 
 
 def extract_sequences(text: "str | bytes", char_filter: "re.Pattern | None" = None) -> list[str]:
@@ -451,20 +448,143 @@ class Corpus:
         return sum(map(len, self.sequences))
 
 
-@dataclass
+class _Counts(Mapping):
+    """Grams as one sorted int64 key array with a count array, read-only as
+    a mapping in file order.
+
+    A gram's slots are its order, then its characters' ranks in the stored
+    grams' alphabet, from 1, 0 past its end, over top slots.  A key step
+    packs an id, first the order, and the next ranks that fit 63 bits,
+    ``id << b*s | r1 << b*(s-1) | ... | rs``; the next step's id is that
+    key's position among the step's distinct keys, or their number.  So
+    keys sort by order, then string: the count file's order.  Each step's
+    keys end in LAST, the last step's with count 1.  One step holds orders
+    2-6 of 47 characters in 39 bits; 3,000 characters need 75, two steps.
+    """
+
+    def __init__(self, order: np.ndarray, grams: np.ndarray, value: np.ndarray):
+        """Each row's gram from its order, code points (PAD past its end) and count."""
+        self.top = grams.shape[1]
+        seen = np.zeros(PAD + 1, bool)
+        seen[grams] = True
+        self.alphabet = np.r_[0, np.flatnonzero(seen[:PAD])].astype(np.uint32)  # by rank
+        self.bits = max(len(self.alphabet) - 1, 1).bit_length()
+        # each code point's rank, 0 when not in the alphabet, and order n at PAD + n
+        self.rank = np.zeros(PAD + 1 + self.top, np.min_scalar_type(len(self.alphabet) + self.top))
+        self.rank[self.alphabet[1:]] = np.arange(1, len(self.alphabet))
+        self.rank[PAD + 1 :] = np.arange(1, self.top + 1)
+        ranks = self.rank[grams]
+        self.steps = []  # (stop slot, multipliers of the id and the slots, keys) per step
+        key, id_bits, done = order.astype(np.int64), self.top.bit_length(), 0
+        while True:
+            s = min(self.top - done, (63 - id_bits) // self.bits)
+            for j in range(done, done + s):  # in place, with no int64 matrix of slots
+                key <<= self.bits
+                key |= ranks[:, j]
+            mult = 1 << self.bits * np.arange(s, -1, -1)
+            done += s
+            if done == self.top:
+                break
+            known = np.r_[np.unique(key), LAST]
+            self.steps.append((1 + done, mult, known))
+            key, id_bits = np.searchsorted(known, key), (len(known) - 1).bit_length()
+        self.key, self.value = np.r_[key, LAST], np.r_[value, 1]  # in row order
+        self.steps.append((1 + done, mult, self.key))
+
+    @classmethod
+    def of_blocks(cls, blocks: dict, top: int) -> "_Counts":
+        order = np.repeat(np.fromiter(blocks, np.int64), [len(c) for _, c in blocks.values()])
+        grams = np.full((len(order), top), PAD, np.uint32)
+        for n, (g, _) in blocks.items():
+            grams[order == n, :n] = g
+        return cls(order, grams, np.concatenate([np.empty(0, np.int64),
+                                                 *(c for _, c in blocks.values())]))
+
+    @staticmethod
+    def tail(orders: Iterable[int]) -> np.ndarray:
+        """The codes a slot matrix may index after a text's: first the
+        padding past a gram's end, then each order's."""
+        return np.array([PAD, *(PAD + n for n in orders)], np.uint32)
+
+    def find(self, text: str, slots: np.ndarray, tail: bytes) -> np.ndarray:
+        """Each gram's position among the keys, the last where not stored:
+        row i of slots indexes gram i's order and characters in the UTF-32
+        codes of text and then tail, the bytes of a tail(orders)."""
+        slots = self.rank.take(np.frombuffer(
+            text.encode("utf-32-le", "surrogatepass") + tail, np.uint32))[slots]
+        key, lo = None, 0
+        for stop, mult, known in self.steps:
+            part = slots[:, lo:stop]  # narrower where every gram ends before stop
+            if key is None:  # the order and the first ranks
+                key = part.dot(mult[: part.shape[1]])
+            else:  # the previous step's id and the next ranks
+                key = key * mult[0] + part.dot(mult[1 : 1 + part.shape[1]])
+            at = np.searchsorted(known, key)
+            key, lo = np.where(known[at] == key, at, len(known) - 1), stop
+        return key
+
+    def blocks(self) -> dict:
+        """The count blocks of the grams, read back from their keys."""
+        slots, key = np.zeros((len(self), self.top + 1), np.int64), self.key[:-1]
+        for i in reversed(range(len(self.steps))):
+            stop, mult, _ = self.steps[i]
+            slots[:, self.steps[i - 1][0] if i else 1 : stop] = (
+                key[:, None] // mult[1:] & (1 << self.bits) - 1)
+            key = self.steps[i - 1][2][key // mult[0]] if i else key // mult[0]
+        starts = np.flatnonzero(np.diff(key, prepend=-1)).tolist()  # key is now the order
+        return {int(key[a]): (self.alphabet[slots[a:b, 1 : key[a] + 1]], self.value[a:b])
+                for a, b in zip(starts, starts[1:] + [len(key)])}
+
+    def __len__(self) -> int:
+        return len(self.key) - 1
+
+    def __getitem__(self, gram: str) -> int:
+        n = len(gram) if isinstance(gram, str) else PAD
+        # slot -1 indexes the tail's last code, the order's
+        at = len(self) if n > self.top else self.find(
+            gram, np.arange(-1, n)[None], self.tail([n]).tobytes())[0]
+        if at == len(self):
+            raise KeyError(gram)
+        return int(self.value[at])
+
+    def __iter__(self):
+        return iter(_block_dict(self.blocks()))
+
+    def items(self):
+        return _block_dict(self.blocks()).items()
+
+    def values(self):
+        return _block_dict(self.blocks()).values()
+
+
 class NGramTable:
     """Immutable pruned count table over a fixed set of n-gram orders.
 
-    Safe for concurrent readers once built.  Equality compares orders,
-    counts, and corpus size.
+    ``counts`` holds its grams as sorted int64 keys (_Counts), with no
+    Python object per gram.  Safe for concurrent readers once built.
+    Equality compares orders, corpus size, keys and counts.
     """
 
-    orders: "frozenset[int]"  # any iterable of ints, made a frozenset
-    counts: "dict[str, int]"
-    corpus_size: int
+    def __init__(self, orders: Iterable[int], counts: "Mapping[str, int]", corpus_size: int):
+        """counts is keyed, or a {gram: count} mapping keyed when first used,
+        so that a count that is no int fitting an int64 is refused there."""
+        self.orders, self.corpus_size = frozenset(orders), corpus_size
+        if isinstance(counts, _Counts):
+            self.counts = counts
+        else:
+            self._grams = counts
 
-    def __post_init__(self):
-        self.orders = frozenset(self.orders)
+    @cached_property
+    def counts(self) -> _Counts:
+        top = int(max([*map(len, self._grams), *self.orders], default=0))
+        return _Counts.of_blocks(_dict_blocks(self._grams), top)
+
+    def __eq__(self, other):
+        if not isinstance(other, NGramTable):
+            return NotImplemented
+        return (self.orders, self.corpus_size) == (other.orders, other.corpus_size) and all(
+            np.array_equal(getattr(self.counts, a), getattr(other.counts, a))
+            for a in ("alphabet", "key", "value"))
 
     def __repr__(self):
         return (
@@ -488,7 +608,7 @@ class NGramTable:
     def save(self, destination) -> int:
         """Write the versioned text format; returns bytes written."""
         return write_counts(destination, TABLE, self.corpus_size, self.orders,
-                            _dict_blocks(self.counts))
+                            self.counts.blocks())
 
     @classmethod
     def load(cls, source) -> "NGramTable":
@@ -634,4 +754,4 @@ def build_table(corpus: Corpus, orders: Iterable[int]) -> NGramTable:
     format); such corpora are rejected.
     """
     table, _ = _walk_blocks(corpus.sequences, orders)
-    return NGramTable(table, _block_dict(table), corpus.total_chars)
+    return NGramTable(table, _Counts.of_blocks(table, max(table)), corpus.total_chars)

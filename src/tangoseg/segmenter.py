@@ -26,15 +26,16 @@ Edge conventions (pinned by tests):
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import compress, repeat
 
 import numpy as np
 
 from .annotations import FlatSegmentation
 from .errors import ParameterError
-from .ngrams import NGramTable, order_set
+from .ngrams import NGramTable, _Counts, order_set
 
 __all__ = [
     "TangoParams",
@@ -65,7 +66,7 @@ class TangoParams:
             raise ParameterError(f"threshold must be in [0, 1], got {self.threshold}")
         _require_condition(self.use_local_max, self.use_threshold)
 
-    @property
+    @cached_property
     def sorted_orders(self) -> tuple[int, ...]:
         return tuple(sorted(self.orders))
 
@@ -90,15 +91,28 @@ class VoteProfile:
             raise ParameterError("votes must lie in [0, 1]")
 
 
+_Plan = namedtuple("_Plan", "side straddling cell comparisons divisor evidence rows windows tail")
+
+
+def _evidence_rows(evidence: np.ndarray) -> np.ndarray:
+    """Per gap, the rows with evidence there, at least 1."""
+    return np.maximum(evidence.sum(0), 1)
+
+
 @lru_cache(maxsize=64)
-def _plan(length: int, orders: "tuple[int, ...]") -> "tuple[np.ndarray, ...]":
-    """(side, straddling, cell, comparisons), read-only intp arrays, for any
-    sequence of this length under these sorted orders: comparison i sets
-    window side[i] against straddling[i] in cell[i], row * (length - 1) +
-    k - 1 for orders[row] at gap k, and comparisons holds each cell's count
-    in _gap_counts' shape.  Windows are numbered as _gap_counts looks them up."""
+def _plan(length: int, orders: "tuple[int, ...]") -> _Plan:
+    """What the votes of any sequence of this length under these sorted
+    orders share, as read-only arrays: comparison i sets window side[i]
+    against straddling[i] in cell[i], row * (length - 1) + k - 1 for
+    orders[row] at gap k; comparisons, divisor (at least 1) and evidence
+    (comparisons > 0) have _gap_counts' shape, and rows holds the orders
+    with evidence at each gap, at least 1.  Row w of windows indexes window
+    w's order and characters, padding past its end, in the sequence's
+    code points and then tail's, as _Counts.find reads them; windows are
+    numbered order after order, by start."""
     k = np.arange(1, length)[:, None]  # one row per gap
-    parts = []
+    slot = np.arange(orders[-1])
+    parts, windows = [], []
     base = 0  # the number of the order's first window
     for row, n in enumerate(orders):
         last = length - n  # start of the last window
@@ -110,12 +124,19 @@ def _plan(length: int, orders: "tuple[int, ...]") -> "tuple[np.ndarray, ...]":
         cells = np.broadcast_to(row * (length - 1) + k - 1, fits.shape)
         parts.append((base + pairs[fits], base + against[fits], cells[fits]))
         base += max(0, last + 1)
-    plan = [np.concatenate(a).astype(np.intp) for a in zip(*parts)]
-    comparisons = np.bincount(plan[2], minlength=len(orders) * (length - 1))
-    plan.append(comparisons.reshape(len(orders), length - 1))
+        start = np.arange(max(0, last + 1))[:, None]
+        windows.append(np.hstack([np.full_like(start, length + 1 + row),
+                                  np.where(slot < n, start + slot, length)]))
+    side, straddling, cell = (np.concatenate(a).astype(np.intp) for a in zip(*parts))
+    comparisons = np.bincount(cell, minlength=len(orders) * (length - 1))
+    comparisons = comparisons.reshape(len(orders), length - 1)
+    plan = _Plan(side, straddling, cell, comparisons, np.maximum(comparisons, 1),
+                 comparisons > 0, _evidence_rows(comparisons > 0),
+                 np.concatenate(windows).astype(np.min_scalar_type(length + len(orders))),
+                 _Counts.tail(orders))
     for a in plan:
         a.flags.writeable = False
-    return tuple(plan)
+    return plan
 
 
 def _gap_counts(seq: str, orders, table: NGramTable) -> "tuple[np.ndarray, np.ndarray]":
@@ -129,30 +150,34 @@ def _gap_counts(seq: str, orders, table: NGramTable) -> "tuple[np.ndarray, np.nd
     a gap no order-n side window fits gets (0, 0).  A table that does not
     cover every order raises UnsupportedOrderError.
 
-    Each window is looked up once.  _plan keeps the comparisons per (length,
-    sorted orders), never per sequence or table, for the last 64 keys: 24
-    bytes for each of about 2(n-1) per character and order n, and 8 per
-    cell, so about 760 bytes per character under orders 2..6.
+    Each window is looked up once: one gather makes its slots, one dot
+    product per key step its key, and one searchsorted per step finds it.
+    _plan keeps the comparisons per (length, sorted orders), never per
+    sequence or table, for the last 64 keys: 24 bytes for each of about
+    2(n-1) per character and order n, 17 per cell, 8 per gap and 2 per
+    window slot (1 below 256 characters), so about 880 bytes per character
+    under orders 2..6.
     """
     table.require_orders(orders)
-    side, straddling, cell, comparisons = _plan(len(seq), orders)
-    get = table.counts.get
-    counts = [get(seq[i : i + n], 1) for n in orders for i in range(len(seq) - n + 1)]
-    c = np.fromiter(counts, np.int64, len(counts))
-    affirmative = np.bincount(cell[c[side] > c[straddling]], minlength=comparisons.size)
-    return affirmative.reshape(comparisons.shape), comparisons
+    plan = _plan(len(seq), orders)
+    c = table.counts.value[table.counts.find(seq, plan.windows, plan.tail.tobytes())]
+    affirmative = np.bincount(plan.cell[c[plan.side] > c[plan.straddling]],
+                              minlength=plan.comparisons.size)
+    return affirmative.reshape(plan.comparisons.shape), plan.comparisons
 
 
-def _order_votes(seq: str, orders, table: NGramTable) -> "tuple[np.ndarray, np.ndarray]":
-    """Per order and gap, the vote (0 without evidence) and whether there is evidence."""
-    affirmative, comparisons = _gap_counts(seq, orders, table)
-    return affirmative / np.maximum(comparisons, 1), comparisons > 0
+def _order_votes(seq: str, orders, table: NGramTable) -> "tuple[np.ndarray, ...]":
+    """Per order and gap, the vote (0 without evidence) and whether there is
+    evidence; and per gap, the orders with evidence, at least 1."""
+    affirmative, _ = _gap_counts(seq, orders, table)
+    plan = _plan(len(seq), orders)  # the cached plan _gap_counts used
+    return affirmative / plan.divisor, plan.evidence, plan.rows
 
 
-def _mean_votes(votes: np.ndarray, evidence: np.ndarray) -> np.ndarray:
-    """Per gap, the mean of the rows' votes over the rows with evidence
-    there, summed row after row; 0 where no row has evidence."""
-    return sum(votes[1:], votes[0]) / np.maximum(evidence.sum(0), 1)
+def _mean_votes(votes: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Per gap, the rows' votes summed row after row over rows, the orders
+    with evidence there (at least 1): the mean over those, 0 where none has."""
+    return sum(votes[1:], votes[0]) / rows
 
 
 def _padded(votes: list[float]) -> list[float]:
@@ -180,12 +205,17 @@ def vote_profile(
     """Total vote at every gap: votes[k-1] is the mean vote at gap k over the
     orders with evidence there, 0 where none has.  With keep_per_order,
     per_order[n][k-1] is order n's vote at gap k, 0 without evidence."""
-    orders = order_set(orders)
+    return _profile(seq, order_set(orders), table, keep_per_order)
+
+
+def _profile(seq: str, orders: "tuple[int, ...]", table: NGramTable,
+             keep_per_order: bool = False) -> VoteProfile:
+    """vote_profile under orders that order_set already returned."""
     if not seq:
         raise ValueError("segmentation over an empty sequence")
-    votes, evidence = _order_votes(seq, orders, table)
+    votes, _, rows = _order_votes(seq, orders, table)
     per_order = dict(zip(orders, votes.tolist())) if keep_per_order else None
-    return VoteProfile(seq, _mean_votes(votes, evidence).tolist(), per_order)
+    return VoteProfile(seq, _mean_votes(votes, rows).tolist(), per_order)
 
 
 def place_boundaries(profile: VoteProfile, params: TangoParams) -> FlatSegmentation:
@@ -201,4 +231,4 @@ def place_boundaries(profile: VoteProfile, params: TangoParams) -> FlatSegmentat
 def segment(seq: str, params: TangoParams, table: NGramTable) -> FlatSegmentation:
     """Vote at every gap of seq and place boundaries; a single-character
     sequence comes back as one segment."""
-    return place_boundaries(vote_profile(seq, params.orders, table), params)
+    return place_boundaries(_profile(seq, params.sorted_orders, table), params)

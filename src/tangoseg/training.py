@@ -37,8 +37,8 @@ from .annotations import TwoLevelAnnotation
 from .errors import FormatError, ParameterError
 from .metrics import _prf
 from .ngrams import NGramTable, float_text, read_int_list, read_key_values, write_to
-from .segmenter import (TangoParams, _mean_votes, _order_votes, _padded, _require_condition,
-                        _tango_rule)
+from .segmenter import (TangoParams, _evidence_rows, _mean_votes, _order_votes, _padded,
+                        _require_condition, _tango_rule)
 from .sst import BigramStats, SstParams, _gap_features, _peak_bounds, _sst_rule
 
 __all__ = [
@@ -255,8 +255,8 @@ def train_tango(
     _require_condition(use_local_max, use_threshold)
     order_votes = [_order_votes(ann.sequence, TANGO_ORDER_POOL, table) for ann in train_set]
     # per order, every sequence's votes (0 without evidence) and evidence at its gaps' columns
-    votes = np.array([layout.spread(rows, 1) for rows in zip(*(v for v, _ in order_votes))])
-    evidence = np.array([layout.spread(rows, 1) for rows in zip(*(e for _, e in order_votes))])
+    votes = np.array([layout.spread(rows, 1) for rows in zip(*(v for v, _, _ in order_votes))])
+    evidence = np.array([layout.spread(rows, 1) for rows in zip(*(e for _, e, _ in order_votes))])
     # each sequence's edge value in its end columns, the neighbours of its first and last gaps
     edges = layout.spread([_padded([0.0] * (len(ann.sequence) - 1)) for ann in train_set])
     settings = list(tango_grid())
@@ -267,7 +267,7 @@ def train_tango(
 
     def rows(lo, hi):
         means = np.array([
-            _mean_votes(votes[pick], evidence[pick]) + edges
+            _mean_votes(votes[pick], _evidence_rows(evidence[pick])) + edges
             for pick in picks[lo // per_subset : hi // per_subset]
         ])[:, None]
         left, right = np.roll(means, 1, -1), np.roll(means, -1, -1)

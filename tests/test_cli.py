@@ -819,6 +819,15 @@ class TestRefusals:
         assert run(capsys, *argv) == (2, "", f"error: {message}\n")
         assert not any(Path(name).exists() for name in ("t.tab", "p.txt", "s.txt"))
 
+    @pytest.mark.parametrize("orders", ["1", "3,1,3"])
+    def test_bad_order_set_refused_before_the_corpus_is_read(self, files, capsys, orders):
+        # the order-set rule runs on the option, so no corpus_size line comes first
+        got = sorted(set(map(int, orders.split(","))))
+        message = f"orders must be one or more integers >= 2, got {got}"
+        assert run(capsys, "build-index", "--corpus", DATA / "toy_corpus.txt", "--out", "t.tab",
+                   "--orders", orders) == (2, "", f"error: {message}\n")
+        assert not Path("t.tab").exists()
+
     def test_default_orders_are_the_training_pool(self, files, monkeypatch, capsys):
         monkeypatch.setattr(cli, "TANGO_ORDER_POOL", (2, 3))
         assert run(capsys, "build-index", "--corpus", "in.txt", "--out", "t.tab")[0] == 0

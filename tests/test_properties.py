@@ -117,6 +117,104 @@ def test_vote_plans_are_keyed_by_length_and_order_set_only(instance, data):
     assert segmenter._plan.cache_info().misses == 1
 
 
+# any character the library takes: NUL, every UTF-8 width, astral ones and lone surrogates
+lookup_chars = st.one_of(
+    st.just("\0"),
+    st.characters(max_codepoint=0x7F, exclude_characters="\t\n\r"),
+    st.characters(min_codepoint=0x80, max_codepoint=0xFFFF, exclude_categories=["Cs"]),
+    st.characters(min_codepoint=0x10000),
+    st.characters(categories=["Cs"]),
+)
+
+
+@st.composite
+def lookup_instances(draw, chars=lookup_chars):
+    """(corpus, sequence, orders): the sequence may hold characters the
+    corpus never has, so that lookups miss the table's alphabet."""
+    alphabet = draw(st.lists(chars, min_size=1, max_size=5, unique=True))
+    corpus = draw(st.lists(st.text(st.sampled_from(alphabet), min_size=1, max_size=16),
+                           min_size=1, max_size=12))
+    unseen = draw(st.lists(chars.filter(lambda c: c not in alphabet), max_size=2))
+    seq = draw(st.text(st.sampled_from(alphabet + unseen), min_size=1, max_size=18))
+    return corpus, seq, draw(st.sets(st.integers(2, 6), min_size=1))
+
+
+@st.composite
+def wide_key_instances(draw):
+    """(corpus, sequence, orders) whose table keys take more than 63 bits:
+    1,024 or more ideographs (11-bit ranks) under orders up to 6, or 96
+    ASCII characters (7-bit ranks) under orders up to 12."""
+    if draw(st.booleans()):
+        alphabet = [chr(0x4E00 + i) for i in range(draw(st.integers(1024, 1100)))]
+        orders = draw(st.sets(st.integers(2, 6))) | {6}
+    else:
+        alphabet = ["\0", *map(chr, range(32, 127))]
+        orders = draw(st.sets(st.integers(2, 12))) | {12}
+    common = alphabet[: draw(st.integers(1, 4))]  # long grams repeat over a few characters
+    corpus = ["".join(alphabet)] * 2 + draw(st.lists(st.text(st.sampled_from(common),
+                                                              max_size=30), max_size=10))
+    corpus += draw(st.lists(st.text(st.sampled_from(alphabet), max_size=20), max_size=6))
+    seq = draw(st.text(st.sampled_from(common) | st.sampled_from(alphabet) | lookup_chars,
+                       min_size=1, max_size=24))
+    return draw(st.permutations(corpus)), seq, orders
+
+
+def assert_lookups_match_oracle(corpus, seq, orders):
+    table = build_table(Corpus(corpus), orders)
+    look = pruned_lookup(corpus, orders)
+    assert vote_profile(seq, orders, table).votes == naive_total_votes(seq, orders, look)
+    for n in orders:  # the sequence's grams, and every corpus gram, stored or pruned
+        grams = {seq[i : i + n] for i in range(len(seq) - n + 1)} | set(naive_counts(corpus, n))
+        assert {g: table.count(g) for g in grams} == {g: look(g) for g in grams}
+    return table
+
+
+@settings(max_examples=300, deadline=None)
+@given(lookup_instances())
+def test_table_lookups_match_oracle_on_any_unicode(instance):
+    assert_lookups_match_oracle(*instance)
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_key_instances())
+def test_wide_key_lookups_match_oracle(instance):
+    corpus, _, orders = instance
+    table = assert_lookups_match_oracle(*instance)
+    assert len(table.counts.steps) > 1
+    assert table.counts == pruned_counts(corpus, orders)  # read back from the keys
+    buf = io.BytesIO()
+    table.save(buf)
+    assert NGramTable.load(io.BytesIO(buf.getvalue())) == table
+
+
+@settings(max_examples=200, deadline=None)
+@given(lookup_instances(st.characters(codec="utf-8", exclude_characters="\t\n\r")), st.data())
+def test_table_of_a_dict_is_the_built_table(instance, data):
+    corpus, _, orders = instance
+    built = build_table(Corpus(corpus), orders)
+    counts = pruned_counts(corpus, orders)
+    given_dict = NGramTable(orders, counts, built.corpus_size)
+    assert given_dict == built
+    files = [io.BytesIO() for _ in range(2)]
+    built.save(files[0])
+    given_dict.save(files[1])
+    assert files[0].getvalue() == files[1].getvalue()
+    assert NGramTable.load(io.BytesIO(files[0].getvalue())) == built
+    # the view iterates in file order and compares with a dict as the dict itself does
+    entries = [line.split("\t") for line in files[0].getvalue().decode("utf-8").split("\n")[3:-1]]
+    assert list(built.counts) == [gram for _, _, gram in entries]
+    assert list(built.counts.items()) == [(gram, int(count)) for _, count, gram in entries]
+    other = dict(counts)
+    if other and data.draw(st.booleans()):
+        gram = data.draw(st.sampled_from(sorted(other)))
+        other[gram] += data.draw(st.sampled_from([-1, 1]))
+    else:
+        other[data.draw(st.text(st.sampled_from("ab\0"), min_size=2, max_size=6))] = 2
+    for d in (counts, other, {}):
+        assert (built.counts == d) == (dict(built.counts) == d)
+        assert (d == built.counts) == (d == dict(built.counts))
+
+
 # profile values from a small set, so that plateaus and ties are common
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.sampled_from([-2.5, -1.0, 0.0, 0.5, 3.0]), max_size=14))
