@@ -23,10 +23,10 @@ walk yields blocks and the count-file writer formats them, so ``build-index``
 writes both files with no string per gram.  A table holds its grams as one
 sorted int64 key array with a count array (``_Counts``), made from the
 walk's blocks or the count file's parsed arrays, found with one
-searchsorted per key step, and read back into blocks to be saved.  A
-``{gram: count}`` dict is made only for the sst counts and when a table's
-counts are iterated (``_block_dict``); ``_dict_blocks`` turns one into
-blocks, for a table given as a dict and for the stats file.
+searchsorted per key step, and read back into blocks to be saved or
+iterated.  The dict side is plain Python: ``_block_dict`` makes the sst
+counts' and a table's iteration's ``{gram: count}`` dicts, and
+``_dict_blocks`` sorts a given table's or the stats' dict into blocks.
 
 Every file format of the package is read and written here once: lines
 (``split_lines``, ``read_lines``), files (``read_source``, ``write_to``),
@@ -41,6 +41,7 @@ import re
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -192,11 +193,6 @@ def _code_text(codes) -> str:
     return codecs.decode(codes, "utf-32-le", "surrogatepass")
 
 
-def _windows(codes: np.ndarray, n: int) -> np.ndarray:
-    """Each run of n code points of codes as one string, by start position."""
-    return np.ndarray((max(len(codes) - n + 1, 0),), f"U{n}", codes, strides=(4,))
-
-
 def _count_error(gram: str, count, low: int) -> ParameterError:
     why = ("not an int" if type(count) is not int
            else f"below {low}" if count < low else f"over {MAX_DIGITS} digits")
@@ -204,25 +200,18 @@ def _count_error(gram: str, count, low: int) -> ParameterError:
 
 
 def _dict_blocks(counts: "dict[str, int]") -> dict:
-    """The count blocks of a ``{gram: count}`` dict: its grams grouped by
-    length, each group sorted.  A count must be an int that fits an int64."""
-    values, low, high = counts.values(), -(2**63), 2**63
-    if not set(map(type, values)) <= {int} or (
-        values and not low <= min(values) <= max(values) < high
-    ):
-        gram, c = next((g, c) for g, c in counts.items()
-                       if type(c) is not int or not low <= c < high)
-        raise _count_error(gram, c, 1)
-    codes = np.frombuffer("".join(counts).encode("utf-32-le", "surrogatepass"), np.uint32)
-    lengths = np.fromiter(map(len, counts), np.int64, len(counts))
-    starts = np.cumsum(lengths) - lengths
-    values = np.fromiter(values, np.int64, len(counts))
+    """The count blocks of a ``{gram: count}`` dict, its grams in file order:
+    sorted as strings, then stably by length.  A count must be an int that
+    fits an int64."""
+    for gram, c in counts.items():
+        if type(c) is not int or not -(2**63) <= c < 2**63:
+            raise _count_error(gram, c, 1)
     blocks = {}
-    for n in np.flatnonzero(np.bincount(lengths)).tolist():
-        rows = np.flatnonzero(lengths == n)
-        if n:  # grams of one length sort as fixed-width strings
-            rows = rows[np.argsort(_windows(codes, n)[starts[rows]])]
-        blocks[n] = codes[starts[rows, None] + np.arange(n)], values[rows]
+    for n, grams in groupby(sorted(sorted(counts), key=len), len):
+        grams = list(grams)
+        codes = "".join(grams).encode("utf-32-le", "surrogatepass")
+        blocks[n] = (np.frombuffer(codes, np.uint32).reshape(len(grams), n),
+                     np.fromiter(map(counts.__getitem__, grams), np.int64, len(grams)))
     return blocks
 
 
@@ -231,7 +220,7 @@ def _block_dict(blocks: dict) -> "dict[str, int]":
     counts: dict[str, int] = {}
     for n, (grams, values) in blocks.items():
         text = _code_text(np.ascontiguousarray(grams))
-        counts.update(zip([text[i : i + n] for i in range(0, len(text), n)], values.tolist()))
+        counts.update(zip([text[i * n : i * n + n] for i in range(len(values))], values.tolist()))
     return counts
 
 
@@ -568,11 +557,9 @@ class NGramTable:
     def __init__(self, orders: Iterable[int], counts: "Mapping[str, int]", corpus_size: int):
         """counts is keyed, or a {gram: count} mapping keyed when first used,
         so that a count that is no int fitting an int64 is refused there."""
-        self.orders, self.corpus_size = frozenset(orders), corpus_size
+        self.orders, self.corpus_size, self._grams = frozenset(orders), corpus_size, counts
         if isinstance(counts, _Counts):
             self.counts = counts
-        else:
-            self._grams = counts
 
     @cached_property
     def counts(self) -> _Counts:
@@ -589,7 +576,7 @@ class NGramTable:
     def __repr__(self):
         return (
             f"NGramTable(orders={sorted(self.orders)}, "
-            f"entries={len(self.counts)}, corpus_size={self.corpus_size})"
+            f"entries={len(self._grams)}, corpus_size={self.corpus_size})"
         )
 
     def count(self, gram: str) -> int:

@@ -97,11 +97,11 @@ class SstParams:
 
 
 class BigramStats:
-    """Raw unigram/bigram counts plus probability estimates.
+    """Raw unigram/bigram counts (Counters) plus probability estimates.
 
     Counts are unpruned and bigrams never span sequence boundaries.  The
-    estimator is either ``mle`` (relative frequencies; unseen marginals are
-    errors) or ``ele`` (add-half smoothing over the observed type
+    estimator is either ``mle`` (relative frequencies; _given refuses an
+    unseen condition) or ``ele`` (add-half smoothing over the observed type
     inventory).
     """
 
@@ -139,11 +139,15 @@ class BigramStats:
         k = 0.0 if self.estimator == "mle" else 0.5
         return (count + k) / (total + k * types)
 
-    def p_char(self, x: str) -> float:
+    def _given(self, x: str) -> int:
+        """The count of x as an estimate's condition; an error if unseen under MLE."""
         c = self.unigrams[x]
         if c == 0 and self.estimator == "mle":
             raise UndefinedStatisticError(f"character {x!r} unseen under MLE")
-        return self._estimate(c, self.total_chars, len(self.unigrams))
+        return c
+
+    def p_char(self, x: str) -> float:
+        return self._estimate(self._given(x), self.total_chars, len(self.unigrams))
 
     def p_pair(self, x: str, y: str) -> float:
         if self.total_bigrams == 0:
@@ -152,22 +156,18 @@ class BigramStats:
 
     def p_cond(self, y: str, x: str) -> float:
         """Probability that y immediately follows x."""
-        cx = self.unigrams[x]
-        if cx == 0 and self.estimator == "mle":
-            raise UndefinedStatisticError(f"character {x!r} unseen under MLE")
-        return self._estimate(self.bigrams[x + y], cx, len(self.unigrams))
+        return self._transition(y, x)[0]
 
     def var_cond(self, y: str, x: str) -> float:
         """Binomial variance of the conditional relative frequency."""
         return self._transition(y, x)[1]
 
     def _transition(self, y: str, x: str) -> tuple[float, float]:
-        """(p_cond(y, x), var_cond(y, x)), the conditional estimated once."""
-        p = self.p_cond(y, x)
-        cx = self.unigrams[x]
-        if cx == 0:
-            return p, math.inf
-        return p, p * (1.0 - p) / cx
+        """(p_cond(y, x), var_cond(y, x)), the conditional estimated once;
+        the variance is infinite when x is unseen (under ELE)."""
+        cx = self._given(x)
+        p = self._estimate(self.bigrams[x + y], cx, len(self.unigrams))
+        return p, p * (1.0 - p) / cx if cx else math.inf
 
 
 def mutual_information(stats: BigramStats, d: str, w: str) -> float:
@@ -320,6 +320,7 @@ def save_stats(stats: BigramStats, destination) -> int:
 
 def load_stats(source, estimator: str = "mle") -> BigramStats:
     total, _, counts = read_counts(source, STATS)
-    unigrams = Counter({g: c for g, c in counts.items() if len(g) == 1})
-    bigrams = Counter({g: c for g, c in counts.items() if len(g) == 2})
+    blocks = counts.blocks()  # the orders the file holds entries of
+    unigrams, bigrams = (Counter(_block_dict({n: blocks[n]} if n in blocks else {}))
+                         for n in (1, 2))
     return BigramStats(unigrams, bigrams, total, estimator)

@@ -24,6 +24,7 @@ from tangoseg import (
     write_tango_params,
 )
 from tangoseg.ngrams import TABLE, split_lines, write_counts
+from tangoseg.training import GridView
 
 from naive import naive_counts
 
@@ -185,6 +186,28 @@ class TestCount:
         with pytest.raises(UnsupportedOrderError) as by_check:
             table.require_orders({3})
         assert str(by_count.value) == str(by_check.value) == "table does not cover orders [3]"
+
+
+class TestDictGivenTable:
+    def test_empty_gram_iterates_and_is_refused_by_save(self):
+        counts = {"": 2, "ab": 3}
+        table = NGramTable({2}, counts, 4)
+        assert list(table.counts.items()) == [("", 2), ("ab", 3)]
+        assert table.counts == counts and counts == table.counts
+        buf = io.BytesIO()
+        with pytest.raises(ParameterError, match=re.escape("gram of order 0 is not of the orders [2]")):
+            table.save(buf)
+        assert buf.getvalue() == b""
+
+    def test_repr_and_equality_with_other_types_key_nothing(self):
+        # a count that is not an int is refused when the dict is keyed, not here
+        table = NGramTable({2}, {"ab": 2.0}, 4)
+        assert repr(table) == "NGramTable(orders=[2], entries=1, corpus_size=4)"
+        assert repr(build_table(Corpus(["ABAB"]), {2, 3})) == (
+            "NGramTable(orders=[2, 3], entries=1, corpus_size=4)")
+        assert table != 3 and not table == 3
+        grid = GridView([(2,)], np.array([0.5]), lambda s: s)
+        assert grid != 3 and not grid == 3
 
 
 class TestSaveLoad:

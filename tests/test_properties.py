@@ -1,11 +1,12 @@
 """Property tests: the counting engine, the vote kernel and its plan
 cache, the sst peak features and the synthetic corpus draws, in one chunk
 of the random stream and across many, against the naive oracle, table
-round trips, the count-file loaders on edited files against the reference
-reader, the count-file writer, from dicts and from the counting walk's
-blocks, against a sorted f-string formatter, the line reader's error
-places, the code point range filter against a per-character loop, the sst
-grid's distinct rules against the six-threshold rule at every setting,
+round trips, tables given as dicts over any Unicode, the count-file
+loaders on edited files against the reference reader, the count-file
+writer, from dicts and from the counting walk's blocks, against a sorted
+f-string formatter, the line reader's error places, the code point range
+filter against a per-character loop, the sst grid's distinct rules
+against the six-threshold rule at every setting,
 annotation parse/serialize round trips, the annotation bracket views
 against a plain loop, sequence scores against the bracket oracle, and
 parameter file round trips."""
@@ -213,6 +214,35 @@ def test_table_of_a_dict_is_the_built_table(instance, data):
     for d in (counts, other, {}):
         assert (built.counts == d) == (dict(built.counts) == d)
         assert (d == built.counts) == (d == dict(built.counts))
+
+
+@st.composite
+def gram_dicts(draw):
+    """(orders, {gram: count}, query) over any Unicode: NUL, lone surrogates,
+    astral characters, tab and the empty gram; grams of up to 24 characters
+    of up to 12, so that keys may take more than one step, and a query of
+    the lowest order that may hold characters no gram has."""
+    alphabet = draw(st.lists(lookup_chars | st.characters(exclude_categories=()),
+                             min_size=1, max_size=12, unique=True))
+    grams = st.text(st.sampled_from(alphabet), max_size=draw(st.sampled_from([3, 24])))
+    counts = draw(st.dictionaries(grams, st.integers(-(2**63), 2**63 - 1), max_size=30))
+    orders = draw(st.sets(st.integers(2, 24), min_size=1))
+    query = draw(st.text(st.sampled_from(alphabet) | lookup_chars,
+                         min_size=min(orders), max_size=min(orders)))
+    return orders, counts, query
+
+
+@settings(max_examples=300, deadline=None)
+@given(gram_dicts())
+@example(({2}, {"": 2, "ab": 3}, "ab"))
+def test_table_of_any_unicode_dict_reads_the_dict_back(instance):
+    orders, counts, query = instance
+    table = NGramTable(orders, counts, 0)
+    assert table.counts == counts and counts == table.counts
+    assert list(table.counts.items()) == sorted(counts.items(), key=lambda e: (len(e[0]), e[0]))
+    covered = [g for g in counts if len(g) in orders]
+    assert {g: table.count(g) for g in covered} == {g: counts[g] for g in covered}
+    assert table.count(query) == counts.get(query, 1)
 
 
 # profile values from a small set, so that plateaus and ties are common
