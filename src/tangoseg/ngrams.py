@@ -23,10 +23,10 @@ walk yields blocks and the count-file writer formats them, so ``build-index``
 writes both files with no string per gram.  A table holds its grams as one
 sorted int64 key array with a count array (``_Counts``), made from the
 walk's blocks or the count file's parsed arrays, found with one
-searchsorted per key step, and read back into blocks to be saved or
-iterated.  The dict side is plain Python: ``_block_dict`` makes the sst
-counts' and a table's iteration's ``{gram: count}`` dicts, and
-``_dict_blocks`` sorts a given table's or the stats' dict into blocks.
+searchsorted per key step, and sliced from its kept orders and ranks
+into blocks to be saved or iterated.  The dict side is plain Python:
+``_block_dict`` makes the sst counts' and a table's iteration's dicts,
+and ``_dict_blocks`` sorts a given table's or the stats' dict into blocks.
 
 Every file format of the package is read and written here once: lines
 (``split_lines``, ``read_lines``), files (``read_source``, ``write_to``),
@@ -449,6 +449,7 @@ class _Counts(Mapping):
     keys sort by order, then string: the count file's order.  Each step's
     keys end in LAST, the last step's with count 1.  One step holds orders
     2-6 of 47 characters in 39 bits; 3,000 characters need 75, two steps.
+    The grams' orders and rank matrix stay, in row order, for blocks().
     """
 
     def __init__(self, order: np.ndarray, grams: np.ndarray, value: np.ndarray):
@@ -462,14 +463,14 @@ class _Counts(Mapping):
         self.rank = np.zeros(PAD + 1 + self.top, np.min_scalar_type(len(self.alphabet) + self.top))
         self.rank[self.alphabet[1:]] = np.arange(1, len(self.alphabet))
         self.rank[PAD + 1 :] = np.arange(1, self.top + 1)
-        ranks = self.rank[grams]
+        self.order, self.ranks = order.astype(np.min_scalar_type(self.top)), self.rank[grams]
         self.steps = []  # (stop slot, multipliers of the id and the slots, keys) per step
         key, id_bits, done = order.astype(np.int64), self.top.bit_length(), 0
         while True:
             s = min(self.top - done, (63 - id_bits) // self.bits)
             for j in range(done, done + s):  # in place, with no int64 matrix of slots
                 key <<= self.bits
-                key |= ranks[:, j]
+                key |= self.ranks[:, j]
             mult = 1 << self.bits * np.arange(s, -1, -1)
             done += s
             if done == self.top:
@@ -513,16 +514,11 @@ class _Counts(Mapping):
         return key
 
     def blocks(self) -> dict:
-        """The count blocks of the grams, read back from their keys."""
-        slots, key = np.zeros((len(self), self.top + 1), np.int64), self.key[:-1]
-        for i in reversed(range(len(self.steps))):
-            stop, mult, _ = self.steps[i]
-            slots[:, self.steps[i - 1][0] if i else 1 : stop] = (
-                key[:, None] // mult[1:] & (1 << self.bits) - 1)
-            key = self.steps[i - 1][2][key // mult[0]] if i else key // mult[0]
-        starts = np.flatnonzero(np.diff(key, prepend=-1)).tolist()  # key is now the order
-        return {int(key[a]): (self.alphabet[slots[a:b, 1 : key[a] + 1]], self.value[a:b])
-                for a, b in zip(starts, starts[1:] + [len(key)])}
+        """The count blocks of the grams, sliced from the kept orders and ranks."""
+        starts = np.flatnonzero(_run_starts(self.order)).tolist()
+        return {int(self.order[a]): (self.alphabet[self.ranks[a:b, : self.order[a]]],
+                                     self.value[a:b])
+                for a, b in zip(starts, starts[1:] + [len(self)])}
 
     def __len__(self) -> int:
         return len(self.key) - 1

@@ -155,8 +155,8 @@ def _gap_counts(seq: str, orders, table: NGramTable) -> "tuple[np.ndarray, np.nd
     _plan keeps the comparisons per (length, sorted orders), never per
     sequence or table, for the last 64 keys: 24 bytes for each of about
     2(n-1) per character and order n, 17 per cell, 8 per gap and 2 per
-    window slot (1 below 256 characters), so about 880 bytes per character
-    under orders 2..6.
+    window slot (1 below 256 characters, 4 past 65,530), so about 880
+    bytes per character under orders 2..6.
     """
     table.require_orders(orders)
     plan = _plan(len(seq), orders)

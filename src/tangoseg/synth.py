@@ -85,6 +85,9 @@ def make_zipf_lexicon(
         raise ParameterError("need at least one stem")
     if len(alphabet) < n_suffixes:
         raise ParameterError("alphabet too small for the requested suffixes")
+    possible = sum(len(set(alphabet)) ** length for length in set(stem_lengths))
+    if n_stems > possible:
+        raise ParameterError(f"only {possible} distinct stems exist, {n_stems} requested")
     rng = random.Random(seed)
     stems: dict[str, None] = {}  # distinct, in draw order
     while len(stems) < n_stems:

@@ -57,7 +57,7 @@ from tangoseg import (
 )
 from tangoseg import segmenter, synth
 from tangoseg.cli import main
-from tangoseg.ngrams import _block_dict, _count_windows, read_lines
+from tangoseg.ngrams import _block_dict, _count_windows, _walk_blocks, read_lines
 from tangoseg.sst import _sst_rule
 from tangoseg.training import SST_EXTREMUM_VALUES, SST_THETAS, _sst_rules
 
@@ -170,6 +170,18 @@ def assert_lookups_match_oracle(corpus, seq, orders):
     return table
 
 
+def assert_blocks_are_the_walks(corpus, orders, *tables):
+    """Each table's count blocks are the counting walk's pruned blocks, array
+    for array: the same orders, uint32 grams and int64 counts."""
+    walk = {n: block for n, block in _walk_blocks(corpus, orders)[0].items() if len(block[1])}
+    for table in tables:
+        blocks = table.counts.blocks()
+        assert list(blocks) == list(walk)
+        for n, (grams, counts) in blocks.items():
+            assert grams.dtype == np.uint32 and counts.dtype == np.int64
+            assert np.array_equal(grams, walk[n][0]) and np.array_equal(counts, walk[n][1])
+
+
 @settings(max_examples=300, deadline=None)
 @given(lookup_instances())
 def test_table_lookups_match_oracle_on_any_unicode(instance):
@@ -182,10 +194,12 @@ def test_wide_key_lookups_match_oracle(instance):
     corpus, _, orders = instance
     table = assert_lookups_match_oracle(*instance)
     assert len(table.counts.steps) > 1
-    assert table.counts == pruned_counts(corpus, orders)  # read back from the keys
+    assert table.counts == pruned_counts(corpus, orders)  # read back from the ranks
     buf = io.BytesIO()
     table.save(buf)
-    assert NGramTable.load(io.BytesIO(buf.getvalue())) == table
+    loaded = NGramTable.load(io.BytesIO(buf.getvalue()))
+    assert loaded == table
+    assert_blocks_are_the_walks(corpus, orders, table, loaded)
 
 
 @settings(max_examples=200, deadline=None)
@@ -200,7 +214,9 @@ def test_table_of_a_dict_is_the_built_table(instance, data):
     built.save(files[0])
     given_dict.save(files[1])
     assert files[0].getvalue() == files[1].getvalue()
-    assert NGramTable.load(io.BytesIO(files[0].getvalue())) == built
+    loaded = NGramTable.load(io.BytesIO(files[0].getvalue()))
+    assert loaded == built
+    assert_blocks_are_the_walks(corpus, orders, built, loaded, given_dict)
     # the view iterates in file order and compares with a dict as the dict itself does
     entries = [line.split("\t") for line in files[0].getvalue().decode("utf-8").split("\n")[3:-1]]
     assert list(built.counts) == [gram for _, _, gram in entries]

@@ -69,11 +69,19 @@ class TestLexicon:
     @pytest.mark.parametrize("args, message", [
         ({"n_stems": 0}, "need at least one stem"),
         ({"n_suffixes": 4, "alphabet": "abc"}, "alphabet too small for the requested suffixes"),
+        # 4 stems of length 2 and 8 of length 3: drawing a 13th would never end
+        ({"n_stems": 13, "n_suffixes": 2, "alphabet": "ab"},
+         "only 12 distinct stems exist, 13 requested"),
     ])
     def test_zipf_lexicon_refusals(self, args, message):
         with pytest.raises(ParameterError) as exc:
             make_zipf_lexicon(**args)
         assert str(exc.value) == message
+
+    def test_zipf_lexicon_takes_every_distinct_stem(self):
+        lexicon = make_zipf_lexicon(12, 2, alphabet="aab", stem_lengths=(3, 2, 3))
+        stems = [e.word for e in lexicon if e.role == "stem"]
+        assert sorted(stems) == sorted(a + b + c for a in "ab" for b in "ab" for c in ["", *"ab"])
 
     def test_entry_validation(self):
         with pytest.raises(ParameterError):
