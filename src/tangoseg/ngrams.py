@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Collection, Iterable, Sequence
 
 import numpy as np
 
@@ -501,7 +501,7 @@ class _Counts(Mapping):
         row i of slots indexes gram i's order and characters in the UTF-32
         codes of text and then tail, the bytes of a tail(orders)."""
         slots = self.rank.take(np.frombuffer(
-            text.encode("utf-32-le", "surrogatepass") + tail, np.uint32))[slots]
+            text.encode("utf-32-le", "surrogatepass") + tail, np.uint32)).take(slots)
         key, lo = None, 0
         for stop, mult, known in self.steps:
             part = slots[:, lo:stop]  # narrower where every gram ends before stop
@@ -509,7 +509,7 @@ class _Counts(Mapping):
                 key = part.dot(mult[: part.shape[1]])
             else:  # the previous step's id and the next ranks
                 key = key * mult[0] + part.dot(mult[1 : 1 + part.shape[1]])
-            at = np.searchsorted(known, key)
+            at = known.searchsorted(key)
             key, lo = np.where(known[at] == key, at, len(known) - 1), stop
         return key
 
@@ -582,10 +582,10 @@ class NGramTable:
             self.require_orders((len(gram),))
         return self.counts.get(gram, 1)
 
-    def require_orders(self, orders: Iterable[int]) -> None:
+    def require_orders(self, orders: Collection[int]) -> None:
         """UnsupportedOrderError naming the orders this table does not cover."""
-        missing = sorted(set(orders) - self.orders)
-        if missing:
+        if not self.orders.issuperset(orders):
+            missing = sorted(set(orders) - self.orders)
             raise UnsupportedOrderError(f"table does not cover orders {missing}")
 
     def save(self, destination) -> int:

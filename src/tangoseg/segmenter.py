@@ -11,8 +11,8 @@ One kernel, _gap_counts, serves segment, vote_profile and train_tango: it
 looks each n-gram window up once and counts every gap's comparisons
 through a plan that depends only on the length and the sorted order set.
 One placement rule, _tango_rule, local maximum or threshold, serves
-place_boundaries on one profile's floats and train_tango on arrays of
-settings.  The order set follows ngrams.order_set.
+_place on one sequence's floats, for segment and place_boundaries, and
+train_tango on arrays of settings.  The order set follows ngrams.order_set.
 
 Edge conventions (pinned by tests):
   * only comparisons between existing n-grams are performed; the vote
@@ -91,7 +91,7 @@ class VoteProfile:
             raise ParameterError("votes must lie in [0, 1]")
 
 
-_Plan = namedtuple("_Plan", "side straddling cell comparisons divisor evidence rows windows tail")
+_Plan = namedtuple("_Plan", "pairs cell comparisons divisor evidence rows windows tail")
 
 
 def _evidence_rows(evidence: np.ndarray) -> np.ndarray:
@@ -102,8 +102,8 @@ def _evidence_rows(evidence: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=64)
 def _plan(length: int, orders: "tuple[int, ...]") -> _Plan:
     """What the votes of any sequence of this length under these sorted
-    orders share, as read-only arrays: comparison i sets window side[i]
-    against straddling[i] in cell[i], row * (length - 1) + k - 1 for
+    orders share, as read-only arrays: comparison i sets window pairs[0, i]
+    against pairs[1, i] in cell[i], row * (length - 1) + k - 1 for
     orders[row] at gap k; comparisons, divisor (at least 1) and evidence
     (comparisons > 0) have _gap_counts' shape, and rows holds the orders
     with evidence at each gap, at least 1.  Row w of windows indexes window
@@ -118,19 +118,19 @@ def _plan(length: int, orders: "tuple[int, ...]") -> _Plan:
         last = length - n  # start of the last window
         d = np.arange(1, n)
         # each side window, ending or starting at k, against each straddling one
-        pairs = np.repeat(np.hstack([k - n, k]), n - 1, axis=1)
+        side = np.repeat(np.hstack([k - n, k]), n - 1, axis=1)
         against = np.hstack([k - n + d, k - d])
-        fits = (pairs >= 0) & (pairs <= last) & (against >= 0) & (against <= last)
+        fits = (side >= 0) & (side <= last) & (against >= 0) & (against <= last)
         cells = np.broadcast_to(row * (length - 1) + k - 1, fits.shape)
-        parts.append((base + pairs[fits], base + against[fits], cells[fits]))
+        parts.append((base + np.stack([side[fits], against[fits]]), cells[fits]))
         base += max(0, last + 1)
         start = np.arange(max(0, last + 1))[:, None]
         windows.append(np.hstack([np.full_like(start, length + 1 + row),
                                   np.where(slot < n, start + slot, length)]))
-    side, straddling, cell = (np.concatenate(a).astype(np.intp) for a in zip(*parts))
+    pairs, cell = (np.concatenate(a, -1).astype(np.intp) for a in zip(*parts))
     comparisons = np.bincount(cell, minlength=len(orders) * (length - 1))
     comparisons = comparisons.reshape(len(orders), length - 1)
-    plan = _Plan(side, straddling, cell, comparisons, np.maximum(comparisons, 1),
+    plan = _Plan(pairs, cell, comparisons, np.maximum(comparisons, 1),
                  comparisons > 0, _evidence_rows(comparisons > 0),
                  np.concatenate(windows).astype(np.min_scalar_type(length + len(orders))),
                  _Counts.tail(orders))
@@ -151,18 +151,19 @@ def _gap_counts(seq: str, orders, table: NGramTable) -> "tuple[np.ndarray, np.nd
     cover every order raises UnsupportedOrderError.
 
     Each window is looked up once: one gather makes its slots, one dot
-    product per key step its key, and one searchsorted per step finds it.
-    _plan keeps the comparisons per (length, sorted orders), never per
-    sequence or table, for the last 64 keys: 24 bytes for each of about
-    2(n-1) per character and order n, 17 per cell, 8 per gap and 2 per
-    window slot (1 below 256 characters, 4 past 65,530), so about 880
-    bytes per character under orders 2..6.
+    product per key step its key, and one searchsorted per step finds it;
+    then one gather through the plan's pairs takes both counts of every
+    comparison, side over straddling.  _plan keeps the comparisons per
+    (length, sorted orders), never per sequence or table, for the last 64
+    keys: 24 bytes for each of about 2(n-1) per character and order n, 17
+    per cell, 8 per gap and 2 per window slot (1 below 256 characters, 4
+    past 65,530), so about 880 bytes per character under orders 2..6.
     """
     table.require_orders(orders)
     plan = _plan(len(seq), orders)
-    c = table.counts.value[table.counts.find(seq, plan.windows, plan.tail.tobytes())]
-    affirmative = np.bincount(plan.cell[c[plan.side] > c[plan.straddling]],
-                              minlength=plan.comparisons.size)
+    found = table.counts.find(seq, plan.windows, plan.tail.tobytes())
+    side, straddling = table.counts.value[found][plan.pairs]
+    affirmative = np.bincount(plan.cell[side > straddling], minlength=plan.comparisons.size)
     return affirmative.reshape(plan.comparisons.shape), plan.comparisons
 
 
@@ -175,9 +176,10 @@ def _order_votes(seq: str, orders, table: NGramTable) -> "tuple[np.ndarray, ...]
 
 
 def _mean_votes(votes: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Per gap, the rows' votes summed row after row over rows, the orders
-    with evidence there (at least 1): the mean over those, 0 where none has."""
-    return sum(votes[1:], votes[0]) / rows
+    """Per gap, the rows' votes summed row after row (np.add.reduce may sum
+    pairwise, which rounds otherwise) over rows, the orders with evidence
+    there (at least 1): the mean over those, 0 where none has."""
+    return np.add.accumulate(votes, 0)[-1] / rows
 
 
 def _padded(votes: list[float]) -> list[float]:
@@ -196,6 +198,15 @@ def _tango_rule(left, vote, right, use_local_max, threshold):
     return (use_local_max & (left < vote) & (vote > right)) | (vote >= threshold)
 
 
+def _votes(seq: str, orders: "tuple[int, ...]", table: NGramTable) -> "tuple[list, np.ndarray]":
+    """The mean vote per gap, as floats, and the per-order votes, under
+    orders that order_set already returned."""
+    if not seq:
+        raise ValueError("segmentation over an empty sequence")
+    votes, _, rows = _order_votes(seq, orders, table)
+    return _mean_votes(votes, rows).tolist(), votes
+
+
 def vote_profile(
     seq: str,
     orders,
@@ -205,30 +216,26 @@ def vote_profile(
     """Total vote at every gap: votes[k-1] is the mean vote at gap k over the
     orders with evidence there, 0 where none has.  With keep_per_order,
     per_order[n][k-1] is order n's vote at gap k, 0 without evidence."""
-    return _profile(seq, order_set(orders), table, keep_per_order)
-
-
-def _profile(seq: str, orders: "tuple[int, ...]", table: NGramTable,
-             keep_per_order: bool = False) -> VoteProfile:
-    """vote_profile under orders that order_set already returned."""
-    if not seq:
-        raise ValueError("segmentation over an empty sequence")
-    votes, _, rows = _order_votes(seq, orders, table)
+    orders = order_set(orders)
+    means, votes = _votes(seq, orders, table)
     per_order = dict(zip(orders, votes.tolist())) if keep_per_order else None
-    return VoteProfile(seq, _mean_votes(votes, rows).tolist(), per_order)
+    return VoteProfile(seq, means, per_order)
+
+
+def _place(seq: str, votes: "list[float]", params: TangoParams) -> FlatSegmentation:
+    """The placement rule over the mean votes at seq's gaps."""
+    threshold = params.threshold if params.use_threshold else math.inf
+    p = _padded(votes)
+    hits = map(_tango_rule, p, votes, p[2:], repeat(params.use_local_max), repeat(threshold))
+    return FlatSegmentation(seq, tuple(compress(range(1, len(p) - 1), hits)))
 
 
 def place_boundaries(profile: VoteProfile, params: TangoParams) -> FlatSegmentation:
     """Apply the local-maximum / threshold rule to a vote profile."""
-    threshold = params.threshold if params.use_threshold else math.inf
-    p = _padded(profile.votes)
-    hits = map(
-        _tango_rule, p, profile.votes, p[2:], repeat(params.use_local_max), repeat(threshold)
-    )
-    return FlatSegmentation(profile.sequence, tuple(compress(range(1, len(p) - 1), hits)))
+    return _place(profile.sequence, profile.votes, params)
 
 
 def segment(seq: str, params: TangoParams, table: NGramTable) -> FlatSegmentation:
-    """Vote at every gap of seq and place boundaries; a single-character
-    sequence comes back as one segment."""
-    return place_boundaries(_profile(seq, params.sorted_orders, table), params)
+    """place_boundaries(vote_profile(seq, params.orders, table), params),
+    with no VoteProfile between; one character comes back as one segment."""
+    return _place(seq, _votes(seq, params.sorted_orders, table)[0], params)

@@ -83,9 +83,12 @@ def make_zipf_lexicon(
     (weight of the rank-r item proportional to 1/r^exponent)."""
     if n_stems < 1:
         raise ParameterError("need at least one stem")
+    if len(set(alphabet)) < len(alphabet):  # suffixes are drawn by position
+        repeated = next(c for i, c in enumerate(alphabet) if c in alphabet[:i])
+        raise ParameterError(f"alphabet repeats {repeated!r}")
     if len(alphabet) < n_suffixes:
         raise ParameterError("alphabet too small for the requested suffixes")
-    possible = sum(len(set(alphabet)) ** length for length in set(stem_lengths))
+    possible = sum(len(alphabet) ** length for length in set(stem_lengths))
     if n_stems > possible:
         raise ParameterError(f"only {possible} distinct stems exist, {n_stems} requested")
     rng = random.Random(seed)

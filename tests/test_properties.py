@@ -1,6 +1,7 @@
 """Property tests: the counting engine, the vote kernel and its plan
-cache, the sst peak features and the synthetic corpus draws, in one chunk
-of the random stream and across many, against the naive oracle, table
+cache, segment against place_boundaries of vote_profile, the sst peak
+features and the synthetic corpus draws, in one chunk of the random
+stream and across many, against the naive oracle, table
 round trips, tables given as dicts over any Unicode, the count-file
 loaders on edited files against the reference reader, the count-file
 writer, from dicts and from the counting walk's blocks, against a sorted
@@ -44,10 +45,12 @@ from tangoseg import (
     load_stats,
     parse_annotation,
     parse_flat,
+    place_boundaries,
     read_sst_params,
     read_tango_params,
     save_stats,
     score_sequence,
+    segment,
     serialize_annotation,
     serialize_flat,
     vote_profile,
@@ -62,6 +65,7 @@ from tangoseg.sst import _sst_rule
 from tangoseg.training import SST_EXTREMUM_VALUES, SST_THETAS, _sst_rules
 
 from naive import (
+    naive_boundaries,
     naive_corpus,
     naive_counts,
     naive_extremum_features,
@@ -129,15 +133,16 @@ lookup_chars = st.one_of(
 
 
 @st.composite
-def lookup_instances(draw, chars=lookup_chars):
-    """(corpus, sequence, orders): the sequence may hold characters the
-    corpus never has, so that lookups miss the table's alphabet."""
+def lookup_instances(draw, chars=lookup_chars, length=18, top=6):
+    """(corpus, sequence of up to length characters, orders from 2..top):
+    the sequence may hold characters the corpus never has, so that lookups
+    miss the table's alphabet."""
     alphabet = draw(st.lists(chars, min_size=1, max_size=5, unique=True))
     corpus = draw(st.lists(st.text(st.sampled_from(alphabet), min_size=1, max_size=16),
                            min_size=1, max_size=12))
     unseen = draw(st.lists(chars.filter(lambda c: c not in alphabet), max_size=2))
-    seq = draw(st.text(st.sampled_from(alphabet + unseen), min_size=1, max_size=18))
-    return corpus, seq, draw(st.sets(st.integers(2, 6), min_size=1))
+    seq = draw(st.text(st.sampled_from(alphabet + unseen), min_size=1, max_size=length))
+    return corpus, seq, draw(st.sets(st.integers(2, top), min_size=1))
 
 
 @st.composite
@@ -186,6 +191,23 @@ def assert_blocks_are_the_walks(corpus, orders, *tables):
 @given(lookup_instances())
 def test_table_lookups_match_oracle_on_any_unicode(instance):
     assert_lookups_match_oracle(*instance)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lookup_instances(length=40, top=12),
+       st.sampled_from([(True, True), (True, False), (False, True)]), st.integers(0, 38))
+@example((["abab"], "ab\U00020000" * 3, set(range(2, 13))), (True, True), 1)
+def test_segment_places_what_place_boundaries_places(instance, conditions, pick):
+    # segment builds no VoteProfile, so it must agree with the public two-step path
+    # and the oracle under order sets of 8 or more rows, at thresholds equal to votes
+    corpus, seq, orders = instance
+    table = build_table(Corpus(corpus), orders)
+    votes = naive_total_votes(seq, orders, pruned_lookup(corpus, orders))
+    threshold = votes[pick % len(votes)] if votes else 1.0
+    params = TangoParams(frozenset(orders), threshold, *conditions)
+    got = segment(seq, params, table)
+    assert got == place_boundaries(vote_profile(seq, params.orders, table), params)
+    assert set(got.boundaries) == naive_boundaries(votes, threshold, *conditions)
 
 
 @settings(max_examples=60, deadline=None)

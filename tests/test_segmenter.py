@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from tangoseg import (
@@ -18,7 +19,7 @@ from tangoseg import (
     vote_profile,
 )
 import tangoseg.segmenter as segmenter
-from tangoseg.segmenter import _gap_counts, _plan
+from tangoseg.segmenter import _gap_counts, _mean_votes, _plan
 
 from naive import naive_boundaries, naive_order_vote, naive_total_votes, pruned_lookup
 
@@ -119,6 +120,27 @@ class TestTotalVote:
         assert profile.per_order[2][3] == 1.0
         assert profile.per_order[4][3] == 0.5
         assert profile.votes[3] == 0.75
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 9, 129])
+    def test_mean_votes_add_row_after_row(self, width):
+        # numpy may sum 8 or more rows pairwise, which rounds otherwise
+        rng = np.random.default_rng(width)
+        for height in range(1, 14):
+            for trial in range(40):
+                comparisons = rng.integers(1, 9, (13, width))
+                pool = rng.integers(0, comparisons + 1) / comparisons  # votes as the kernel makes
+                if trial % 2:
+                    pool = np.asfortranarray(rng.random((13, width)))
+                pick = sorted(rng.choice(13, height, replace=False))  # as train_tango takes them
+                rows = rng.integers(1, height + 1, width)  # orders with evidence
+                for votes in (pool[:height], pool[pick]):
+                    means = []
+                    for column, r in zip(votes.T.tolist(), rows.tolist()):
+                        total = column[0]
+                        for v in column[1:]:
+                            total += v
+                        means.append(total / r)
+                    assert _mean_votes(votes, rows).tobytes() == np.array(means).tobytes()
 
     def test_orders_without_evidence_excluded(self, toy_table):
         # order 6 never fits a 3-char sequence; order 2 stands alone

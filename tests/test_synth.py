@@ -72,6 +72,10 @@ class TestLexicon:
         # 4 stems of length 2 and 8 of length 3: drawing a 13th would never end
         ({"n_stems": 13, "n_suffixes": 2, "alphabet": "ab"},
          "only 12 distinct stems exist, 13 requested"),
+        # suffixes are drawn by position: "aa" would give two suffixes "a"
+        ({"n_stems": 1, "n_suffixes": 2, "alphabet": "aa", "stem_lengths": (2,)},
+         "alphabet repeats 'a'"),
+        ({"alphabet": "ab\U00020000cb"}, "alphabet repeats 'b'"),
     ])
     def test_zipf_lexicon_refusals(self, args, message):
         with pytest.raises(ParameterError) as exc:
@@ -79,7 +83,7 @@ class TestLexicon:
         assert str(exc.value) == message
 
     def test_zipf_lexicon_takes_every_distinct_stem(self):
-        lexicon = make_zipf_lexicon(12, 2, alphabet="aab", stem_lengths=(3, 2, 3))
+        lexicon = make_zipf_lexicon(12, 2, alphabet="ab", stem_lengths=(3, 2, 3))
         stems = [e.word for e in lexicon if e.role == "stem"]
         assert sorted(stems) == sorted(a + b + c for a in "ab" for b in "ab" for c in ["", *"ab"])
 
