@@ -10,10 +10,10 @@ for ``build_table``, ``BigramStats.from_corpus`` and ``build-index``, checks
 the input, counts both in one walk and prunes the table.  The engine works
 on the joined corpus as numpy arrays, each character its dense rank in the
 corpus alphabet.  A walk step packs the dense id of each window's counted
-prefix and the ranks of as many next characters as fit into one int64 key,
-and one sort run-length encodes every order of the step into counts.  On an
-alphabet of b-bit ranks the first sort counts 63 // b orders: all of orders
-1-6 for up to 1,023 distinct characters, and orders 1-5 for up to 4,095.
+prefix, the ranks of as many next characters as fit and the window's start
+position into one int64 key, and one sort run-length encodes every order of
+the step into counts: orders 1-6 of the 1 MB acceptance corpus in one step,
+and orders 1-3, 4-5 and 6 of 1 MB over 3,000 ideographs (12-bit ranks).
 That keeps the build at O(m log m) per step in total corpus characters,
 with no Python object per window.
 
@@ -60,6 +60,7 @@ __all__ = [
 MAX_DIGITS = 18  # the longest order or count field of a count file; an int64 holds any
 PAD = 0x110000  # past every code point: the code of a slot past a gram's end
 LAST = np.iinfo(np.int64).max  # the last key of every step, past every gram's
+_KEY_BITS = 63  # the bits of a counting walk's sort key
 HEX_BOUND = re.compile("[0-9A-Fa-f]{1,6}")  # a code point range's bound
 
 
@@ -618,15 +619,15 @@ def _count_windows(sequences: Sequence[str], min_counts: "dict[int, int]") -> di
     Each character is its dense rank in the corpus alphabet, from 1, with 0
     for "past the sequence end"; a rank takes b bits.  Each step of the walk
     appends the ranks of each window's next s characters to the id of its
-    prefix (0 for the empty one) in one int64 key,
-    ``id << b*s | r1 << b*(s-1) | ... | rs``, and sorts the keys, which
-    orders the windows as strings.  A step after d characters counts its
-    order n from the runs of equal ``key >> b*(d+s-n)`` among the windows
-    with at least n characters left (a shorter one has a 0 rank there), and
-    the dense rank of the full key is the next step's id, so ids stay below
-    the window count.  A step packs s = (63 - id bits) // b characters:
-    id bits + s * b <= 63, so no key overflows for any alphabet.  A gram's
-    code points come back from its start position through the ranks.
+    prefix (0 for the empty one), then its start position in p bits, in one
+    int64 key, ``(id << b*s | r1 << b*(s-1) | ... | rs) << p | position``,
+    and sorts the keys in place, which orders the windows as strings (any
+    position of a run of equal keys gives the gram's code points).  A step
+    after d characters counts order n from the runs of keys equal above bit
+    b*(d+s-n) among the windows with at least n characters left, and the
+    dense rank of each kept key is the next step's id.  A step packs
+    s = (_KEY_BITS - id bits - p) // b characters; only where none fits
+    (past about 47M characters at 12-bit ranks) does it argsort bare keys.
     """
     out = {n: (np.empty((0, n), np.uint32), np.empty(0, np.int64)) for n in sorted(min_counts)}
     top = max(min_counts)
@@ -649,11 +650,13 @@ def _count_windows(sequences: Sequence[str], min_counts: "dict[int, int]") -> di
     # Start position and prefix id of each window, kept in the sorted order
     # of the previous step's keys: that order sorts the next keys by their
     # prefix already.
-    pos = np.arange(m, dtype=np.min_scalar_type(m))
+    pos = np.arange(m, dtype=np.min_scalar_type(-m))  # signed: it ORs into int64 keys
     ids = np.zeros(m, np.int64)
-    done = 0
+    done, pos_bits = 0, (m - 1).bit_length()
     while len(pos):
-        s = min(top - done, (63 - int(ids[-1]).bit_length()) // bits)
+        id_bits = int(ids[-1]).bit_length()
+        packed = id_bits + bits + pos_bits <= _KEY_BITS  # else an index is sorted
+        s = min(top - done, (_KEY_BITS - id_bits - pos_bits * packed) // bits)
         # the ranks of characters done..done+s-1 of the window at each
         # position, in corpus order, 0 past its sequence end
         chunk = np.zeros(m, np.int64)
@@ -665,14 +668,24 @@ def _count_windows(sequences: Sequence[str], min_counts: "dict[int, int]") -> di
         del ids
         keys |= chunk[pos]
         del chunk
-        order = np.argsort(keys)
-        keys, pos = keys[order], pos[order]
-        del order
+        if packed:
+            keys <<= pos_bits
+            keys |= pos
+            keys.sort()
+            np.bitwise_and(keys, (1 << pos_bits) - 1, out=pos, casting="unsafe")
+            keys >>= pos_bits
+        else:
+            order = np.argsort(keys)
+            keys, pos = keys[order], pos[order]
+            del order
         window_left = left[pos]
+        change = np.empty(len(keys), np.int64)  # the bits where each key leaves the one before
+        change[0] = LAST
+        np.bitwise_xor(keys[1:], keys[:-1], out=change[1:])
         for n in range(done + 1, done + s + 1):
             if n not in min_counts:
                 continue
-            starts = np.flatnonzero(_run_starts(keys >> (bits * (done + s - n))))
+            starts = np.flatnonzero(change >= 1 << bits * (done + s - n))
             counts = np.diff(starts, append=len(keys))
             kept = (counts >= min_counts[n]) & (window_left[starts] >= n)
             at = pos[starts[kept]]
@@ -684,7 +697,7 @@ def _count_windows(sequences: Sequence[str], min_counts: "dict[int, int]") -> di
         if done == top:
             break
         valid = window_left > done
-        del window_left
+        del window_left, change
         keys, pos = keys[valid], pos[valid]
         del valid
         ids = np.cumsum(_run_starts(keys), dtype=np.int64)

@@ -187,6 +187,32 @@ class TestCount:
             table.require_orders({3})
         assert str(by_count.value) == str(by_check.value) == "table does not cover orders [3]"
 
+    def test_multi_step_key_lookups(self):
+        # 3,000 ideographs take 12-bit ranks, so a key of orders 2-6 takes two
+        # steps: the order and five ranks, then the first step's id and the sixth
+        kanji = [chr(0x4E00 + i) for i in range(3000)]
+        sequences = ["".join(kanji[i : i + 50]) for i in range(0, 3000, 50)] * 2
+        sequences.append(kanji[7] * 8)
+        table = build_table(Corpus(sequences), range(2, 7))
+        counts = table.counts
+        assert len(counts.steps) == 2
+        lookups = {
+            "".join(kanji[10:16]): 2,  # stored, found in both steps
+            "".join(kanji[10:15]): 2,  # a stored order-5 gram, a 0 rank in the second step
+            kanji[7] * 6: 3,
+            kanji[7] * 2: 7,
+            "".join(kanji[10:15]) + kanji[17]: None,  # a stored first step only
+            "".join(kanji[48:54]): None,  # spans two sequences
+            kanji[10] + "x": None,  # a character outside the alphabet
+        }
+        for gram, count in lookups.items():
+            assert counts.get(gram) == count, gram
+            assert table.count(gram) == (count or 1)
+        with pytest.raises(KeyError):
+            counts["".join(kanji[10:15]) + kanji[17]]
+        assert dict(counts) == dict(counts.items()) == {
+            g: c for n in range(2, 7) for g, c in naive_counts(sequences, n).items() if c >= 2}
+
 
 class TestDictGivenTable:
     def test_empty_gram_iterates_and_is_refused_by_save(self):

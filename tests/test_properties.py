@@ -58,7 +58,7 @@ from tangoseg import (
     write_sst_params,
     write_tango_params,
 )
-from tangoseg import segmenter, synth
+from tangoseg import ngrams, segmenter, synth
 from tangoseg.cli import main
 from tangoseg.ngrams import _block_dict, _count_windows, _walk_blocks, read_lines
 from tangoseg.sst import _sst_rule
@@ -582,8 +582,9 @@ def assert_walk_matches_oracle(sequences, orders):
 @st.composite
 def wide_corpora(draw):
     """(sequences, orders): at least 64 distinct ideographs, so ranks take 7 or
-    more bits, one step packs at most 9 characters, and the top order, 10 to
-    12, needs a second step built on the first step's ids."""
+    more bits and positions 6 or more, one step packs at most 8 characters,
+    and the top order, 10 to 12, needs a second step built on the first
+    step's ids."""
     alphabet = [chr(cp) for cp in draw(
         st.lists(st.integers(0x4E00, 0x9FFF), min_size=64, max_size=300, unique=True))]
     # every character in runs, so that all of them are in the corpus alphabet
@@ -603,9 +604,27 @@ def test_multi_step_walk_matches_oracle(instance):
     assert_walk_matches_oracle(*instance)
 
 
+@settings(max_examples=100, deadline=None)
+@given(wide_corpora(), st.integers(0, 8))
+def test_walk_with_a_narrow_key_budget_matches_oracle(instance, slack):
+    # A key budget of a position's and a rank's bits plus slack: the first step
+    # packs each window's position beside one or more characters, and a step
+    # whose prefix ids leave no room for the position argsorts its keys instead.
+    # At no slack the second step's ids, of two or more prefixes, take that path.
+    sequences, orders = instance
+    sequences = [*sequences, "\u4e00\u4e01\u4e00"]
+    text = "".join(sequences)
+    budget = (len(text) - 1).bit_length() + len(set(text)).bit_length() + slack
+    with mock.patch.object(ngrams, "_KEY_BITS", budget):
+        with mock.patch.object(ngrams.np, "argsort", wraps=np.argsort) as argsort:
+            _count_windows(sequences, dict.fromkeys(orders, 1))
+        assert argsort.called or slack
+        assert_walk_matches_oracle(sequences, orders)
+
+
 def test_multi_step_walk_on_a_sixty_thousand_character_alphabet():
-    # 16-bit ranks: the walk to order 10 takes a step of 3 characters and
-    # then steps of 2, each keyed on the dense ids of the step before
+    # 16-bit ranks and 16-bit positions: the walk to order 10 takes a step of
+    # 2 characters and then steps of 1, each keyed on the dense ids of the step before
     rng = random.Random(12)
     codes = [*range(0x4E00, 0xA000), *range(0x20000, 0x20000 + 60_000 - 0x5200)]
     alphabet = [chr(cp) for cp in codes]
