@@ -28,7 +28,8 @@ from .ngrams import (
     TABLE,
     Corpus,
     NGramTable,
-    _walk_blocks,
+    _code_blocks,
+    _walk,
     codepoint_range_filter,
     order_set,
     read_int_list,
@@ -97,7 +98,7 @@ def cmd_build_index(args) -> int:
         raise FormatError("no sequences extracted", path=args.corpus)
     size = corpus.total_chars
     print(f"corpus_size {size}", file=sys.stderr)
-    table, stats = _walk_blocks(corpus.sequences, orders, stats=bool(args.bigrams_out))
+    table, stats = _code_blocks(*_walk(corpus.sequences, orders, stats=bool(args.bigrams_out)))
     if table is not None:
         for n, (_, counts) in table.items():
             print(f"order {n}: {len(counts)} distinct grams", file=sys.stderr)

@@ -5,8 +5,8 @@ occurring exactly once are pruned from the table, and every lookup of a
 supported order returns at least 1, so unseen grams behave as if seen once.
 
 One counting engine, ``_count_windows``, serves this table and the unpruned
-unigram/bigram counts of the sst baseline; ``_walk_blocks``, its one entry
-for ``build_table``, ``BigramStats.from_corpus`` and ``build-index``, checks
+unigram/bigram counts of the sst baseline; ``_walk``, its one entry for
+``build_table``, ``BigramStats.from_corpus`` and ``build-index``, checks
 the input, counts both in one walk and prunes the table.  The engine works
 on the joined corpus as numpy arrays, each character its dense rank in the
 corpus alphabet.  A walk step packs the dense id of each window's counted
@@ -17,16 +17,16 @@ and orders 1-3, 4-5 and 6 of 1 MB over 3,000 ideographs (12-bit ranks).
 That keeps the build at O(m log m) per step in total corpus characters,
 with no Python object per window.
 
-Counts travel as blocks: per order n, a (k, n) uint32 matrix of the code
-points of k grams in string order and an int64 array of their counts.  The
-walk yields blocks and the count-file writer formats them, so ``build-index``
-writes both files with no string per gram.  A table holds its grams as one
-sorted int64 key array with a count array (``_Counts``), made from the
-walk's blocks or the count file's parsed arrays, found with one
-searchsorted per key step, and sliced from its kept orders and ranks
-into blocks to be saved or iterated.  The dict side is plain Python:
-``_block_dict`` makes the sst counts' and a table's iteration's dicts,
-and ``_dict_blocks`` sorts a given table's or the stats' dict into blocks.
+The walk keeps each order's grams as the corpus positions they start at.
+A table (``_Counts``) holds its grams as one sorted int64 key array with a
+count array, keyed from rank rows: the walk's in ``build_table``, or those
+``_rank_codes`` makes of the count file's or a given dict's code points.
+It finds grams with one searchsorted per key step.  Counts travel as blocks:
+per order n, a (k, n) uint32 matrix of the code points of k grams in string
+order and an int64 array of their counts, which ``_code_blocks`` makes from
+the walk and a table slices from its rows, for the count-file writer (so
+``build-index`` writes no string per gram) and the dict side: ``_block_dict``
+makes dicts of blocks and ``_dict_blocks`` sorts a given dict into blocks.
 
 Every file format of the package is read and written here once: lines
 (``split_lines``, ``read_lines``), files (``read_source``, ``write_to``),
@@ -94,7 +94,7 @@ def split_lines(text: str) -> list[str]:
     The package writes lines ending in "\\n".  str.splitlines() would also
     break inside a line at \\x0b, \\x0c, \\x1c-\\x1e, \\x85, \\u2028 and \\u2029.
     """
-    lines = text.replace("\r\n", "\n").split("\n")
+    lines = (text.replace("\r\n", "\n") if "\r" in text else text).split("\n")
     if not lines[-1]:
         lines.pop()
     return lines
@@ -323,7 +323,8 @@ def read_counts(source, layout: CountFile) -> "tuple[int, frozenset[int], _Count
     """
     orders, size_key = layout.orders, layout.size_key
     first = 2 if orders is not None else 3
-    text = read_source(source).replace("\r\n", "\n")
+    text = read_source(source)
+    text = text.replace("\r\n", "\n") if "\r" in text else text
     *lines, body = (text if text[-1:] in ("", "\n") else text + "\n").split("\n", first)
     del text
     if not lines or lines[0] != layout.header:
@@ -371,7 +372,7 @@ def read_counts(source, layout: CountFile) -> "tuple[int, frozenset[int], _Count
     order, starts, top = order[:k], tab[:k, 1] + 1, max(orders)
     grams = codes[np.minimum(starts[:, None] + np.arange(top), len(codes) - 1)]
     grams[np.arange(top) >= order[:, None]] = PAD
-    counts = _Counts(order, grams, count[:k])
+    counts = _Counts(order, *_rank_codes(grams), count[:k])
     key = counts.key
 
     def disorder(i: int) -> str:
@@ -438,6 +439,16 @@ class Corpus:
         return sum(map(len, self.sequences))
 
 
+def _rank_codes(grams: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+    """Each code's rank from 1 in the codes' ascending alphabet, PAD's 0, and that alphabet."""
+    seen = np.zeros(int(grams.max(initial=0)) + 1, bool)
+    seen[grams] = True
+    alphabet = np.r_[0, np.flatnonzero(seen[:PAD])].astype(np.uint32)  # by rank
+    rank = np.zeros(len(seen), np.min_scalar_type(len(alphabet) - 1))
+    rank[alphabet[1:]] = np.arange(1, len(alphabet))
+    return rank[grams], alphabet
+
+
 class _Counts(Mapping):
     """Grams as one sorted int64 key array with a count array, read-only as
     a mapping in file order.
@@ -453,18 +464,20 @@ class _Counts(Mapping):
     The grams' orders and rank matrix stay, in row order, for blocks().
     """
 
-    def __init__(self, order: np.ndarray, grams: np.ndarray, value: np.ndarray):
-        """Each row's gram from its order, code points (PAD past its end) and count."""
-        self.top = grams.shape[1]
-        seen = np.zeros(PAD + 1, bool)
-        seen[grams] = True
-        self.alphabet = np.r_[0, np.flatnonzero(seen[:PAD])].astype(np.uint32)  # by rank
-        self.bits = max(len(self.alphabet) - 1, 1).bit_length()
+    def __init__(self, order: np.ndarray, ranks: np.ndarray, alphabet: np.ndarray,
+                 value: np.ndarray):
+        """Each row's gram from its order, ranks in an ascending alphabet (0 past
+        its end) and count; the alphabet keeps only characters some row holds."""
+        self.top = ranks.shape[1]
+        used = np.r_[True, np.bincount(ranks.ravel(), minlength=len(alphabet))[1:] > 0]
+        if not used.all():
+            ranks, alphabet = (np.cumsum(used) - 1).astype(ranks.dtype)[ranks], alphabet[used]
+        self.alphabet, self.bits = alphabet, max(len(alphabet) - 1, 1).bit_length()
         # each code point's rank, 0 when not in the alphabet, and order n at PAD + n
-        self.rank = np.zeros(PAD + 1 + self.top, np.min_scalar_type(len(self.alphabet) + self.top))
-        self.rank[self.alphabet[1:]] = np.arange(1, len(self.alphabet))
+        self.rank = np.zeros(PAD + 1 + self.top, np.min_scalar_type(len(alphabet) + self.top))
+        self.rank[alphabet[1:]] = np.arange(1, len(alphabet))
         self.rank[PAD + 1 :] = np.arange(1, self.top + 1)
-        self.order, self.ranks = order.astype(np.min_scalar_type(self.top)), self.rank[grams]
+        self.order, self.ranks = order.astype(np.min_scalar_type(self.top)), ranks
         self.steps = []  # (stop slot, multipliers of the id and the slots, keys) per step
         key, id_bits, done = order.astype(np.int64), self.top.bit_length(), 0
         while True:
@@ -488,8 +501,8 @@ class _Counts(Mapping):
         grams = np.full((len(order), top), PAD, np.uint32)
         for n, (g, _) in blocks.items():
             grams[order == n, :n] = g
-        return cls(order, grams, np.concatenate([np.empty(0, np.int64),
-                                                 *(c for _, c in blocks.values())]))
+        return cls(order, *_rank_codes(grams), np.concatenate([np.empty(0, np.int64),
+                                                               *(c for _, c in blocks.values())]))
 
     @staticmethod
     def tail(orders: Iterable[int]) -> np.ndarray:
@@ -608,66 +621,56 @@ def _run_starts(keys: np.ndarray) -> np.ndarray:
     return starts
 
 
-def _count_windows(sequences: Sequence[str], min_counts: "dict[int, int]") -> dict:
+def _count_windows(sequences: Sequence[str], min_counts: "dict[int, int]") -> tuple:
     """Count the order-n windows of every sequence, for each order n of min_counts.
 
-    Returns the count blocks ``{n: (grams, counts)}`` of the grams seen at
-    least ``min_counts[n]`` times, orders ascending and grams in string
-    order.  Windows never cross sequence boundaries, and sequences may hold
-    any code point, separators included.
+    Returns (ranks, alphabet, kept): each corpus character's rank from 1
+    (_rank_codes), the alphabet, and per order n ascending ``(starts,
+    counts)``, where the grams seen at least ``min_counts[n]`` times start in
+    the joined corpus, in string order.  Windows never cross sequence
+    boundaries, and sequences may hold any code point, separators included.
 
-    Each character is its dense rank in the corpus alphabet, from 1, with 0
-    for "past the sequence end"; a rank takes b bits.  Each step of the walk
-    appends the ranks of each window's next s characters to the id of its
-    prefix (0 for the empty one), then its start position in p bits, in one
-    int64 key, ``(id << b*s | r1 << b*(s-1) | ... | rs) << p | position``,
+    A rank takes b bits, 0 for "past the sequence end".  Each step of the
+    walk appends the ranks of each window's next s characters to the id of
+    its prefix (none in the first step), then its start position in p bits,
+    in one int64 key, ``(id << b*s | r1 << b*(s-1) | ... | rs) << p | position``,
     and sorts the keys in place, which orders the windows as strings (any
-    position of a run of equal keys gives the gram's code points).  A step
-    after d characters counts order n from the runs of keys equal above bit
-    b*(d+s-n) among the windows with at least n characters left, and the
-    dense rank of each kept key is the next step's id.  A step packs
-    s = (_KEY_BITS - id bits - p) // b characters; only where none fits
-    (past about 47M characters at 12-bit ranks) does it argsort bare keys.
+    position of a run of equal keys gives the gram).  A step after d
+    characters counts order n from the runs of keys equal above bit b*(d+s-n)
+    among the windows with at least n characters left, and the dense rank of
+    each kept key is the next step's id.  A step packs s = (_KEY_BITS - id
+    bits - p) // b characters; only where none fits (past about 47M
+    characters at 12-bit ranks) does it argsort bare keys.
     """
-    out = {n: (np.empty((0, n), np.uint32), np.empty(0, np.int64)) for n in sorted(min_counts)}
     top = max(min_counts)
-    codes = np.frombuffer("".join(sequences).encode("utf-32-le", "surrogatepass"), np.uint32)
-    m = len(codes)
-    if not m:
-        return out
-    seen = np.zeros(int(codes.max()) + 1, bool)
-    seen[codes] = True
-    alphabet = np.r_[0, np.flatnonzero(seen)].astype(np.uint32)  # the code point of each rank
-    ranks = np.cumsum(seen, dtype=np.uint32)
-    bits = int(ranks[-1]).bit_length()
-    ranks = ranks.astype(np.min_scalar_type(ranks[-1]))[codes]
-    del seen, codes
-    lengths = np.fromiter(map(len, sequences), np.int64, len(sequences))
-    # characters left in its sequence from each position on, capped at top
-    left = np.repeat(np.cumsum(lengths), lengths)
-    left -= np.arange(m)
-    left = np.minimum(left, top).astype(np.min_scalar_type(top))
-    # Start position and prefix id of each window, kept in the sorted order
-    # of the previous step's keys: that order sorts the next keys by their
-    # prefix already.
+    ranks, alphabet = _rank_codes(np.frombuffer(
+        "".join(sequences).encode("utf-32-le", "surrogatepass"), np.uint32))
+    m, bits = len(ranks), (len(alphabet) - 1).bit_length()
+    # characters left in its sequence from each position on, capped at top: the nearest end wins
+    left = np.full(m, top, np.min_scalar_type(top))
+    ends = np.cumsum(np.fromiter(map(len, sequences), np.int64, len(sequences)))
+    for d in range(top - 1, 0, -1):
+        left[ends[ends >= d] - d] = d
+    # Start position and prefix id of each window, in the sorted order of the
+    # previous step's keys, which sorts the next keys by their prefix already.
     pos = np.arange(m, dtype=np.min_scalar_type(-m))  # signed: it ORs into int64 keys
-    ids = np.zeros(m, np.int64)
+    out = {n: (np.empty(0, pos.dtype), np.empty(0, np.int64)) for n in sorted(min_counts)}
     done, pos_bits = 0, (m - 1).bit_length()
     while len(pos):
-        id_bits = int(ids[-1]).bit_length()
+        id_bits = int(ids[-1]).bit_length() if done else 0
         packed = id_bits + bits + pos_bits <= _KEY_BITS  # else an index is sorted
         s = min(top - done, (_KEY_BITS - id_bits - pos_bits * packed) // bits)
         # the ranks of characters done..done+s-1 of the window at each
         # position, in corpus order, 0 past its sequence end
-        chunk = np.zeros(m, np.int64)
+        keys = np.zeros(m, np.int64)
         for j in range(done, done + s):
-            chunk <<= bits
+            keys <<= bits
             end = max(m - j, 0)
-            chunk[:end] |= ranks[j:] * (left[:end] > j)
-        keys = ids << (bits * s)
-        del ids
-        keys |= chunk[pos]
-        del chunk
+            keys[:end] |= ranks[j:] * (left[:end] > j)
+        if done:  # after the prefix ids, in the previous step's sorted order
+            ids <<= bits * s
+            ids |= keys[pos]
+            keys, ids = ids, None
         if packed:
             keys <<= pos_bits
             keys |= pos
@@ -688,11 +691,7 @@ def _count_windows(sequences: Sequence[str], min_counts: "dict[int, int]") -> di
             starts = np.flatnonzero(change >= 1 << bits * (done + s - n))
             counts = np.diff(starts, append=len(keys))
             kept = (counts >= min_counts[n]) & (window_left[starts] >= n)
-            at = pos[starts[kept]]
-            grams = np.empty((len(at), n), np.uint32)
-            for j in range(n):
-                grams[:, j] = alphabet[ranks[at + j]]
-            out[n] = grams, counts[kept]
+            out[n] = pos[starts[kept]], counts[kept]
         done += s
         if done == top:
             break
@@ -703,43 +702,49 @@ def _count_windows(sequences: Sequence[str], min_counts: "dict[int, int]") -> di
         ids = np.cumsum(_run_starts(keys), dtype=np.int64)
         del keys
         ids -= 1
-    return out
+    return ranks, alphabet, out
 
 
-def _walk_blocks(
-    sequences: Sequence[str], table_orders: "Iterable[int] | None" = None, stats: bool = False
-) -> "tuple[dict | None, dict | None]":
-    """The count blocks of the table of table_orders and of the bigram stats,
-    each None when not asked for, from one counting walk over sequences.
+def _gram_ranks(ranks: np.ndarray, starts: np.ndarray, n: int, width: int) -> np.ndarray:
+    """The rank rows of the n-grams at corpus positions starts, 0 past n up to width."""
+    rows = np.zeros((len(starts), width), ranks.dtype)
+    for j in range(n):
+        rows[:, j] = ranks[starts + j]
+    return rows
 
-    The table's orders follow order_set and its corpus must hold no
-    tab, newline or CR, which its file cannot store; the stats need at least
-    one character.  The stats keep every count and the table counts of 2 or
-    more, so an order 2 the two share is pruned after the walk.
-    """
+
+def _code_blocks(ranks: np.ndarray, alphabet: np.ndarray, *walked: "dict | None") -> tuple:
+    """The count blocks, grams as code points, of each of a walk's kept windows or None."""
+    return tuple(kept and {n: (alphabet[_gram_ranks(ranks, at, n, n)], c)
+                           for n, (at, c) in kept.items()} for kept in walked)
+
+
+def _walk(sequences: Sequence[str], table_orders: "Iterable[int] | None" = None,
+          stats: bool = False) -> tuple:
+    """_count_windows' ranks and alphabet, and the kept windows of the table
+    of table_orders and of the bigram stats, each None when not asked for.
+
+    The table's orders follow order_set and its corpus must hold no tab,
+    newline or CR, which its file cannot store; the stats need at least one
+    character.  The stats keep every count and the table counts of 2 or more,
+    so an order 2 the two share is pruned after the walk."""
     walk = {1: 1, 2: 1} if stats else {}  # {order: min_count}; the stats' win on order 2
     if table_orders is not None:
         table_orders = order_set(table_orders)
-        text = "".join(sequences)
-        for bad in "\t\n\r":
-            if bad in text:
-                raise ParameterError(
-                    f"corpus sequence contains {bad!r}; the table format cannot store it")
-        del text  # before the walk
         walk = {**dict.fromkeys(table_orders, 2), **walk}
     if stats and not any(sequences):
         raise ParameterError("corpus contains no characters")
-    blocks = _count_windows(sequences, walk)
+    ranks, alphabet, kept = _count_windows(sequences, walk)
     table = None
     if table_orders is not None:
-        table = {}
-        for n in table_orders:
-            grams, counts = blocks[n]
-            if len(counts) and counts.min() < 2:  # copied only when pruned
-                keep = counts >= 2
-                grams, counts = grams[keep], counts[keep]
-            table[n] = grams, counts
-    return table, {n: blocks[n] for n in (1, 2)} if stats else None
+        for bad in "\t\n\r":
+            if ord(bad) in alphabet[1:]:
+                raise ParameterError(
+                    f"corpus sequence contains {bad!r}; the table format cannot store it")
+        table = {n: kept[n] for n in table_orders}
+        if stats and 2 in table:  # the stats' order 2 kept singletons
+            table[2] = tuple(column[kept[2][1] >= 2] for column in kept[2])
+    return ranks, alphabet, table, {n: kept[n] for n in (1, 2)} if stats else None
 
 
 def build_table(corpus: Corpus, orders: Iterable[int]) -> NGramTable:
@@ -749,5 +754,8 @@ def build_table(corpus: Corpus, orders: Iterable[int]) -> NGramTable:
     contain tab or newline characters (they would corrupt the serialized
     format); such corpora are rejected.
     """
-    table, _ = _walk_blocks(corpus.sequences, orders)
-    return NGramTable(table, _Counts.of_blocks(table, max(table)), corpus.total_chars)
+    ranks, alphabet, table, _ = _walk(corpus.sequences, orders)
+    order = np.repeat(list(table), [len(c) for _, c in table.values()])
+    rows = np.concatenate([_gram_ranks(ranks, at, n, max(table)) for n, (at, _) in table.items()])
+    counts = _Counts(order, rows, alphabet, np.concatenate([c for _, c in table.values()]))
+    return NGramTable(table, counts, len(ranks))

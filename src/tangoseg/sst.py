@@ -41,8 +41,9 @@ from .ngrams import (
     STATS,
     Corpus,
     _block_dict,
+    _code_blocks,
     _dict_blocks,
-    _walk_blocks,
+    _walk,
     float_text,
     read_counts,
     read_key_values,
@@ -121,7 +122,7 @@ class BigramStats:
     @classmethod
     def from_corpus(cls, corpus: "Corpus | Iterable[str]", estimator: str = "mle") -> "BigramStats":
         sequences = corpus.sequences if isinstance(corpus, Corpus) else list(corpus)
-        _, blocks = _walk_blocks(sequences, stats=True)
+        _, blocks = _code_blocks(*_walk(sequences, stats=True))
         unigrams, bigrams = (Counter(_block_dict({n: blocks[n]})) for n in (1, 2))
         return cls(unigrams, bigrams, sum(map(len, sequences)), estimator)
 

@@ -60,7 +60,7 @@ from tangoseg import (
 )
 from tangoseg import ngrams, segmenter, synth
 from tangoseg.cli import main
-from tangoseg.ngrams import _block_dict, _count_windows, _walk_blocks, read_lines
+from tangoseg.ngrams import _block_dict, _code_blocks, _count_windows, _walk, read_lines
 from tangoseg.sst import _sst_rule
 from tangoseg.training import SST_EXTREMUM_VALUES, SST_THETAS, _sst_rules
 
@@ -178,7 +178,8 @@ def assert_lookups_match_oracle(corpus, seq, orders):
 def assert_blocks_are_the_walks(corpus, orders, *tables):
     """Each table's count blocks are the counting walk's pruned blocks, array
     for array: the same orders, uint32 grams and int64 counts."""
-    walk = {n: block for n, block in _walk_blocks(corpus, orders)[0].items() if len(block[1])}
+    walk = {n: block for n, block in _code_blocks(*_walk(corpus, orders))[0].items()
+            if len(block[1])}
     for table in tables:
         blocks = table.counts.blocks()
         assert list(blocks) == list(walk)
@@ -315,6 +316,56 @@ def test_table_save_load_roundtrip(corpus, orders):
     again = io.BytesIO()
     loaded.save(again)
     assert again.getvalue() == first.getvalue()
+
+
+@st.composite
+def remapped_corpora(draw):
+    """(sequences, orders): grams repeating over a few characters, characters
+    seen once each, so that only pruned singletons hold them, and in half the
+    cases 1,100 ideographs in repeated runs, so that ranks take 11 bits and
+    keys of order 6 take two steps.  Sequences may be empty or one character."""
+    common = draw(st.lists(st.sampled_from("ab\0é\U00020000"), min_size=1, max_size=4,
+                           unique=True))
+    sequences = draw(st.lists(st.text(st.sampled_from(common), max_size=20), max_size=10))
+    once = draw(st.lists(st.characters(min_codepoint=0x3400, max_codepoint=0x4DBF),
+                         max_size=6, unique=True))
+    alone = draw(st.sets(st.sampled_from(once))) if once else set()
+    sequences += sorted(alone)
+    sequences.append(draw(st.text(st.sampled_from(common), max_size=3))
+                     + "".join(c for c in once if c not in alone))
+    if draw(st.booleans()):
+        rare = [chr(0x4E00 + i) for i in range(1100)]
+        run = draw(st.integers(1, 60))
+        sequences += ["".join(rare[i : i + run]) for i in range(0, len(rare), run)] * 2
+    orders = draw(st.sets(st.integers(2, 6), min_size=1) | st.just({2, 6}))
+    return draw(st.permutations(sequences)), orders
+
+
+@settings(max_examples=150, deadline=None)
+@given(remapped_corpora())
+@example((["", "a", "ab", "", "abab", "b", "ba"], {2, 3, 6}))
+@example((["a", "a"], {2}))
+@example(([""], {4}))
+@example((["㐀", "ab㐁ab"], {2, 5}))
+def test_built_table_keeps_the_arrays_its_loaded_copy_reads(instance):
+    # __eq__ compares alphabets, keys and counts; find and blocks() read more.
+    # The walk's alphabet keeps characters only pruned grams hold, which the
+    # table drops, so that it keys grams as the loaded copy does.
+    sequences, orders = instance
+    built = build_table(Corpus(sequences), orders)
+    expected = pruned_counts(sequences, orders)
+    assert built.counts == expected
+    buf = io.BytesIO()
+    built.save(buf)
+    loaded = NGramTable.load(io.BytesIO(buf.getvalue()))
+    a, b = built.counts, loaded.counts
+    assert "".join(map(chr, a.alphabet[1:])) == "".join(sorted(set("".join(expected))))
+    for name in ("order", "ranks", "alphabet", "rank", "key", "value"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert (a.top, a.bits, len(a.steps)) == (b.top, b.bits, len(b.steps))
+    for (stop, mult, known), (stop_b, mult_b, known_b) in zip(a.steps, b.steps):
+        assert stop == stop_b and np.array_equal(mult, mult_b)
+        assert np.array_equal(known, known_b)
 
 
 # One-line edits of a count file body: each edits body line i, or inserts
@@ -567,7 +618,7 @@ def test_engine_on_a_large_alphabet():
 def assert_walk_matches_oracle(sequences, orders):
     """Every order's unpruned count block, read through the blocks -> dict
     helper, in string order, and the pruned table."""
-    blocks = _count_windows(sequences, dict.fromkeys(orders, 1))
+    (blocks,) = _code_blocks(*_count_windows(sequences, dict.fromkeys(orders, 1)))
     assert list(blocks) == sorted(orders)
     for n in orders:
         counts = _block_dict({n: blocks[n]})
