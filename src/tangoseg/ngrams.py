@@ -19,14 +19,15 @@ with no Python object per window.
 
 The walk keeps each order's grams as the corpus positions they start at.
 A table (``_Counts``) holds its grams as one sorted int64 key array with a
-count array, keyed from rank rows: the walk's in ``build_table``, or those
-``_rank_codes`` makes of the count file's or a given dict's code points.
+count array, keyed from rank rows: the walk's in ``build_table``, which
+drops the characters only pruned grams held, or those ``_rank_codes`` makes
+of the count file's code points or, in ``_dict_counts``, of a given dict's.
 It finds grams with one searchsorted per key step.  Counts travel as blocks:
 per order n, a (k, n) uint32 matrix of the code points of k grams in string
 order and an int64 array of their counts, which ``_code_blocks`` makes from
 the walk and a table slices from its rows, for the count-file writer (so
-``build-index`` writes no string per gram) and the dict side: ``_block_dict``
-makes dicts of blocks and ``_dict_blocks`` sorts a given dict into blocks.
+``build-index`` writes no string per gram) and the dict side, whose dicts
+``_block_dict`` makes of blocks.
 
 Every file format of the package is read and written here once: lines
 (``split_lines``, ``read_lines``), files (``read_source``, ``write_to``),
@@ -41,7 +42,6 @@ import re
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import groupby
 from pathlib import Path
 from typing import Callable, Collection, Iterable, Sequence
 
@@ -198,22 +198,6 @@ def _count_error(gram: str, count, low: int) -> ParameterError:
     why = ("not an int" if type(count) is not int
            else f"below {low}" if count < low else f"over {MAX_DIGITS} digits")
     return ParameterError(f"gram {gram!r} has count {count!r}, {why}")
-
-
-def _dict_blocks(counts: "dict[str, int]") -> dict:
-    """The count blocks of a ``{gram: count}`` dict, its grams in file order:
-    sorted as strings, then stably by length.  A count must be an int that
-    fits an int64."""
-    for gram, c in counts.items():
-        if type(c) is not int or not -(2**63) <= c < 2**63:
-            raise _count_error(gram, c, 1)
-    blocks = {}
-    for n, grams in groupby(sorted(sorted(counts), key=len), len):
-        grams = list(grams)
-        codes = "".join(grams).encode("utf-32-le", "surrogatepass")
-        blocks[n] = (np.frombuffer(codes, np.uint32).reshape(len(grams), n),
-                     np.fromiter(map(counts.__getitem__, grams), np.int64, len(grams)))
-    return blocks
 
 
 def _block_dict(blocks: dict) -> "dict[str, int]":
@@ -449,6 +433,22 @@ def _rank_codes(grams: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
     return rank[grams], alphabet
 
 
+def _dict_counts(counts: "dict[str, int]", orders: Iterable[int]) -> "_Counts":
+    """The keyed counts of a ``{gram: count}`` dict, over top slots for the
+    longest gram or order, its grams in file order: sorted as strings, then
+    stably by length.  A count must be an int that fits an int64."""
+    for gram, c in counts.items():
+        if type(c) is not int or not -(2**63) <= c < 2**63:
+            raise _count_error(gram, c, 1)
+    grams = sorted(sorted(counts), key=len)
+    order = np.fromiter(map(len, grams), np.int64, len(grams))
+    codes = np.full((len(grams), max([*order.tolist(), *orders], default=0)), PAD, np.uint32)
+    codes[np.arange(codes.shape[1]) < order[:, None]] = np.frombuffer(
+        "".join(grams).encode("utf-32-le", "surrogatepass"), np.uint32)  # row by row
+    return _Counts(order, *_rank_codes(codes),
+                   np.fromiter(map(counts.__getitem__, grams), np.int64, len(grams)))
+
+
 class _Counts(Mapping):
     """Grams as one sorted int64 key array with a count array, read-only as
     a mapping in file order.
@@ -467,11 +467,8 @@ class _Counts(Mapping):
     def __init__(self, order: np.ndarray, ranks: np.ndarray, alphabet: np.ndarray,
                  value: np.ndarray):
         """Each row's gram from its order, ranks in an ascending alphabet (0 past
-        its end) and count; the alphabet keeps only characters some row holds."""
+        its end) and count; every alphabet entry past 0 is some row's character."""
         self.top = ranks.shape[1]
-        used = np.r_[True, np.bincount(ranks.ravel(), minlength=len(alphabet))[1:] > 0]
-        if not used.all():
-            ranks, alphabet = (np.cumsum(used) - 1).astype(ranks.dtype)[ranks], alphabet[used]
         self.alphabet, self.bits = alphabet, max(len(alphabet) - 1, 1).bit_length()
         # each code point's rank, 0 when not in the alphabet, and order n at PAD + n
         self.rank = np.zeros(PAD + 1 + self.top, np.min_scalar_type(len(alphabet) + self.top))
@@ -489,20 +486,13 @@ class _Counts(Mapping):
             done += s
             if done == self.top:
                 break
-            known = np.r_[np.unique(key), LAST]
+            # the inverse asks for a sort; numpy >= 2.3 takes a slower hash path without it
+            known, key = np.unique(key, return_inverse=True)
+            known = np.r_[known, LAST]
             self.steps.append((1 + done, mult, known))
-            key, id_bits = np.searchsorted(known, key), (len(known) - 1).bit_length()
+            id_bits = (len(known) - 1).bit_length()
         self.key, self.value = np.r_[key, LAST], np.r_[value, 1]  # in row order
         self.steps.append((1 + done, mult, self.key))
-
-    @classmethod
-    def of_blocks(cls, blocks: dict, top: int) -> "_Counts":
-        order = np.repeat(np.fromiter(blocks, np.int64), [len(c) for _, c in blocks.values()])
-        grams = np.full((len(order), top), PAD, np.uint32)
-        for n, (g, _) in blocks.items():
-            grams[order == n, :n] = g
-        return cls(order, *_rank_codes(grams), np.concatenate([np.empty(0, np.int64),
-                                                               *(c for _, c in blocks.values())]))
 
     @staticmethod
     def tail(orders: Iterable[int]) -> np.ndarray:
@@ -573,8 +563,7 @@ class NGramTable:
 
     @cached_property
     def counts(self) -> _Counts:
-        top = int(max([*map(len, self._grams), *self.orders], default=0))
-        return _Counts.of_blocks(_dict_blocks(self._grams), top)
+        return _dict_counts(self._grams, self.orders)
 
     def __eq__(self, other):
         if not isinstance(other, NGramTable):
@@ -757,5 +746,8 @@ def build_table(corpus: Corpus, orders: Iterable[int]) -> NGramTable:
     ranks, alphabet, table, _ = _walk(corpus.sequences, orders)
     order = np.repeat(list(table), [len(c) for _, c in table.values()])
     rows = np.concatenate([_gram_ranks(ranks, at, n, max(table)) for n, (at, _) in table.items()])
+    used = np.r_[True, np.bincount(rows.ravel(), minlength=len(alphabet))[1:] > 0]
+    if not used.all():  # keep only the characters of kept grams, as a loaded table has
+        rows, alphabet = (np.cumsum(used) - 1).astype(rows.dtype)[rows], alphabet[used]
     counts = _Counts(order, rows, alphabet, np.concatenate([c for _, c in table.values()]))
     return NGramTable(table, counts, len(ranks))

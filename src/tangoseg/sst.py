@@ -42,7 +42,7 @@ from .ngrams import (
     Corpus,
     _block_dict,
     _code_blocks,
-    _dict_blocks,
+    _dict_counts,
     _walk,
     float_text,
     read_counts,
@@ -315,7 +315,7 @@ def read_sst_params(source) -> SstParams:
 
 def save_stats(stats: BigramStats, destination) -> int:
     """Versioned text sidecar with raw unigram and bigram counts."""
-    blocks = _dict_blocks({**stats.unigrams, **stats.bigrams})
+    blocks = _dict_counts({**stats.unigrams, **stats.bigrams}, STATS.orders).blocks()
     return write_counts(destination, STATS, stats.total_chars, STATS.orders, blocks)
 
 

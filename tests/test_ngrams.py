@@ -28,6 +28,17 @@ from tangoseg.training import GridView
 
 from naive import naive_counts
 
+# 3,000 ideographs from U+4E00 take 12-bit ranks: a table key of orders 2 and 6
+# takes two steps, the order and the first five ranks, then that step's id and the sixth
+KANJI = [chr(0x4E00 + i) for i in range(3000)]
+
+
+def two_step_entries(*grams: str) -> str:
+    """The orders line and entries of a table file over KANJI: 1,499 order-2
+    lines on the first 2,998 ideographs (lines 4-1502), then grams of order 6."""
+    pairs = [f"2\t2\t{KANJI[i]}{KANJI[i + 1]}\n" for i in range(0, 2998, 2)]
+    return "orders 2,6\n" + "".join(pairs) + "".join(f"6\t2\t{g}\n" for g in grams)
+
 
 class TestExtractSequences:
     def test_line_split_drops_empty_lines(self):
@@ -188,9 +199,8 @@ class TestCount:
         assert str(by_count.value) == str(by_check.value) == "table does not cover orders [3]"
 
     def test_multi_step_key_lookups(self):
-        # 3,000 ideographs take 12-bit ranks, so a key of orders 2-6 takes two
-        # steps: the order and five ranks, then the first step's id and the sixth
-        kanji = [chr(0x4E00 + i) for i in range(3000)]
+        # a key of orders 2-6 over KANJI takes two steps
+        kanji = KANJI
         sequences = ["".join(kanji[i : i + 50]) for i in range(0, 3000, 50)] * 2
         sequences.append(kanji[7] * 8)
         table = build_table(Corpus(sequences), range(2, 7))
@@ -293,17 +303,28 @@ class TestSaveLoad:
             NGramTable.load(io.BytesIO(payload))
 
     def test_duplicate_gram_rejected(self):
-        payload = b"tango-ngrams v1\ncorpus_size 9\norders 2\n2\t2\tAB\n2\t3\tAB\n"
-        with pytest.raises(FormatError, match=r"duplicate gram 'AB' \(line 5\)"):
-            NGramTable.load(io.BytesIO(payload))
+        wide = KANJI[2998] * 5 + KANJI[2999]
+        for entries, gram, line in [("orders 2\n2\t2\tAB\n2\t3\tAB\n", "AB", 5),
+                                    (two_step_entries(wide, wide), wide, 1504)]:
+            payload = f"tango-ngrams v1\ncorpus_size 9\n{entries}".encode()
+            message = re.escape(f"duplicate gram {gram!r} (line {line})")
+            with pytest.raises(FormatError, match=message):
+                NGramTable.load(io.BytesIO(payload))
 
-    @pytest.mark.parametrize("entries", [
-        b"2\t2\tBA\n2\t3\tAB\n",  # grams decreasing within an order
-        b"3\t2\tABC\n2\t3\tAB\n",  # orders descending
+    @pytest.mark.parametrize("entries, line", [
+        # grams decreasing within an order, then orders descending, each named by its entries
+        pytest.param("orders 2,3\n2\t2\tBA\n2\t3\tAB\n", 5, id="2\t2\tBA\n2\t3\tAB\n"),
+        pytest.param("orders 2,3\n3\t2\tABC\n2\t3\tAB\n", 5, id="3\t2\tABC\n2\t3\tAB\n"),
+        # decreasing in the first key step only, the sixth ranks ascending: step ids
+        # numbered in file order, not in key order, would read these as ascending
+        pytest.param(two_step_entries(KANJI[2999] * 5 + KANJI[2998], KANJI[2998] * 5 + KANJI[2999]),
+                     1504, id="two steps, first decreasing"),
+        pytest.param(two_step_entries(KANJI[2998] * 5 + KANJI[2999], KANJI[2998] * 6),
+                     1504, id="two steps, second decreasing"),
     ])
-    def test_out_of_order_entries_rejected(self, entries):
-        payload = b"tango-ngrams v1\ncorpus_size 9\norders 2,3\n" + entries
-        with pytest.raises(FormatError, match=r"out of order.*\(line 5\)"):
+    def test_out_of_order_entries_rejected(self, entries, line):
+        payload = f"tango-ngrams v1\ncorpus_size 9\n{entries}".encode()
+        with pytest.raises(FormatError, match=rf"out of order.*\(line {line}\)"):
             NGramTable.load(io.BytesIO(payload))
 
     def test_lone_surrogate_rejected_before_writing(self):

@@ -426,14 +426,21 @@ COUNT_FILES = {
 
 @st.composite
 def edited_count_files(draw):
-    """(kind, text): a saved table or stats file with one body line edited."""
+    """(kind, text): a saved table or stats file with one body line edited.
+
+    Half the files also hold a run of 1,100 or more ideographs, and their
+    tables order 6: 11-bit ranks, so that a table key takes two steps."""
     kind = draw(st.sampled_from(sorted(COUNT_FILES)))
     alphabet = draw(st.lists(table_chars, min_size=1, max_size=6, unique=True))
     sequences = draw(st.lists(st.text(st.sampled_from(alphabet), min_size=4, max_size=12),
                               min_size=1, max_size=8))
+    orders = draw(st.sets(st.integers(2, 4), min_size=1))
+    if draw(st.booleans()):
+        sequences.append("".join(map(chr, range(0x4E00, 0x4E00 + draw(st.integers(1100, 1200))))))
+        orders = draw(st.sets(st.integers(2, 6))) | {6}
     buf = io.BytesIO()
     if kind == "table":  # every gram twice, so that no order is empty
-        build_table(Corpus(sequences * 2), draw(st.sets(st.integers(2, 4), min_size=1))).save(buf)
+        build_table(Corpus(sequences * 2), orders).save(buf)
     else:
         save_stats(BigramStats.from_corpus(sequences), buf)
     lines = buf.getvalue().decode("utf-8").split("\n")[:-1]
