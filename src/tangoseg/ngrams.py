@@ -354,8 +354,9 @@ def read_counts(source, layout: CountFile) -> "tuple[int, frozenset[int], _Count
     cut(count < layout.min_count, lambda i: f"stored counts must be >= {layout.min_count}")
     # the writer's order is key order: each line's key above the one before
     order, starts, top = order[:k], tab[:k, 1] + 1, max(orders)
-    grams = codes[np.minimum(starts[:, None] + np.arange(top), len(codes) - 1)]
-    grams[np.arange(top) >= order[:, None]] = PAD
+    grams = np.empty((k, top), np.uint32)
+    for j in range(top):  # one slot at a time, PAD past each gram's end
+        grams[:, j] = np.where(order > j, codes.take(starts + j, mode="clip"), PAD)
     counts = _Counts(order, *_rank_codes(grams), count[:k])
     key = counts.key
 
@@ -624,12 +625,14 @@ def _count_windows(sequences: Sequence[str], min_counts: "dict[int, int]") -> tu
     its prefix (none in the first step), then its start position in p bits,
     in one int64 key, ``(id << b*s | r1 << b*(s-1) | ... | rs) << p | position``,
     and sorts the keys in place, which orders the windows as strings (any
-    position of a run of equal keys gives the gram).  A step after d
-    characters counts order n from the runs of keys equal above bit b*(d+s-n)
-    among the windows with at least n characters left, and the dense rank of
-    each kept key is the next step's id.  A step packs s = (_KEY_BITS - id
-    bits - p) // b characters; only where none fits (past about 47M
-    characters at 12-bit ranks) does it argsort bare keys.
+    position of a run of equal keys gives the gram).  After d characters, one
+    pass finds the runs of equal keys; a shorter order n's runs start at the
+    heads whose key leaves the one before above bit b*(d+s-n), and a run counts
+    where its head has n characters left.  Only the keys, positions, ranks and
+    characters left are as long as the corpus.  Among windows with more
+    characters left, each kept key's dense rank is the next step's id.  A step
+    packs s = (_KEY_BITS - id bits - p) // b characters; only where none fits
+    (past about 47M characters at 12-bit ranks) does it argsort bare keys.
     """
     top = max(min_counts)
     ranks, alphabet = _rank_codes(np.frombuffer(
@@ -670,22 +673,24 @@ def _count_windows(sequences: Sequence[str], min_counts: "dict[int, int]") -> tu
             order = np.argsort(keys)
             keys, pos = keys[order], pos[order]
             del order
-        window_left = left[pos]
-        change = np.empty(len(keys), np.int64)  # the bits where each key leaves the one before
-        change[0] = LAST
-        np.bitwise_xor(keys[1:], keys[:-1], out=change[1:])
-        for n in range(done + 1, done + s + 1):
-            if n not in min_counts:
-                continue
-            starts = np.flatnonzero(change >= 1 << bits * (done + s - n))
-            counts = np.diff(starts, append=len(keys))
-            kept = (counts >= min_counts[n]) & (window_left[starts] >= n)
+        done, windows = done + s, len(keys)
+        counted = [n for n in range(done - s + 1, done + 1) if n in min_counts]
+        heads = np.flatnonzero(_run_starts(keys))  # each run of windows equal to order done
+        if counted and counted[0] < done:  # a shorter order's runs start at the heads
+            change = keys[heads]  # whose key leaves the one before above its bits
+            change[1:] ^= change[:-1]
+            change[0] = LAST
+        if done == top:
+            del keys  # the last step counts without them
+        for n in counted:
+            starts = heads if n == done else heads[change >= 1 << bits * (done - n)]
+            counts = np.diff(starts, append=windows)
+            kept = (counts >= min_counts[n]) & (left[pos[starts]] >= n)
             out[n] = pos[starts[kept]], counts[kept]
-        done += s
         if done == top:
             break
-        valid = window_left > done
-        del window_left, change
+        heads = change = None  # freed before the filter's corpus-long copies
+        valid = left[pos] > done
         keys, pos = keys[valid], pos[valid]
         del valid
         ids = np.cumsum(_run_starts(keys), dtype=np.int64)
