@@ -58,6 +58,7 @@ __all__ = [
 ]
 
 MAX_DIGITS = 18  # the longest order or count field of a count file; an int64 holds any
+MAX_ORDER = 64  # the highest n-gram order: tables, keys and walks take max(orders) slots
 PAD = 0x110000  # past every code point: the code of a slot past a gram's end
 LAST = np.iinfo(np.int64).max  # the last key of every step, past every gram's
 _KEY_BITS = 63  # the bits of a counting walk's sort key
@@ -80,10 +81,12 @@ STATS = CountFile("tango-bigrams v1", "total_chars", (1, 2), 1)
 
 
 def order_set(orders: Iterable[int], name: str = "orders") -> "tuple[int, ...]":
-    """The distinct orders ascending; ParameterError unless one or more ints >= 2."""
+    """The distinct orders ascending; ParameterError unless one or more ints 2 to MAX_ORDER."""
     distinct = set(orders)
     if distinct and all(isinstance(n, int) and n >= 2 for n in distinct):
-        return tuple(sorted(distinct))
+        if max(distinct) <= MAX_ORDER:
+            return tuple(sorted(distinct))
+        raise ParameterError(f"{name} must all be <= {MAX_ORDER}, got {sorted(distinct)}")
     got = sorted(distinct, key=repr)
     raise ParameterError(f"{name} must be one or more integers >= 2, got {got}")
 
@@ -272,16 +275,17 @@ def write_counts(
 
 def _digit_fields(codes: np.ndarray, start: np.ndarray, stop: np.ndarray):
     """The values of the fields ``codes[start:stop]``, and where one is not
-    1 to MAX_DIGITS ASCII digits.  Digit j from the right is read from the
+    1 to MAX_DIGITS ASCII digits.  Digit j from the right is read from every
+    field at j = 0, where one without it is bad already, then from the
     fields that have one."""
     width = stop - start
     value, bad = np.zeros(len(stop), np.int64), (width < 1) | (width > MAX_DIGITS)
-    rows = np.arange(len(stop))
-    for j in range(MAX_DIGITS):
-        rows = rows[width[rows] > j]
-        digit = codes[stop[rows] - 1 - j] - 48  # a non-digit wraps above 9
-        bad[rows[digit > 9]] = True
-        value[rows] += digit.astype(np.int64) * 10**j
+    rows = slice(None)
+    for j in range(min(int(width.max(initial=0)), MAX_DIGITS)):
+        digit = codes.take(stop[rows] - 1 - j, mode="clip") - 48  # a non-digit wraps above 9
+        bad[rows] |= digit > 9
+        value[rows] += digit * np.int64(10**j)
+        rows = np.flatnonzero(width > j + 1)
     return value, bad
 
 
@@ -299,11 +303,12 @@ def read_counts(source, layout: CountFile) -> "tuple[int, frozenset[int], _Count
     """Read a count file of the layout written by write_counts: (size, orders, keyed counts).
 
     After the header comes ``<size_key> <int>`` and, when the layout declares
-    no orders, ``orders <comma-list>`` (orders >= 2), each integer 1 to
+    no orders, ``orders <comma-list>`` (orders 2 to MAX_ORDER), each integer 1 to
     MAX_DIGITS ASCII digits.  Every entry needs three tab-separated fields: a
     declared order and a count >= the layout's min_count, each 1 to MAX_DIGITS
     ASCII digits, and a gram of the order's length, in the writer's order.
     Each check runs as arrays on the lines before the lowest failure so far.
+    Each parse array is freed after its last reader, before _Counts keys the grams.
     """
     orders, size_key = layout.orders, layout.size_key
     first = 2 if orders is not None else 3
@@ -330,11 +335,14 @@ def read_counts(source, layout: CountFile) -> "tuple[int, frozenset[int], _Count
             raise FormatError("bad orders list", line=3, path=source) from None
         if any(n < 2 for n in orders):
             raise FormatError("orders must all be >= 2", line=3, path=source)
+        if max(orders) > MAX_ORDER:
+            raise FormatError(f"orders must all be <= {MAX_ORDER}", line=3, path=source)
     orders = frozenset(orders)
     codes = np.frombuffer(body.encode("utf-32-le", "surrogatepass"), np.uint32)
     del body
-    ends, tabs = np.flatnonzero(codes == 10), np.flatnonzero(codes == 9)
-    k, error = len(ends), None  # the lines before the lowest failure so far
+    sep = np.flatnonzero((codes == 9) | (codes == 10))  # a good line's: tab, tab, end
+    at = np.flatnonzero(codes[sep] == 10)  # each line end's index among them
+    k, error = len(at), None  # the lines before the lowest failure so far
 
     def cut(bad: np.ndarray, message: Callable[[int], str]) -> None:
         nonlocal k, error
@@ -342,29 +350,36 @@ def read_counts(source, layout: CountFile) -> "tuple[int, frozenset[int], _Count
             k = int(np.argmax(bad[:k]))
             error = message(k)
 
-    cut(np.diff(np.searchsorted(tabs, ends), prepend=0) != 2,
-        lambda i: "entry needs 3 tab-separated fields")
-    ends, tab = ends[:k], tabs[: 2 * k].reshape(k, 2)
-    order, bad_order = _digit_fields(codes, np.r_[0, ends[:-1] + 1], tab[:, 0])
+    cut(at != np.arange(2, 3 * k, 3), lambda i: "entry needs 3 tab-separated fields")
+    tab = sep[: 3 * k].reshape(k, 3)  # the tabs and the end of each line
+    del sep, at
+    order, bad_order = _digit_fields(codes, np.r_[0, tab[:-1, 2] + 1], tab[:, 0])
     count, bad_count = _digit_fields(codes, tab[:, 0] + 1, tab[:, 1])
     cut(bad_order | bad_count, lambda i: "non-integer order or count")
     cut(~np.isin(order, list(orders)), lambda i: f"entry order {order[i]} not declared")
-    length = ends - tab[:, 1] - 1
+    length = tab[:, 2] - tab[:, 1] - 1
     cut(length != order, lambda i: f"gram length {length[i]} does not match order {order[i]}")
     cut(count < layout.min_count, lambda i: f"stored counts must be >= {layout.min_count}")
-    # the writer's order is key order: each line's key above the one before
-    order, starts, top = order[:k], tab[:k, 1] + 1, max(orders)
+    order, count, starts, top = order[:k], count[:k], tab[:k, 1] + 1, max(orders)
+    del tab, length  # each freed after its last check, as are codes and grams below
     grams = np.empty((k, top), np.uint32)
     for j in range(top):  # one slot at a time, PAD past each gram's end
         grams[:, j] = np.where(order > j, codes.take(starts + j, mode="clip"), PAD)
-    counts = _Counts(order, *_rank_codes(grams), count[:k])
+    del codes, starts
+    ranks, alphabet = _rank_codes(grams)
+    del grams  # only the ranks stay while the grams are keyed
+    counts = _Counts(order, ranks, alphabet, count)
     key = counts.key
+
+    def gram(i: int) -> str:  # line i's gram, from the keyed table
+        return _code_text(alphabet[ranks[i, : order[i]]])
 
     def disorder(i: int) -> str:
         if (key[:i] == key[i]).any():
-            return f"duplicate gram {_code_text(codes[starts[i] : ends[i]])!r}"
-        return f"entry out of order after {_code_text(codes[starts[i - 1] : ends[i - 1]])!r}"
+            return f"duplicate gram {gram(i)!r}"
+        return f"entry out of order after {gram(i - 1)!r}"
 
+    # the writer's order is key order: each line's key above the one before
     cut(np.r_[False, key[1:-1] <= key[:-2]], disorder)
     if error is not None:
         raise FormatError(error, line=first + 1 + k, path=source)

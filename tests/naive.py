@@ -280,6 +280,8 @@ def naive_read_counts(text, header, size_key, orders=None, min_count=1):
             return 3, "bad orders list"
         if any(n < 2 for n in orders):
             return 3, "orders must all be >= 2"
+        if any(n > 64 for n in orders):
+            return 3, "orders must all be <= 64"
     orders = frozenset(orders)
     counts = {}
     last_order, last_gram = 0, ""

@@ -773,8 +773,13 @@ class TestLineFileErrors:
         ("bad.params", "N=2\nt=0.5\nconditons=threshold\n",
          ["segment", "--index", "c.tab", "--input", "in.txt", "--params", "bad.params"],
          "bad.params: unknown parameter 'conditons' (line 3)"),
+        ("big.tab", "tango-ngrams v1\ncorpus_size 4\norders 2,4000000\n2\t2\tAB\n",
+         ["segment", "--index", "big.tab", "--input", "in.txt", "--orders", "2",
+          "--threshold", "0.5"],
+         "big.tab: orders must all be <= 64 (line 3)"),
     ], ids=["pred", "gold", "tango-params", "sst-params", "lexicon-weight", "lexicon-fields",
-            "tango-params-missing-t", "sst-params-theta", "count-file", "tango-params-unknown"])
+            "tango-params-missing-t", "sst-params-theta", "count-file", "tango-params-unknown",
+            "count-file-orders"])
     def test_bad_line_names_file_line_and_column(self, files, capsys, name, text, argv, message):
         Path(name).write_text(text)
         assert run(capsys, *argv) == (2, "", f"error: {message}\n")
@@ -792,6 +797,7 @@ class TestRefusals:
         Path("sst.params").write_text("theta=5\n" + "".join(f"e{i}=0\n" for i in range(1, 7)))
         Path("blank.txt").write_text("\n\n")
         Path("empty.txt").write_text("")
+        Path("abcab.txt").write_text("abcab\n")
 
     @pytest.mark.parametrize("argv, message", [
         (["build-index", "--corpus", "blank.txt", "--out", "t.tab"],
@@ -813,8 +819,11 @@ class TestRefusals:
         (["synth", "--lexicon", DATA / "toy_lexicon.tsv", "--sequences", "2",
           "--suffix-prob", "2", "--out-corpus", "s.txt"],
          "suffix_prob must be in [0, 1]"),
+        # order 200 on 5 characters once overflowed the counting walk's int8 positions
+        (["build-index", "--corpus", "abcab.txt", "--out", "t.tab", "--orders", "2,200"],
+         "orders must all be <= 64, got [2, 200]"),
     ], ids=["no-sequences", "sst-no-stats", "tango-no-params", "sst-no-theta", "bad-extremum",
-            "no-annotations", "empty-lexicon", "suffix-prob"])
+            "no-annotations", "empty-lexicon", "suffix-prob", "order-bound"])
     def test_refusal_exits_2_with_its_message(self, files, capsys, argv, message):
         assert run(capsys, *argv) == (2, "", f"error: {message}\n")
         assert not any(Path(name).exists() for name in ("t.tab", "p.txt", "s.txt"))

@@ -206,6 +206,23 @@ class TestBuildTable:
             tracemalloc.stop()
         assert peak / sum(map(len, corpus)) < 30
 
+    def test_loader_memory_per_table_byte(self):
+        # The codes, separators, fields and code matrix are each freed after their
+        # last use, all before the grams are keyed: 11.1 bytes a table-file byte
+        # here, against 17.4 when they all stayed alive while the grams were keyed.
+        corpus, _ = generate_corpus(make_zipf_lexicon(50, 10, seed=100),
+                                    target_chars=200_000, seed=11)
+        buf = io.BytesIO()
+        size = build_table(Corpus(corpus), range(2, 7)).save(buf)
+        source = io.BytesIO(buf.getvalue())
+        tracemalloc.start()
+        try:
+            NGramTable.load(source)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / size < 13
+
 
 class TestCount:
     @pytest.fixture
@@ -342,28 +359,35 @@ class TestSaveLoad:
             NGramTable.load(io.BytesIO(payload))
 
     def test_duplicate_gram_rejected(self):
+        # each message quotes the gram from the keyed table: a non-BMP character's too
         wide = KANJI[2998] * 5 + KANJI[2999]
         for entries, gram, line in [("orders 2\n2\t2\tAB\n2\t3\tAB\n", "AB", 5),
-                                    (two_step_entries(wide, wide), wide, 1504)]:
+                                    (two_step_entries(wide, wide), wide, 1504),
+                                    ("orders 2\n2\t2\t\U00020000b\n2\t3\t\U00020000b\n",
+                                     "\U00020000b", 5)]:
             payload = f"tango-ngrams v1\ncorpus_size 9\n{entries}".encode()
             message = re.escape(f"duplicate gram {gram!r} (line {line})")
             with pytest.raises(FormatError, match=message):
                 NGramTable.load(io.BytesIO(payload))
 
-    @pytest.mark.parametrize("entries, line", [
+    @pytest.mark.parametrize("entries, line, after", [
         # grams decreasing within an order, then orders descending, each named by its entries
-        pytest.param("orders 2,3\n2\t2\tBA\n2\t3\tAB\n", 5, id="2\t2\tBA\n2\t3\tAB\n"),
-        pytest.param("orders 2,3\n3\t2\tABC\n2\t3\tAB\n", 5, id="3\t2\tABC\n2\t3\tAB\n"),
+        pytest.param("orders 2,3\n2\t2\tBA\n2\t3\tAB\n", 5, "BA", id="2\t2\tBA\n2\t3\tAB\n"),
+        pytest.param("orders 2,3\n3\t2\tABC\n2\t3\tAB\n", 5, "ABC", id="3\t2\tABC\n2\t3\tAB\n"),
         # decreasing in the first key step only, the sixth ranks ascending: step ids
         # numbered in file order, not in key order, would read these as ascending
         pytest.param(two_step_entries(KANJI[2999] * 5 + KANJI[2998], KANJI[2998] * 5 + KANJI[2999]),
-                     1504, id="two steps, first decreasing"),
+                     1504, KANJI[2999] * 5 + KANJI[2998], id="two steps, first decreasing"),
         pytest.param(two_step_entries(KANJI[2998] * 5 + KANJI[2999], KANJI[2998] * 6),
-                     1504, id="two steps, second decreasing"),
+                     1504, KANJI[2998] * 5 + KANJI[2999], id="two steps, second decreasing"),
+        # the gram before is quoted from the keyed table, a non-BMP character too
+        pytest.param("orders 2\n2\t2\t\U00020000b\n2\t3\t\U00020000a\n", 5, "\U00020000b",
+                     id="non-BMP"),
     ])
-    def test_out_of_order_entries_rejected(self, entries, line):
+    def test_out_of_order_entries_rejected(self, entries, line, after):
         payload = f"tango-ngrams v1\ncorpus_size 9\n{entries}".encode()
-        with pytest.raises(FormatError, match=rf"out of order.*\(line {line}\)"):
+        message = re.escape(f"entry out of order after {after!r} (line {line})")
+        with pytest.raises(FormatError, match=message):
             NGramTable.load(io.BytesIO(payload))
 
     def test_lone_surrogate_rejected_before_writing(self):
@@ -422,6 +446,11 @@ class TestSaveLoad:
         self.rejected_before_writing(NGramTable({2}, {"ab": 5, "cd": count}, 9),
                                      f"gram 'cd' has count {count}, over 18 digits")
 
+    def test_highest_order_round_trips(self):
+        table = build_table(Corpus(["ab" * 40]), {2, 64})
+        assert table.counts == {"ab" * 32: 9, "ba" * 32: 8, "ab": 40, "ba": 39}
+        assert self.roundtrip(table) == table
+
     def test_eighteen_digit_count_round_trips(self):
         table = NGramTable({2}, {"ab": 10**18 - 1}, 9)
         assert self.roundtrip(table) == table
@@ -477,6 +506,9 @@ class TestSaveLoad:
     @pytest.mark.parametrize("line, number, message", [
         ("size 4", 2, "expected 'corpus_size <int>'"),
         ("orders 1,2", 3, "orders must all be >= 2"),
+        # refused at once: each declared order up to the highest takes a key slot
+        ("orders 2,65", 3, "orders must all be <= 64"),
+        ("orders 2,4000000", 3, "orders must all be <= 64"),
     ])
     def test_bad_header_line_refused_at_its_line(self, line, number, message):
         header = ["tango-ngrams v1", "corpus_size 4", "orders 2"]

@@ -864,7 +864,7 @@ non_negative = st.floats(min_value=0.0, allow_nan=False)
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sets(st.integers(2, 10**18 - 1), min_size=1, max_size=5), st.floats(0.0, 1.0),
+@given(st.sets(st.integers(2, ngrams.MAX_ORDER), min_size=1, max_size=5), st.floats(0.0, 1.0),
        condition_pairs, non_negative, st.lists(non_negative, min_size=6, max_size=6),
        st.sampled_from(["mle", "ele"]))
 def test_parameter_files_read_back_what_was_written(orders, threshold, conditions, theta,

@@ -321,3 +321,13 @@ class TestOrderSetRule:
             with pytest.raises(ParameterError) as exc:
                 refuse()
             assert str(exc.value) == message
+
+    @pytest.mark.parametrize("orders", [[2, 65], [40000, 2]])
+    def test_orders_above_the_bound_refused(self, toy_table, orders):
+        message = f"orders must all be <= 64, got {sorted(orders)}"
+        for refuse in (lambda: TangoParams(orders, 0.5),
+                       lambda: build_table(Corpus(["ab" * 200]), orders),
+                       lambda: vote_profile("ABAB", orders, toy_table)):
+            with pytest.raises(ParameterError) as exc:
+                refuse()
+            assert str(exc.value) == message
