@@ -54,7 +54,7 @@ random_pairs = [
 
 print(f"voting segmenter: N={sorted(tango.params.orders)} t={tango.params.threshold:g}")
 print(f"bigram baseline:  theta={sst.params.theta:g} "
-      f"extremum={[f'{e:g}' for e in sst.params.extremum_thresholds]}")
+      f"peak bounds={[f'{e:g}' for e in sst.params.peak_bounds]}")
 print(f"random baseline:  boundary probability {density:.3f}\n")
 
 print(f"{'system':<18}{'word-P':>8}{'word-R':>8}{'word-F':>8}{'compat%':>9}{'all-compat%':>12}")

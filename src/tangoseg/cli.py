@@ -143,12 +143,12 @@ def _tango_params_from_args(args) -> TangoParams:
 def _sst_params_from_args(args) -> SstParams:
     if args.theta is None:
         raise ParameterError("need --params or --theta")
-    extremum = "0,0,0,0,0,0" if args.extremum is None else args.extremum
+    extremum = "0,0,0,0" if args.extremum is None else args.extremum
     try:
-        thresholds = tuple(float(p) for p in extremum.split(","))
+        bounds = tuple(float(p) for p in extremum.split(","))
     except ValueError:
         raise ParameterError(f"bad extremum list {extremum!r}") from None
-    return SstParams(args.theta, thresholds, args.estimator or "mle")
+    return SstParams(args.theta, bounds, args.estimator or "mle")
 
 
 def cmd_segment(args) -> int:
@@ -185,8 +185,8 @@ def cmd_train(args) -> int:
         stats = load_stats(args.stats, args.estimator or "mle")
         result = train_sst(train_set, stats, args.criterion)
         write_params = write_sst_params
-        es = ",".join(f"{e:g}" for e in result.params.extremum_thresholds)
-        described = f"theta={result.params.theta:g} e={es} estimator={result.params.estimator}"
+        bounds = ",".join(f"{e:g}" for e in result.params.peak_bounds)
+        described = f"theta={result.params.theta:g} bounds={bounds} estimator={stats.estimator}"
     # the grid is formatted before the first write
     outputs = [(args.out, partial(write_params, result.params))]
     if args.grid_out:
@@ -270,7 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=float, help="vote threshold in [0,1] (tango)")
     p.add_argument("--theta", type=float, help="mutual-information threshold (sst)")
     p.add_argument("--extremum",
-                   help="six comma-separated extremum thresholds (sst, default: 0,0,0,0,0,0)")
+                   help="four comma-separated peak bounds: primary rise, primary fall, "
+                        "secondary rise, secondary fall (sst, default: 0,0,0,0)")
     p.set_defaults(func=cmd_segment)
 
     p = sub.add_parser("train", parents=[model],

@@ -362,11 +362,12 @@ def read_counts(source, layout: CountFile) -> "tuple[int, frozenset[int], _Count
     cut(count < layout.min_count, lambda i: f"stored counts must be >= {layout.min_count}")
     order, count, starts, top = order[:k], count[:k], tab[:k, 1] + 1, max(orders)
     del tab, length  # each freed after its last check, as are codes and grams below
+    pad = int(codes.max(initial=0)) + 1  # past every code a gram holds
     grams = np.empty((k, top), np.uint32)
-    for j in range(top):  # one slot at a time, PAD past each gram's end
-        grams[:, j] = np.where(order > j, codes.take(starts + j, mode="clip"), PAD)
+    for j in range(top):  # one slot at a time, pad past each gram's end
+        grams[:, j] = np.where(order > j, codes.take(starts + j, mode="clip"), pad)
     del codes, starts
-    ranks, alphabet = _rank_codes(grams)
+    ranks, alphabet = _rank_codes(grams, pad)
     del grams  # only the ranks stay while the grams are keyed
     counts = _Counts(order, ranks, alphabet, count)
     key = counts.key
@@ -439,11 +440,15 @@ class Corpus:
         return sum(map(len, self.sequences))
 
 
-def _rank_codes(grams: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
-    """Each code's rank from 1 in the codes' ascending alphabet, PAD's 0, and that alphabet."""
-    seen = np.zeros(int(grams.max(initial=0)) + 1, bool)
+def _rank_codes(grams: np.ndarray, pad=None) -> "tuple[np.ndarray, np.ndarray]":
+    """Each code's rank from 1 in the codes' ascending alphabet, and that
+    alphabet.  pad, when given, is a code above all others that ranks 0; the
+    tables span the codes up to it, so callers pad with the code past their
+    largest."""
+    top = int(grams.max(initial=0)) if pad is None else pad
+    seen = np.zeros(top + 1, bool)
     seen[grams] = True
-    alphabet = np.r_[0, np.flatnonzero(seen[:PAD])].astype(np.uint32)  # by rank
+    alphabet = np.r_[0, np.flatnonzero(seen[:pad])].astype(np.uint32)  # by rank
     rank = np.zeros(len(seen), np.min_scalar_type(len(alphabet) - 1))
     rank[alphabet[1:]] = np.arange(1, len(alphabet))
     return rank[grams], alphabet
@@ -458,10 +463,11 @@ def _dict_counts(counts: "dict[str, int]", orders: Iterable[int]) -> "_Counts":
             raise _count_error(gram, c, 1)
     grams = sorted(sorted(counts), key=len)
     order = np.fromiter(map(len, grams), np.int64, len(grams))
-    codes = np.full((len(grams), max([*order.tolist(), *orders], default=0)), PAD, np.uint32)
-    codes[np.arange(codes.shape[1]) < order[:, None]] = np.frombuffer(
-        "".join(grams).encode("utf-32-le", "surrogatepass"), np.uint32)  # row by row
-    return _Counts(order, *_rank_codes(codes),
+    text = np.frombuffer("".join(grams).encode("utf-32-le", "surrogatepass"), np.uint32)
+    pad = int(text.max(initial=0)) + 1
+    codes = np.full((len(grams), max([*order.tolist(), *orders], default=0)), pad, np.uint32)
+    codes[np.arange(codes.shape[1]) < order[:, None]] = text  # row by row
+    return _Counts(order, *_rank_codes(codes, pad),
                    np.fromiter(map(counts.__getitem__, grams), np.int64, len(grams)))
 
 

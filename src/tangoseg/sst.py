@@ -5,18 +5,18 @@ is scored two ways.  The pointwise mutual information of D and W measures
 their cohesion; gaps at or above the threshold are never boundaries.  The
 difference in t-score between the transition into the gap and the
 transition out of it produces a per-sequence profile whose peaks mark
-boundary candidates; six thresholds gate how pronounced a peak must be.
+boundary candidates; four bounds gate how pronounced a peak must be.
 
 The published description of this method leaves the exact meaning of its
-six extremum parameters open, so the peak test here is one concrete
+extremum parameters open, so the peak test here is one concrete
 reconstruction: a *primary* peak is a strict local maximum of the profile
 and a *secondary* peak a weak one (plateaus allowed); each is accepted when
-its prominence (value above the higher adjacent minimum), rise from the
-nearest minimum on the left, and fall to the nearest minimum on the right
-meet the respective thresholds.  Profile ends count as minima, so all gated
-quantities are non-negative.  As prominence is the smaller of rise and
-fall, the six thresholds act through four bounds (_peak_bounds), and the
-5^7 training grid holds 5 * 25 * 25 = 3125 distinct rules.
+its rise from the nearest minimum on the left and its fall to the nearest
+minimum on the right reach the respective bounds (primary_rise,
+primary_fall, secondary_rise, secondary_fall).  Profile ends count as
+minima, so all gated quantities are non-negative.  A bound on a peak's
+prominence (value above the higher adjacent minimum) would add nothing: it
+is the smaller of rise and fall, so such a bound acts only by raising both.
 
 One array engine serves sst_segment and train_sst: _gap_features gives a
 sequence's mutual information and peak features as arrays over its
@@ -67,6 +67,8 @@ __all__ = [
 ]
 
 ESTIMATORS = ("mle", "ele")
+# the least rise and fall of an accepted primary peak, then of a secondary one
+PEAK_BOUNDS = ("primary_rise", "primary_fall", "secondary_rise", "secondary_fall")
 
 
 def _require_estimator(estimator: str) -> str:
@@ -77,23 +79,21 @@ def _require_estimator(estimator: str) -> str:
 
 @dataclass(frozen=True)
 class SstParams:
-    """Mutual-information threshold, six extremum thresholds, estimator."""
+    """Mutual-information threshold, the four PEAK_BOUNDS in order, estimator."""
 
     theta: float
-    extremum_thresholds: tuple[float, float, float, float, float, float]
+    peak_bounds: tuple[float, float, float, float]
     estimator: str = "mle"
 
     def __post_init__(self):
-        object.__setattr__(self, "extremum_thresholds", tuple(map(float, self.extremum_thresholds)))
+        object.__setattr__(self, "peak_bounds", tuple(map(float, self.peak_bounds)))
         # written as "not >= 0" so that NaN fails too
         if not self.theta >= 0:
             raise ParameterError(f"theta must be non-negative, got {self.theta}")
-        if len(self.extremum_thresholds) != 6:
-            raise ParameterError("exactly six extremum thresholds required")
-        if not all(e >= 0 for e in self.extremum_thresholds):
-            raise ParameterError(
-                f"extremum thresholds must be non-negative, got {self.extremum_thresholds}"
-            )
+        if len(self.peak_bounds) != len(PEAK_BOUNDS):
+            raise ParameterError("exactly four peak bounds required")
+        if not all(e >= 0 for e in self.peak_bounds):
+            raise ParameterError(f"peak bounds must be non-negative, got {self.peak_bounds}")
         _require_estimator(self.estimator)
 
 
@@ -256,30 +256,20 @@ def _gap_features(seq: str, stats: BigramStats) -> "tuple[np.ndarray, ...]":
     return (np.array(mi, dtype=np.float64), *extremum_features(dts_profile(seq, stats)))
 
 
-def _peak_bounds(thresholds):
-    """(primary rise, primary fall, secondary rise, secondary fall): the
-    bounds the six thresholds set.  prominence >= e1, rise >= e2 and
-    fall >= e3 hold together exactly when rise >= max(e1, e2) and
-    fall >= max(e1, e3); likewise e4 .. e6 for secondary peaks."""
-    e1, e2, e3, e4, e5, e6 = thresholds
-    return np.maximum(e1, e2), np.maximum(e1, e3), np.maximum(e4, e5), np.maximum(e4, e6)
-
-
-def _peak_test(primary, secondary, rise, fall, thresholds):
-    """The peak rule: primary peaks gated by thresholds 1-3, secondary peaks
-    by thresholds 4-6, each as (prominence, rise, fall), applied through
-    _peak_bounds.  The thresholds broadcast against the feature arrays, so
-    columns of thresholds test many settings at once."""
-    p_rise, p_fall, s_rise, s_fall = _peak_bounds(thresholds)
+def _peak_test(primary, secondary, rise, fall, bounds):
+    """The peak rule: a primary (secondary) peak whose rise and fall reach
+    bounds 1 and 2 (3 and 4).  The bounds broadcast against the feature
+    arrays, so columns of bounds test many settings at once."""
+    p_rise, p_fall, s_rise, s_fall = bounds
     return (primary & (rise >= p_rise) & (fall >= p_fall)) | (
         secondary & (rise >= s_rise) & (fall >= s_fall)
     )
 
 
-def _sst_rule(mi, primary, secondary, rise, fall, theta, thresholds):
+def _sst_rule(mi, primary, secondary, rise, fall, theta, bounds):
     """The boundary rule: mi below theta and the peak test passed.  theta
-    and the thresholds broadcast like the peak test's."""
-    return (mi < theta) & _peak_test(primary, secondary, rise, fall, thresholds)
+    and the bounds broadcast like the peak test's."""
+    return (mi < theta) & _peak_test(primary, secondary, rise, fall, bounds)
 
 
 def sst_segment(seq: str, params: SstParams, stats: BigramStats) -> FlatSegmentation:
@@ -290,27 +280,27 @@ def sst_segment(seq: str, params: SstParams, stats: BigramStats) -> FlatSegmenta
     The params' estimator is applied to the statistics.
     """
     features = _gap_features(seq, stats.using(params.estimator))
-    ok = _sst_rule(*features, params.theta, params.extremum_thresholds)
+    ok = _sst_rule(*features, params.theta, params.peak_bounds)
     return FlatSegmentation(seq, tuple((np.flatnonzero(ok) + 2).tolist()))
 
 
 def write_sst_params(params: SstParams, destination) -> None:
-    """Plain key=value parameter file (theta, e1..e6, estimator)."""
+    """Plain key=value parameter file (theta, the PEAK_BOUNDS, estimator)."""
     lines = [f"theta={float_text(params.theta)}"]
-    lines += [f"e{i + 1}={float_text(e)}" for i, e in enumerate(params.extremum_thresholds)]
+    lines += [f"{key}={float_text(e)}" for key, e in zip(PEAK_BOUNDS, params.peak_bounds)]
     lines.append(f"estimator={params.estimator}")
     write_to(destination, "\n".join(lines) + "\n")
 
 
 def read_sst_params(source) -> SstParams:
-    extremum = [f"e{i}" for i in range(1, 7)]
-    values = read_key_values(source, {"theta": None, **dict.fromkeys(extremum), "estimator": "mle"})
+    keys = {"theta": None, **dict.fromkeys(PEAK_BOUNDS), "estimator": "mle"}
+    values = read_key_values(source, keys)
     try:
         theta = float(values["theta"])
-        thresholds = tuple(float(values[e]) for e in extremum)
+        bounds = tuple(float(values[key]) for key in PEAK_BOUNDS)
     except ValueError:
         raise FormatError("non-numeric parameter value", path=source) from None
-    return SstParams(theta, thresholds, values["estimator"])
+    return SstParams(theta, bounds, values["estimator"])
 
 
 def save_stats(stats: BigramStats, destination) -> int:

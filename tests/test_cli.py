@@ -20,6 +20,7 @@ from tangoseg import (
 )
 from tangoseg import cli
 from tangoseg.cli import main
+from tangoseg.sst import PEAK_BOUNDS
 from tangoseg.training import SST_EXTREMUM_VALUES, SST_THETAS
 
 DATA = Path(__file__).parent / "data"
@@ -288,13 +289,14 @@ class TestSegment:
         inp = tmp_path / "in.txt"
         inp.write_text("ABCDWXYZ\n")
         code, out, _ = run(capsys, "segment", "--algorithm", "sst", "--stats", big,
-                           "--input", inp, "--theta", "5", "--extremum", "0,0,0,0,0,0")
+                           "--input", inp, "--theta", "5", "--extremum", "0,0,0,0")
         assert code == 0
         seg = parse_flat(out.strip())
         assert seg.sequence == "ABCDWXYZ"
         # same run through a written parameter file
         params = tmp_path / "sst.params"
-        params.write_text("theta=5\ne1=0\ne2=0\ne3=0\ne4=0\ne5=0\ne6=0\nestimator=mle\n")
+        params.write_text("theta=5\nprimary_rise=0\nprimary_fall=0\nsecondary_rise=0\n"
+                          "secondary_fall=0\nestimator=mle\n")
         code, out2, _ = run(capsys, "segment", "--algorithm", "sst", "--stats", big,
                             "--input", inp, "--params", params)
         assert code == 0
@@ -302,14 +304,14 @@ class TestSegment:
 
     @pytest.mark.parametrize("params", [
         ["--theta", "nan"],
-        ["--theta", "5", "--extremum", "0,0,nan,0,0,0"],
+        ["--theta", "5", "--extremum", "0,0,nan,0"],
         ["--params", "sst.params"],
     ])
     def test_sst_nan_parameter_exits_2(self, tmp_path, monkeypatch, params, capsys):
         monkeypatch.chdir(tmp_path)
         Path("c.big").write_text("tango-bigrams v1\ntotal_chars 4\n1\t2\tA\n1\t2\tB\n2\t2\tAB\n")
         Path("in.txt").write_text("ABAB\n")
-        Path("sst.params").write_text("theta=nan\n" + "".join(f"e{i}=0\n" for i in range(1, 7)))
+        Path("sst.params").write_text("theta=nan\n" + "".join(f"{b}=0\n" for b in PEAK_BOUNDS))
         code, out, err = run(capsys, "segment", "--algorithm", "sst", "--stats", "c.big",
                              "--input", "in.txt", *params)
         assert code == 2
@@ -350,14 +352,15 @@ class TestTrainAndEvaluate:
         # the grid dump: one row per setting, in ascending order of the
         # parameter vector, with the library's scores
         lines = grid.read_text().splitlines()
-        assert lines[0] == "theta\te1\te2\te3\te4\te5\te6\tscore"
-        assert len(lines) == 78126
+        assert lines[0] == "\t".join(["theta", *PEAK_BOUNDS, "score"])
+        assert PEAK_BOUNDS == ("primary_rise", "primary_fall", "secondary_rise", "secondary_fall")
+        assert len(lines) == 3126
         rows = [line.split("\t") for line in lines[1:]]
-        assert [tuple(map(float, row[:7])) for row in rows] == list(
-            product(SST_THETAS, *[SST_EXTREMUM_VALUES] * 6))
+        assert [tuple(map(float, row[:5])) for row in rows] == list(
+            product(SST_THETAS, *[SST_EXTREMUM_VALUES] * 4))
         gold = [parse_annotation(line) for line in (DATA / "toy_gold.txt").read_text().splitlines()]
         result = train_sst(gold, load_stats(big), "word-f")
-        assert [row[7] for row in rows] == [f"{score:.6f}" for _, score in result.grid]
+        assert [row[5] for row in rows] == [f"{score:.6f}" for _, score in result.grid]
 
     @pytest.mark.parametrize("algorithm", ["tango", "sst"])
     def test_failed_grid_write_leaves_no_params(self, tmp_path, monkeypatch, capsys,
@@ -384,13 +387,15 @@ class TestTrainAndEvaluate:
         (["--algorithm", "tango", "--criterion", "word-f"],
          "ef3f387bd5a389367d7f038016de0bdfaa802e2bcac13f28747879a7ced4f8e9"),
         (["--algorithm", "sst", "--criterion", "word-f"],
-         "08965b5e8dd4a156f7202335066e3ab8508c58efeec3d6e5d36758e9e3ded149"),
+         "1b8d7aeacd5986512ce45393bd70510c0abd6c1aa1a53ff1b130e3764f2ccfe8"),
         (["--algorithm", "sst", "--estimator", "ele", "--criterion", "morpheme-recall"],
-         "a0dbfe3a1ed389e6053f3d0ccd06e7b0100a3a53dd1ec11283e7b42707a4170c"),
+         "ca6d58e25f55fd150679000074e4409c56ea7baf3f755e6e307a8f9e93695350"),
     ], ids=["tango", "sst", "sst-ele-morpheme"])
     def test_grid_out_is_pinned(self, tmp_path, capsys, toy_models, argv, digest):
         # digests of the grid dump written when every row was formatted from
-        # a parameter object: formatting from the grid's arrays must not change it
+        # a parameter object: formatting from the grid's arrays must not change it.
+        # The sst dumps are the six-threshold dumps' rows with e1 = e4 = 0, byte
+        # for byte, with those two columns dropped and the header renamed.
         grid = tmp_path / "grid.tsv"
         code, _, err = run(capsys, "train", *argv, *toy_models[argv[1]],
                            "--train", DATA / "toy_gold.txt", "--out", tmp_path / "p.txt",
@@ -403,7 +408,7 @@ class TestTrainAndEvaluate:
 
     @pytest.mark.parametrize("algorithm, corpus, model, total", [
         ("tango", "QRSTUVW\n", "--out", 620),
-        ("sst", "ABCABCABC\nCABCAB\nBCABCA\n", "--bigrams-out", 5 ** 7),
+        ("sst", "ABCABCABC\nCABCAB\nBCABCA\n", "--bigrams-out", 5 ** 5),
     ])
     def test_all_tied_grid_reports_every_setting(self, tmp_path, capsys, algorithm, corpus,
                                                  model, total):
@@ -663,7 +668,7 @@ class TestModelFlags:
                    "--out", "c.tab", "--bigrams-out", "c.big")[0] == 0
         Path("in.txt").write_text("ABAB\n")
         Path("tango.params").write_text("N=2\nt=0.5\n")
-        Path("sst.params").write_text("theta=5\n" + "".join(f"e{i}=0\n" for i in range(1, 7)))
+        Path("sst.params").write_text("theta=5\n" + "".join(f"{b}=0\n" for b in PEAK_BOUNDS))
 
     # the flags that only segment takes are tried with segment alone
     @pytest.mark.parametrize("command, algorithm, model, flag", [
@@ -672,7 +677,7 @@ class TestModelFlags:
             ("tango", ["--index", "c.tab"], ["--stats", "c.big"], ["segment", "train"]),
             ("tango", ["--index", "c.tab"], ["--estimator", "mle"], ["segment", "train"]),
             ("tango", ["--index", "c.tab"], ["--theta", "3"], ["segment"]),
-            ("tango", ["--index", "c.tab"], ["--extremum", "0,0,0,0,0,0"], ["segment"]),
+            ("tango", ["--index", "c.tab"], ["--extremum", "0,0,0,0"], ["segment"]),
             ("sst", ["--stats", "c.big"], ["--index", "c.tab"], ["segment", "train"]),
             ("sst", ["--stats", "c.big"], ["--no-local-max"], ["segment", "train"]),
             ("sst", ["--stats", "c.big"], ["--no-threshold"], ["segment", "train"]),
@@ -696,7 +701,7 @@ class TestModelFlags:
         ("tango", ["--index", "c.tab"], "--no-threshold",
          "--orders/--threshold/--no-local-max/--no-threshold"),
         ("sst", ["--stats", "c.big"], "--estimator=ele", "--theta/--extremum/--estimator"),
-        ("sst", ["--stats", "c.big"], "--extremum=0,50,0,0,0,0", "--theta/--extremum/--estimator"),
+        ("sst", ["--stats", "c.big"], "--extremum=0,50,0,0", "--theta/--extremum/--estimator"),
     ], ids=["tango-no-local-max", "tango-no-threshold", "sst-estimator", "sst-extremum"])
     def test_flag_the_params_file_holds_exits_2(self, models, capsys, algorithm, model, flag,
                                                 message):
@@ -762,7 +767,7 @@ class TestLineFileErrors:
         ("miss.params", "N=2\n",
          ["segment", "--index", "c.tab", "--input", "in.txt", "--params", "miss.params"],
          "miss.params: missing parameter 't'"),
-        ("bad.params", "theta=x\n" + "".join(f"e{i}=0\n" for i in range(1, 7)),
+        ("bad.params", "theta=x\n" + "".join(f"{b}=0\n" for b in PEAK_BOUNDS),
          ["segment", "--algorithm", "sst", "--stats", "c.big", "--input", "in.txt",
           "--params", "bad.params"],
          "bad.params: non-numeric parameter value"),
@@ -777,9 +782,14 @@ class TestLineFileErrors:
          ["segment", "--index", "big.tab", "--input", "in.txt", "--orders", "2",
           "--threshold", "0.5"],
          "big.tab: orders must all be <= 64 (line 3)"),
+        # a file of the six-threshold model is refused at its first old key, not converted
+        ("sst.params", "theta=5\n" + "".join(f"e{i}=0\n" for i in range(1, 7)) + "estimator=mle\n",
+         ["segment", "--algorithm", "sst", "--stats", "c.big", "--input", "in.txt",
+          "--params", "sst.params"],
+         "sst.params: unknown parameter 'e1' (line 2)"),
     ], ids=["pred", "gold", "tango-params", "sst-params", "lexicon-weight", "lexicon-fields",
             "tango-params-missing-t", "sst-params-theta", "count-file", "tango-params-unknown",
-            "count-file-orders"])
+            "count-file-orders", "sst-params-six-thresholds"])
     def test_bad_line_names_file_line_and_column(self, files, capsys, name, text, argv, message):
         Path(name).write_text(text)
         assert run(capsys, *argv) == (2, "", f"error: {message}\n")
@@ -794,7 +804,7 @@ class TestRefusals:
         assert run(capsys, "build-index", "--corpus", DATA / "toy_corpus.txt",
                    "--out", "c.tab", "--bigrams-out", "c.big")[0] == 0
         Path("in.txt").write_text("ABAB\n")
-        Path("sst.params").write_text("theta=5\n" + "".join(f"e{i}=0\n" for i in range(1, 7)))
+        Path("sst.params").write_text("theta=5\n" + "".join(f"{b}=0\n" for b in PEAK_BOUNDS))
         Path("blank.txt").write_text("\n\n")
         Path("empty.txt").write_text("")
         Path("abcab.txt").write_text("abcab\n")
@@ -880,7 +890,7 @@ class TestNonUtf8Files:
 
     def test_stats(self, bad, seqs, capsys):
         self.check(capsys, "segment", "--algorithm", "sst", "--stats", bad,
-                   "--input", seqs, "--theta", "5", "--extremum", "0,0,0,0,0,0")
+                   "--input", seqs, "--theta", "5", "--extremum", "0,0,0,0")
 
 
 class TestEntryPoint:

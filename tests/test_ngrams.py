@@ -555,7 +555,7 @@ def _writers():
         ("table", build_table(corpus, range(2, 5)).save),
         ("stats", lambda d: save_stats(BigramStats.from_corpus(corpus), d)),
         ("tango", lambda d: write_tango_params(TangoParams(frozenset({2, 4}), 0.4), d)),
-        ("sst", lambda d: write_sst_params(SstParams(2.5, (0, 1, 2, 3, 4, 200), "mle"), d)),
+        ("sst", lambda d: write_sst_params(SstParams(2.5, (1, 2, 4, 200), "mle"), d)),
         ("lexicon", lambda d: write_lexicon([LexiconEntry("é\U00020000", 1.5, "stem")], d)),
     ]
 

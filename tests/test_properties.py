@@ -6,18 +6,20 @@ round trips, tables given as dicts over any Unicode, the count-file
 loaders on edited files against the reference reader, the count-file
 writer, from dicts and from the counting walk's blocks, against a sorted
 f-string formatter, the line reader's error places, the code point range
-filter against a per-character loop, the sst grid's distinct rules
-against the six-threshold rule at every setting,
+filter against a per-character loop, the sst grid against the
+four-bound rule and every setting of the six-threshold rule,
 annotation parse/serialize round trips, the annotation bracket views
 against a plain loop, sequence scores against the bracket oracle, and
 parameter file round trips."""
 
+import functools
 import io
 import math
 import random
 import tempfile
 from collections import Counter
 from contextlib import redirect_stderr
+from itertools import product
 from pathlib import Path
 from unittest import mock
 
@@ -62,7 +64,7 @@ from tangoseg import ngrams, segmenter, synth
 from tangoseg.cli import main
 from tangoseg.ngrams import _block_dict, _code_blocks, _count_windows, _walk, read_lines
 from tangoseg.sst import _sst_rule
-from tangoseg.training import SST_EXTREMUM_VALUES, SST_THETAS, _sst_rules
+from tangoseg.training import SST_EXTREMUM_VALUES, SST_THETAS, _sst_vectors
 
 from naive import (
     naive_boundaries,
@@ -865,13 +867,13 @@ non_negative = st.floats(min_value=0.0, allow_nan=False)
 
 @settings(max_examples=300, deadline=None)
 @given(st.sets(st.integers(2, ngrams.MAX_ORDER), min_size=1, max_size=5), st.floats(0.0, 1.0),
-       condition_pairs, non_negative, st.lists(non_negative, min_size=6, max_size=6),
+       condition_pairs, non_negative, st.lists(non_negative, min_size=4, max_size=4),
        st.sampled_from(["mle", "ele"]))
 def test_parameter_files_read_back_what_was_written(orders, threshold, conditions, theta,
-                                                    extremum, estimator):
+                                                    bounds, estimator):
     for params, write, read in (
         (TangoParams(orders, threshold, *conditions), write_tango_params, read_tango_params),
-        (SstParams(theta, extremum, estimator), write_sst_params, read_sst_params),
+        (SstParams(theta, bounds, estimator), write_sst_params, read_sst_params),
     ):
         buf = io.StringIO()
         write(params, buf)
@@ -913,21 +915,48 @@ def six_threshold_rows(features, grid):
     )
 
 
+def four_bound_rows(features, grid):
+    """The sst boundary rule as stated, one row per (theta, primary rise,
+    primary fall, secondary rise, secondary fall) row of grid: mi below
+    theta, and a primary (secondary) peak whose rise and fall reach its two
+    bounds."""
+    mi, primary, secondary, rise, fall = features
+    theta, p_rise, p_fall, s_rise, s_fall = grid.T[:, :, None]
+    return (mi < theta) & (
+        (primary & (rise >= p_rise) & (fall >= p_fall))
+        | (secondary & (rise >= s_rise) & (fall >= s_fall))
+    )
+
+
+@functools.cache
+def six_threshold_grid():
+    """The 5^7 (theta, e1 .. e6) settings over the grid's values, each
+    folded to (theta, max(e1, e2), max(e1, e3), max(e4, e5), max(e4, e6)),
+    and the index of that row in the ascending 5^5 grid."""
+    six = np.array(list(product(SST_THETAS, *[SST_EXTREMUM_VALUES] * 6)))
+    theta, e1, e2, e3, e4, e5, e6 = six.T
+    folded = np.column_stack([theta, np.maximum(e1, e2), np.maximum(e1, e3),
+                              np.maximum(e4, e5), np.maximum(e4, e6)])
+    at = np.zeros(len(six), np.int64)
+    for column, values in zip(folded.T, (SST_THETAS, *[SST_EXTREMUM_VALUES] * 4)):
+        at = at * len(values) + np.searchsorted(values, column)
+    return six, folded, at
+
+
 @settings(max_examples=100, deadline=None)
 @given(gap_feature_rows())
 # a primary peak with rise and fall 0: e1 alone decides it
 @example(tuple(np.array([v]) for v in (0.5, True, False, 0.0, 0.0)))
 def test_sst_grid_scores_one_setting_per_distinct_rule(features):
-    grid, rules, rule_of = _sst_rules()
-    assert len(grid) == 5**7 and len(rules) == 5**5
-
-    def rule_rows(vectors):
-        theta, *es = vectors[:, :, None].transpose(1, 0, 2)
-        return _sst_rule(*features, theta, es)
-
-    stated = six_threshold_rows(features, grid)
-    assert np.array_equal(rule_rows(grid), stated)
-    assert np.array_equal(rule_rows(rules)[rule_of], stated)
+    grid = _sst_vectors()
+    assert len(grid) == 5**5
+    theta, *bounds = grid.T[:, :, None]
+    rows = _sst_rule(*features, theta, bounds)
+    assert np.array_equal(rows, four_bound_rows(features, grid))
+    # every setting of six thresholds places the boundaries of its folded grid row
+    six, folded, at = six_threshold_grid()
+    assert np.array_equal(grid[at], folded)
+    assert np.array_equal(six_threshold_rows(features, six), rows[at])
 
 
 @st.composite

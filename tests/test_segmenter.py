@@ -243,7 +243,7 @@ class TestSegment:
         stats = BigramStats.from_corpus(["ABCD"])
         for call in (lambda: segment("", both(0.5), toy_table),
                      lambda: vote_profile("", (2, 3), toy_table),
-                     lambda: sst_segment("", SstParams(0.0, (0,) * 6), stats)):
+                     lambda: sst_segment("", SstParams(0.0, (0,) * 4), stats)):
             with pytest.raises(ValueError, match="^segmentation over an empty sequence$"):
                 call()
 

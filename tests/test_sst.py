@@ -24,7 +24,7 @@ from tangoseg import (
     write_sst_params,
 )
 
-from tangoseg.sst import _peak_test
+from tangoseg.sst import PEAK_BOUNDS, _peak_test
 
 from naive import NaiveBigramModel
 
@@ -236,14 +236,14 @@ class TestSstSegment:
     def test_theta_zero_blocks_cohesive_pairs(self):
         # every adjacent pair in the corpus pattern has positive mi
         stats = BigramStats.from_corpus(["ABCD"] * 6)
-        params = SstParams(0.0, (0.0,) * 6)
+        params = SstParams(0.0, (0.0,) * 4)
         assert sst_segment("ABCD", params, stats).boundaries == ()
 
     def test_zero_thresholds_mark_every_weak_peak(self):
         rng = random.Random(79)
         lines = ["".join(rng.choice("ABCDE") for _ in range(20)) for _ in range(40)]
         stats = BigramStats.from_corpus(lines)
-        params = SstParams(5.0, (0.0,) * 6)
+        params = SstParams(5.0, (0.0,) * 4)
         for _ in range(20):
             seq = "".join(rng.choice("ABCDE") for _ in range(12))
             values = dts_profile(seq, stats)
@@ -257,13 +257,13 @@ class TestSstSegment:
 
     def test_short_sequences_come_back_whole(self):
         stats = BigramStats.from_corpus(["ABCD"] * 6)
-        params = SstParams(5.0, (0.0,) * 6)
+        params = SstParams(5.0, (0.0,) * 4)
         for seq in ("A", "AB", "ABC", "ABCD"):
             assert sst_segment(seq, params, stats).segments == (seq,)
 
     def test_estimator_choice_in_params_is_applied(self):
         stats = BigramStats.from_corpus(["ABAB", "CDCD"])
-        params = SstParams(5.0, (0.0,) * 6, estimator="ele")
+        params = SstParams(5.0, (0.0,) * 4, estimator="ele")
         # Z is unseen: would raise under MLE, fine under the ELE view
         seg = sst_segment("ABZAB", params, stats)
         assert seg.sequence == "ABZAB"
@@ -277,7 +277,7 @@ class TestSstSegment:
         rng = random.Random(83)
         seqs = ["".join(rng.choice("ABC") for _ in range(rng.randint(5, 12))) for _ in range(30)]
         for theta in (0.0, 2.5, 5.0):
-            for es in ((0.0,) * 6, (0.0, 0.0, 0.0, 1.0, 1.0, 1.0)):
+            for es in ((0.0,) * 4, (0.0, 0.0, 1.0, 1.0)):
                 for seq in seqs:
                     a = sst_segment(seq, SstParams(theta, es, "mle"), mle)
                     b = sst_segment(seq, SstParams(theta, es, "ele"), ele)
@@ -287,19 +287,20 @@ class TestSstSegment:
 class TestSstParams:
     def test_rejects_negative_theta(self):
         with pytest.raises(ParameterError):
-            SstParams(-1.0, (0.0,) * 6)
+            SstParams(-1.0, (0.0,) * 4)
 
     def test_rejects_negative_extremum(self):
         with pytest.raises(ParameterError):
-            SstParams(0.0, (0.0, 0.0, -1.0, 0.0, 0.0, 0.0))
+            SstParams(0.0, (0.0, -1.0, 0.0, 0.0))
 
     def test_rejects_wrong_arity(self):
-        with pytest.raises(ParameterError):
-            SstParams(0.0, (0.0,) * 5)
+        for bounds in ((0.0,) * 3, (0.0,) * 5, (0.0,) * 6):
+            with pytest.raises(ParameterError, match="exactly four peak bounds required"):
+                SstParams(0.0, bounds)
 
     @pytest.mark.parametrize("theta, thresholds", [
-        (math.nan, (0.0,) * 6),
-        (0.0, (0.0, 0.0, math.nan, 0.0, 0.0, 0.0)),
+        (math.nan, (0.0,) * 4),
+        (0.0, (0.0, math.nan, 0.0, 0.0)),
     ])
     def test_rejects_nan(self, theta, thresholds):
         with pytest.raises(ParameterError, match="non-negative"):
@@ -307,13 +308,13 @@ class TestSstParams:
 
     def test_rejects_unknown_estimator(self):
         with pytest.raises(ParameterError):
-            SstParams(0.0, (0.0,) * 6, estimator="map")
+            SstParams(0.0, (0.0,) * 4, estimator="map")
 
     def test_every_entry_rejects_an_unknown_estimator_alike(self):
         stats = BigramStats.from_corpus(["ABAB"])
         message = r"estimator must be one of \('mle', 'ele'\)"
         for make in (
-            lambda: SstParams(0.0, (0.0,) * 6, estimator="map"),
+            lambda: SstParams(0.0, (0.0,) * 4, estimator="map"),
             lambda: BigramStats(stats.unigrams, stats.bigrams, 4, estimator="map"),
             lambda: BigramStats.from_corpus(["ABAB"], estimator="map"),
             lambda: stats.using("map"),
@@ -323,7 +324,7 @@ class TestSstParams:
                 make()
 
     def test_params_file_roundtrip(self, tmp_path):
-        params = SstParams(2.5, (0.0, 50.0, 100.0, 150.0, 200.0, 0.0), "ele")
+        params = SstParams(2.5, (50.0, 100.0, 150.0, 200.0), "ele")
         path = tmp_path / "sst.params"
         write_sst_params(params, path)
         assert read_sst_params(path) == params
@@ -331,28 +332,28 @@ class TestSstParams:
     @pytest.mark.parametrize("key", ["estimater", "e7"])
     def test_params_file_unknown_key_refused_at_its_line(self, key):
         # a misspelt estimator key must not fall back to mle unnoticed
-        payload = "theta=1\n" + "".join(f"e{i}=0\n" for i in range(1, 7)) + f"{key}=ele\n"
+        payload = "theta=1\n" + "".join(f"{b}=0\n" for b in PEAK_BOUNDS) + f"{key}=ele\n"
         with pytest.raises(FormatError) as exc:
             read_sst_params(io.StringIO(payload))
-        assert str(exc.value) == f"unknown parameter {key!r} (line 8)"
+        assert str(exc.value) == f"unknown parameter {key!r} (line 6)"
 
     def test_params_file_missing_threshold_refused(self):
-        payload = "theta=1\n" + "".join(f"e{i}=0\n" for i in (1, 2, 4, 5, 6))
+        payload = "theta=1\nprimary_rise=0\nsecondary_rise=0\nsecondary_fall=0\n"
         with pytest.raises(FormatError) as exc:
             read_sst_params(io.StringIO(payload))
-        assert str(exc.value) == "missing parameter 'e3'"
+        assert str(exc.value) == "missing parameter 'primary_fall'"
 
     def test_params_file_written_losslessly(self, tmp_path):
-        # six significant digits would write e1=1.23457e+06, another float
-        params = SstParams(0.1234567, (1234567.0, 0.0, 50.0, 0.0, 0.0, 0.0))
+        # six significant digits would write primary_rise=1.23457e+06, another float
+        params = SstParams(0.1234567, (1234567.0, 0.0, 50.0, 0.0))
         path = tmp_path / "sst.params"
         write_sst_params(params, path)
-        assert path.read_text() == ("theta=0.1234567\ne1=1234567\ne2=0\ne3=50\ne4=0\ne5=0\n"
-                                    "e6=0\nestimator=mle\n")
+        assert path.read_text() == ("theta=0.1234567\nprimary_rise=1234567\nprimary_fall=0\n"
+                                    "secondary_rise=50\nsecondary_fall=0\nestimator=mle\n")
         assert read_sst_params(path) == params
 
     def test_params_file_repeated_key_rejected(self):
-        payload = "theta=1\ntheta=2\n" + "".join(f"e{i}=0\n" for i in range(1, 7))
+        payload = "theta=1\ntheta=2\n" + "".join(f"{b}=0\n" for b in PEAK_BOUNDS)
         with pytest.raises(FormatError, match=r"duplicate key 'theta' \(line 2\)"):
             read_sst_params(io.StringIO(payload))
 
@@ -430,14 +431,14 @@ class TestStatsFile:
         with pytest.raises(FormatError, match="line 2"):
             load_stats(io.StringIO("tango-bigrams v1\ntotal_chars -1\n1\t2\tA\n"))
 
-    def test_prominence_rule_thresholds(self):
-        def rule(primary, secondary, thresholds):
-            # one position with rise 60 and fall 40, so prominence 40
+    def test_peak_rule_bounds(self):
+        def rule(primary, secondary, bounds):
+            # one position with rise 60 and fall 40
             features = ([primary], [secondary], [60.0], [40.0])
-            [passed] = _peak_test(*map(np.array, features), thresholds)
+            [passed] = _peak_test(*map(np.array, features), bounds)
             return passed
 
-        assert rule(True, True, (40.0, 50.0, 30.0, 200.0, 200.0, 200.0))
-        assert not rule(True, True, (45.0, 50.0, 30.0, 200.0, 200.0, 200.0))
-        assert rule(False, True, (200.0,) * 3 + (0.0,) * 3)
-        assert not rule(False, True, (0.0,) * 3 + (200.0,) * 3)
+        assert rule(True, True, (50.0, 40.0, 200.0, 200.0))
+        assert not rule(True, True, (50.0, 45.0, 200.0, 200.0))
+        assert rule(False, True, (200.0,) * 2 + (0.0,) * 2)
+        assert not rule(False, True, (0.0,) * 2 + (200.0,) * 2)

@@ -81,10 +81,10 @@ class TestGridEnumeration:
         assert first_block[0] == 1.0 and first_block[-1] == 0.05
 
     def test_sst_grid_size_and_order(self):
-        grid = list(product(SST_THETAS, *[SST_EXTREMUM_VALUES] * 6))
-        assert len(grid) == 5 ** 7
-        assert grid[0] == (0.0,) * 7
-        assert grid[1] == (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 50.0)
+        grid = list(product(SST_THETAS, *[SST_EXTREMUM_VALUES] * 4))
+        assert len(grid) == 5 ** 5
+        assert grid[0] == (0.0,) * 5
+        assert grid[1] == (0.0, 0.0, 0.0, 0.0, 50.0)
         assert grid == sorted(grid)
         assert training._sst_vectors().tolist() == list(map(list, grid))
 
@@ -187,11 +187,16 @@ class TestTrainSst:
         _, stats, train_anns = toy_setup
         train = train_anns[:1]
         result = train_sst(train, stats, "word-f")
+        assert len(result.grid) == 5 ** 5
         best = None
-        for theta, *es in product(SST_THETAS, *[SST_EXTREMUM_VALUES] * 6):
-            params = SstParams(theta, es)
+        # every setting's score, not only the best, is the direct one
+        for (params, recorded), (theta, *bounds) in zip(
+            result.grid, product(SST_THETAS, *[SST_EXTREMUM_VALUES] * 4)
+        ):
+            assert params == SstParams(theta, bounds)
             pairs = [(sst_segment(ann.sequence, params, stats), ann) for ann in train]
             score = pooled_score(pairs, "word-f")
+            assert recorded == score
             if best is None or score > best[1]:
                 best = (params, score)
         assert result.params == best[0]
@@ -222,9 +227,9 @@ class TestTrainSst:
         assert all(len(a.sequence) == 4 for a in anns)
         result = train_sst(anns, stats, "word-f")
         assert result.params.theta == 0.0
-        assert result.params.extremum_thresholds == (0.0,) * 6
+        assert result.params.peak_bounds == (0.0,) * 4
         assert len({score for _, score in result.grid}) == 1
-        assert result.grid.ties() == 5 ** 7
+        assert result.grid.ties() == 5 ** 5
 
     def test_determinism(self, toy_setup):
         _, stats, train_anns = toy_setup
@@ -277,8 +282,8 @@ class TestLazyGrid:
         _, stats, train_anns = toy_setup
         result = train_sst(train_anns[:2], stats.using("ele"), "word-f")
         eager = [
-            (SstParams(theta, es, "ele"), score)
-            for (theta, *es), score in zip(product(SST_THETAS, *[SST_EXTREMUM_VALUES] * 6),
+            (SstParams(theta, bounds, "ele"), score)
+            for (theta, *bounds), score in zip(product(SST_THETAS, *[SST_EXTREMUM_VALUES] * 4),
                                            result.grid.scores.tolist())
         ]
         check_lazy_grid(result.grid, eager)
