@@ -21,7 +21,8 @@ from .annotations import (
     serialize_annotation,
     serialize_flat,
 )
-from .errors import Error, FormatError, ParameterError
+from .errors import (AlignmentError, Error, FormatError, ParameterError, UndefinedStatisticError,
+                     naming)
 from .metrics import format_report, machine_lines, score_set
 from .ngrams import (
     STATS,
@@ -98,7 +99,8 @@ def cmd_build_index(args) -> int:
         raise FormatError("no sequences extracted", path=args.corpus)
     size = corpus.total_chars
     print(f"corpus_size {size}", file=sys.stderr)
-    table, stats = _code_blocks(*_walk(corpus.sequences, orders, stats=bool(args.bigrams_out)))
+    with naming(args.corpus):  # a character the table file cannot store
+        table, stats = _code_blocks(*_walk(corpus.sequences, orders, stats=bool(args.bigrams_out)))
     if table is not None:
         for n, (_, counts) in table.items():
             print(f"order {n}: {len(counts)} distinct grams", file=sys.stderr)
@@ -156,7 +158,8 @@ def cmd_segment(args) -> int:
     if args.algorithm == "tango":
         params = read_tango_params(args.params) if args.params else _tango_params_from_args(args)
         table = NGramTable.load(args.index)
-        table.require_orders(params.orders)
+        with naming(args.index):
+            table.require_orders(params.orders)
         segmenter = partial(segment, params=params, table=table)
     else:
         # sst_segment applies the params' estimator to the statistics
@@ -183,7 +186,8 @@ def cmd_train(args) -> int:
         described = f"N={{{orders}}} t={result.params.threshold:g}"
     else:
         stats = load_stats(args.stats, args.estimator or "mle")
-        result = train_sst(train_set, stats, args.criterion)
+        with naming(args.train, UndefinedStatisticError):  # as segment names its input's line
+            result = train_sst(train_set, stats, args.criterion)
         write_params = write_sst_params
         bounds = ",".join(f"{e:g}" for e in result.params.peak_bounds)
         described = f"theta={result.params.theta:g} bounds={bounds} estimator={stats.estimator}"
@@ -204,7 +208,8 @@ def cmd_evaluate(args) -> int:
     gold = read_lines(args.gold, parse_annotation)
     if len(pred) != len(gold):
         raise ParameterError(f"{args.pred} has {len(pred)} lines but {args.gold} has {len(gold)}")
-    report = score_set(zip(pred, gold))
+    with naming(args.pred, AlignmentError):
+        report = score_set(zip(pred, gold))
     if args.machine:
         print("\n".join(machine_lines(report, per_sequence=args.per_sequence)))
     else:
@@ -223,8 +228,9 @@ def cmd_synth(args) -> int:
         raw += "".join(lines.tolist())
         count += len(ends)
         if args.out_annotations:
-            gold += (serialize_annotation(TwoLevelAnnotation.from_segments(w))
-                     for w in _sequences(words, ends))
+            with naming(args.lexicon, FormatError):  # a word the annotation format cannot hold
+                gold += (serialize_annotation(TwoLevelAnnotation.from_segments(w))
+                         for w in _sequences(words, ends))
     # all output is built before the first write
     outputs = ((args.out_corpus, partial(write_to, payload=raw)),
                (args.out_annotations, partial(_write_lines, lines=gold)))

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and naming, which names a file in an error."""
+
+from contextlib import contextmanager
 
 __all__ = [
     "AlignmentError",
@@ -51,3 +53,12 @@ class UndefinedStatisticError(Error, ValueError):
 
 class AlignmentError(Error, ValueError):
     """A proposed segmentation and an annotation cover different sequences."""
+
+
+@contextmanager
+def naming(path, kind=ParameterError):
+    """Re-raise an error of kind from the block as a FormatError naming path."""
+    try:
+        yield
+    except kind as exc:
+        raise FormatError(str(exc), path=path) from None

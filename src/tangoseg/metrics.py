@@ -86,13 +86,6 @@ def _prf(matched: int, proposed: int, gold: int) -> tuple[float, float, float]:
     return precision, recall, f_measure(precision, recall)
 
 
-def _check_aligned(pred: FlatSegmentation, gold: TwoLevelAnnotation):
-    if pred.sequence != gold.sequence:
-        raise AlignmentError(
-            f"segmentation covers {pred.sequence!r} but annotation covers {gold.sequence!r}"
-        )
-
-
 @dataclass
 class SequenceScore:
     """Bracket-match and classification counts for one sequence."""
@@ -119,7 +112,10 @@ class SequenceScore:
 
 
 def score_sequence(pred: FlatSegmentation, gold: TwoLevelAnnotation) -> SequenceScore:
-    _check_aligned(pred, gold)
+    if pred.sequence != gold.sequence:
+        raise AlignmentError(
+            f"segmentation covers {pred.sequence!r} but annotation covers {gold.sequence!r}"
+        )
     # each bracket view is built once, not once per proposed bracket
     proposed, words, morphemes = pred.brackets, gold.words, gold.morpheme_brackets
     wm, wp, wg = _match_counts(proposed, words)

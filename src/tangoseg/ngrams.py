@@ -41,7 +41,6 @@ import codecs
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import Callable, Collection, Iterable, Sequence
 
@@ -440,13 +439,11 @@ class Corpus:
         return sum(map(len, self.sequences))
 
 
-def _rank_codes(grams: np.ndarray, pad=None) -> "tuple[np.ndarray, np.ndarray]":
+def _rank_codes(grams: np.ndarray, pad: int) -> "tuple[np.ndarray, np.ndarray]":
     """Each code's rank from 1 in the codes' ascending alphabet, and that
-    alphabet.  pad, when given, is a code above all others that ranks 0; the
-    tables span the codes up to it, so callers pad with the code past their
-    largest."""
-    top = int(grams.max(initial=0)) if pad is None else pad
-    seen = np.zeros(top + 1, bool)
+    alphabet.  pad is the code past the largest, which ranks 0 where it pads
+    a gram; the tables span the codes up to it."""
+    seen = np.zeros(pad + 1, bool)
     seen[grams] = True
     alphabet = np.r_[0, np.flatnonzero(seen[:pad])].astype(np.uint32)  # by rank
     rank = np.zeros(len(seen), np.min_scalar_type(len(alphabet) - 1))
@@ -457,15 +454,19 @@ def _rank_codes(grams: np.ndarray, pad=None) -> "tuple[np.ndarray, np.ndarray]":
 def _dict_counts(counts: "dict[str, int]", orders: Iterable[int]) -> "_Counts":
     """The keyed counts of a ``{gram: count}`` dict, over top slots for the
     longest gram or order, its grams in file order: sorted as strings, then
-    stably by length.  A count must be an int that fits an int64."""
+    stably by length.  A count must be an int that fits an int64, and a gram
+    no longer than MAX_ORDER."""
     for gram, c in counts.items():
         if type(c) is not int or not -(2**63) <= c < 2**63:
             raise _count_error(gram, c, 1)
     grams = sorted(sorted(counts), key=len)
     order = np.fromiter(map(len, grams), np.int64, len(grams))
+    top = max([int(order.max(initial=0)), *orders])
+    if top > MAX_ORDER:
+        raise ParameterError(f"a gram of length {top} is longer than {MAX_ORDER}")
     text = np.frombuffer("".join(grams).encode("utf-32-le", "surrogatepass"), np.uint32)
     pad = int(text.max(initial=0)) + 1
-    codes = np.full((len(grams), max([*order.tolist(), *orders], default=0)), pad, np.uint32)
+    codes = np.full((len(grams), top), pad, np.uint32)
     codes[np.arange(codes.shape[1]) < order[:, None]] = text  # row by row
     return _Counts(order, *_rank_codes(codes, pad),
                    np.fromiter(map(counts.__getitem__, grams), np.int64, len(grams)))
@@ -577,15 +578,12 @@ class NGramTable:
     """
 
     def __init__(self, orders: Iterable[int], counts: "Mapping[str, int]", corpus_size: int):
-        """counts is keyed, or a {gram: count} mapping keyed when first used,
-        so that a count that is no int fitting an int64 is refused there."""
-        self.orders, self.corpus_size, self._grams = frozenset(orders), corpus_size, counts
-        if isinstance(counts, _Counts):
-            self.counts = counts
-
-    @cached_property
-    def counts(self) -> _Counts:
-        return _dict_counts(self._grams, self.orders)
+        """counts is keyed, or a {gram: count} mapping keyed here: declared
+        orders order_set refuses, a count that is no int fitting an int64 and
+        a gram longer than MAX_ORDER raise ParameterError."""
+        self.orders = frozenset(order_set(orders, "declared orders"))
+        self.corpus_size = corpus_size
+        self.counts = counts if isinstance(counts, _Counts) else _dict_counts(counts, self.orders)
 
     def __eq__(self, other):
         if not isinstance(other, NGramTable):
@@ -597,7 +595,7 @@ class NGramTable:
     def __repr__(self):
         return (
             f"NGramTable(orders={sorted(self.orders)}, "
-            f"entries={len(self._grams)}, corpus_size={self.corpus_size})"
+            f"entries={len(self.counts)}, corpus_size={self.corpus_size})"
         )
 
     def count(self, gram: str) -> int:
@@ -656,8 +654,9 @@ def _count_windows(sequences: Sequence[str], min_counts: "dict[int, int]") -> tu
     (past about 47M characters at 12-bit ranks) does it argsort bare keys.
     """
     top = max(min_counts)
-    ranks, alphabet = _rank_codes(np.frombuffer(
-        "".join(sequences).encode("utf-32-le", "surrogatepass"), np.uint32))
+    codes = np.frombuffer("".join(sequences).encode("utf-32-le", "surrogatepass"), np.uint32)
+    ranks, alphabet = _rank_codes(codes, int(codes.max(initial=0)) + 1)
+    del codes
     m, bits = len(ranks), (len(alphabet) - 1).bit_length()
     # characters left in its sequence from each position on, capped at top: the nearest end wins
     left = np.full(m, top, np.min_scalar_type(top))

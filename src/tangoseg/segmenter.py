@@ -105,11 +105,11 @@ def _plan(length: int, orders: "tuple[int, ...]") -> _Plan:
     orders share, as read-only arrays: comparison i sets window pairs[0, i]
     against pairs[1, i] in cell[i], row * (length - 1) + k - 1 for
     orders[row] at gap k; comparisons, divisor (at least 1) and evidence
-    (comparisons > 0) have _gap_counts' shape, and rows holds the orders
-    with evidence at each gap, at least 1.  Row w of windows indexes window
-    w's order and characters, padding past its end, in the sequence's
-    code points and then tail's, as _Counts.find reads them; windows are
-    numbered order after order, by start."""
+    (comparisons > 0) have a row per order and a column per gap, and rows
+    holds the orders with evidence at each gap, at least 1.  Row w of
+    windows indexes window w's order and characters, padding past its end,
+    in the sequence's code points and then tail's, as _Counts.find reads
+    them; windows are numbered order after order, by start."""
     k = np.arange(1, length)[:, None]  # one row per gap
     slot = np.arange(orders[-1])
     parts, windows = [], []
@@ -139,16 +139,17 @@ def _plan(length: int, orders: "tuple[int, ...]") -> _Plan:
     return plan
 
 
-def _gap_counts(seq: str, orders, table: NGramTable) -> "tuple[np.ndarray, np.ndarray]":
-    """The vote kernel: (affirmative, comparisons), one row per order and
-    one column per gap 1..len-1.
+def _gap_counts(seq: str, orders, table: NGramTable) -> "tuple[np.ndarray, _Plan]":
+    """The vote kernel: (affirmative, plan), the plan (_plan) it read;
+    affirmative, like the plan's arrays, has a row per order and a column
+    per gap 1..len-1.
 
     Row i belongs to orders[i]; its column k-1 counts, at gap k, the
     comparisons in which a side n-gram (the n characters ending at k, or the
-    n starting at k+1) outnumbers a straddling one, and all comparisons
-    made.  Only pairs whose both members fit the sequence are compared, so
-    a gap no order-n side window fits gets (0, 0).  A table that does not
-    cover every order raises UnsupportedOrderError.
+    n starting at k+1) outnumbers a straddling one, and in comparisons all
+    comparisons made.  Only pairs whose both members fit the sequence are
+    compared, so a gap no order-n side window fits gets (0, 0).  A table
+    that does not cover every order raises UnsupportedOrderError.
 
     Each window is looked up once: one gather makes its slots, one dot
     product per key step its key, and one searchsorted per step finds it;
@@ -164,15 +165,7 @@ def _gap_counts(seq: str, orders, table: NGramTable) -> "tuple[np.ndarray, np.nd
     found = table.counts.find(seq, plan.windows, plan.tail.tobytes())
     side, straddling = table.counts.value[found][plan.pairs]
     affirmative = np.bincount(plan.cell[side > straddling], minlength=plan.comparisons.size)
-    return affirmative.reshape(plan.comparisons.shape), plan.comparisons
-
-
-def _order_votes(seq: str, orders, table: NGramTable) -> "tuple[np.ndarray, ...]":
-    """Per order and gap, the vote (0 without evidence) and whether there is
-    evidence; and per gap, the orders with evidence, at least 1."""
-    affirmative, _ = _gap_counts(seq, orders, table)
-    plan = _plan(len(seq), orders)  # the cached plan _gap_counts used
-    return affirmative / plan.divisor, plan.evidence, plan.rows
+    return affirmative.reshape(plan.comparisons.shape), plan
 
 
 def _mean_votes(votes: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -203,8 +196,9 @@ def _votes(seq: str, orders: "tuple[int, ...]", table: NGramTable) -> "tuple[lis
     orders that order_set already returned."""
     if not seq:
         raise ValueError("segmentation over an empty sequence")
-    votes, _, rows = _order_votes(seq, orders, table)
-    return _mean_votes(votes, rows).tolist(), votes
+    affirmative, plan = _gap_counts(seq, orders, table)
+    votes = affirmative / plan.divisor
+    return _mean_votes(votes, plan.rows).tolist(), votes
 
 
 def vote_profile(

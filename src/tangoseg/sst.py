@@ -36,7 +36,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .annotations import FlatSegmentation
-from .errors import FormatError, ParameterError, UndefinedStatisticError
+from .errors import FormatError, ParameterError, UndefinedStatisticError, naming
 from .ngrams import (
     STATS,
     Corpus,
@@ -136,8 +136,10 @@ class BigramStats:
 
     def _estimate(self, count: int, total: int, types: int) -> float:
         """The one estimate: relative frequency under MLE, add-half over the
-        types under ELE."""
+        types under ELE; UndefinedStatisticError where it is no probability."""
         k = 0.0 if self.estimator == "mle" else 0.5
+        if not 0 < total + k * types >= count + k:
+            raise UndefinedStatisticError(f"a count of {count} in {total} is no probability")
         return (count + k) / (total + k * types)
 
     def _given(self, x: str) -> int:
@@ -155,17 +157,10 @@ class BigramStats:
             raise UndefinedStatisticError("corpus contains no bigram tokens")
         return self._estimate(self.bigrams[x + y], self.total_bigrams, len(self.bigrams))
 
-    def p_cond(self, y: str, x: str) -> float:
-        """Probability that y immediately follows x."""
-        return self._transition(y, x)[0]
-
-    def var_cond(self, y: str, x: str) -> float:
-        """Binomial variance of the conditional relative frequency."""
-        return self._transition(y, x)[1]
-
-    def _transition(self, y: str, x: str) -> tuple[float, float]:
-        """(p_cond(y, x), var_cond(y, x)), the conditional estimated once;
-        the variance is infinite when x is unseen (under ELE)."""
+    def transition(self, y: str, x: str) -> tuple[float, float]:
+        """(p, var): the probability that y immediately follows x, estimated
+        once, and the binomial variance of that conditional relative
+        frequency, infinite when x is unseen (under ELE)."""
         cx = self._given(x)
         p = self._estimate(self.bigrams[x + y], cx, len(self.unigrams))
         return p, p * (1.0 - p) / cx if cx else math.inf
@@ -206,9 +201,9 @@ def dts_terms(stats: BigramStats, c: str, d: str, w: str, x: str) -> DtsTerms:
     of the difference of conditional probabilities with pooled binomial
     variances.
     """
-    p_wd, v_wd = stats._transition(w, d)
-    p_dc, v_dc = stats._transition(d, c)
-    p_xw, v_xw = stats._transition(x, w)
+    p_wd, v_wd = stats.transition(w, d)
+    p_dc, v_dc = stats.transition(d, c)
+    p_xw, v_xw = stats.transition(x, w)
     left, left_degen = _t_term(p_wd - p_dc, v_wd + v_dc)
     right, right_degen = _t_term(p_xw - p_wd, v_xw + v_wd)
     return DtsTerms(left - right, left, right, left_degen, right_degen)
@@ -300,7 +295,8 @@ def read_sst_params(source) -> SstParams:
         bounds = tuple(float(values[key]) for key in PEAK_BOUNDS)
     except ValueError:
         raise FormatError("non-numeric parameter value", path=source) from None
-    return SstParams(theta, bounds, values["estimator"])
+    with naming(source):
+        return SstParams(theta, bounds, values["estimator"])
 
 
 def save_stats(stats: BigramStats, destination) -> int:

@@ -32,10 +32,10 @@ from typing import Any, Callable, Iterable
 import numpy as np
 
 from .annotations import TwoLevelAnnotation
-from .errors import FormatError, ParameterError
+from .errors import FormatError, ParameterError, naming
 from .metrics import _prf
 from .ngrams import NGramTable, float_text, read_int_list, read_key_values, write_to
-from .segmenter import (TangoParams, _evidence_rows, _mean_votes, _order_votes, _padded,
+from .segmenter import (TangoParams, _evidence_rows, _gap_counts, _mean_votes, _padded,
                         _require_condition, _tango_rule)
 from .sst import PEAK_BOUNDS, BigramStats, SstParams, _gap_features, _sst_rule
 
@@ -67,11 +67,6 @@ SST_EXTREMUM_VALUES = (0.0, 50.0, 100.0, 150.0, 200.0)
 # boundary-row cells scored at once; bounds both trainers' memory whatever
 # the training set's size
 _CELL_BUDGET = 1 << 20
-
-
-def _criterion_value(matched: int, proposed: int, gold: int, criterion: str) -> float:
-    kind = criterion.split("-")[1]  # "word-f" -> "f"
-    return _prf(matched, proposed, gold)[("precision", "recall", "f").index(kind)]
 
 
 class _BoundaryRows:
@@ -124,10 +119,8 @@ class _BoundaryRows:
         matched = (rows[:, starts] & rows[:, ends] & (csum[:, ends - 1] == csum[:, starts])).sum(1)
         proposed = rows.sum(1) - len(self.offsets)
         keys, inverse = np.unique(matched * (self.width + 1) + proposed, return_inverse=True)
-        values = [
-            _criterion_value(*divmod(int(key), self.width + 1), len(starts), self.criterion)
-            for key in keys
-        ]
+        kind = ("precision", "recall", "f").index(self.criterion.split("-")[1])  # "word-f": 2
+        values = [_prf(*divmod(int(key), self.width + 1), len(starts))[kind] for key in keys]
         return np.array(values)[inverse]
 
 
@@ -235,10 +228,10 @@ def train_tango(
     """
     layout = _BoundaryRows(train_set, criterion)
     _require_condition(use_local_max, use_threshold)
-    order_votes = [_order_votes(ann.sequence, TANGO_ORDER_POOL, table) for ann in train_set]
+    counted = [_gap_counts(ann.sequence, TANGO_ORDER_POOL, table) for ann in train_set]
     # per order, every sequence's votes (0 without evidence) and evidence at its gaps' columns
-    votes = np.array([layout.spread(rows, 1) for rows in zip(*(v for v, _, _ in order_votes))])
-    evidence = np.array([layout.spread(rows, 1) for rows in zip(*(e for _, e, _ in order_votes))])
+    votes = np.array([layout.spread(rows, 1) for rows in zip(*(a / p.divisor for a, p in counted))])
+    evidence = np.array([layout.spread(rows, 1) for rows in zip(*(p.evidence for _, p in counted))])
     # each sequence's edge value in its end columns, the neighbours of its first and last gaps
     edges = layout.spread([_padded([0.0] * (len(ann.sequence) - 1)) for ann in train_set])
     settings = list(tango_grid())
@@ -314,7 +307,8 @@ def read_tango_params(source) -> TangoParams:
     if not set(conditions) <= {"local-max", "threshold"}:
         raise FormatError("conditions must name local-max, threshold or both, "
                           f"got {values['conditions']!r}", path=source)
-    return TangoParams(orders, threshold, "local-max" in conditions, "threshold" in conditions)
+    with naming(source):
+        return TangoParams(orders, threshold, "local-max" in conditions, "threshold" in conditions)
 
 
 def _formatted(values: np.ndarray, spec: str) -> np.ndarray:

@@ -794,6 +794,38 @@ class TestLineFileErrors:
         Path(name).write_text(text)
         assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("name, text, argv, message", [
+        ("bad.params", "N=2\nt=2\n",
+         ["segment", "--index", "c.tab", "--input", "in.txt", "--params", "bad.params"],
+         "bad.params: threshold must be in [0, 1], got 2.0"),
+        ("bad.params", "theta=-1\n" + "".join(f"{b}=0\n" for b in PEAK_BOUNDS),
+         ["segment", "--algorithm", "sst", "--stats", "c.big", "--input", "in.txt",
+          "--params", "bad.params"],
+         "bad.params: theta must be non-negative, got -1.0"),
+        ("n7.params", "N=2,7\nt=0.5\n",
+         ["segment", "--index", "c.tab", "--input", "in.txt", "--params", "n7.params"],
+         "c.tab: table does not cover orders [7]"),
+        ("tab.txt", "AB\tAB\n", ["build-index", "--corpus", "tab.txt", "--out", "t.tab"],
+         "tab.txt: corpus sequence contains '\\t'; the table format cannot store it"),
+        ("z.ann", "[ABZA]\n",
+         ["train", "--algorithm", "sst", "--stats", "c.big", "--train", "z.ann",
+          "--criterion", "word-f", "--out", "p.txt"],
+         "z.ann: character 'Z' unseen under MLE"),
+        ("shift.pred", "|ab|\n|b|\n", ["evaluate", "--pred", "shift.pred", "--gold", "gold.ann"],
+         "shift.pred: segmentation covers 'b' but annotation covers 'a'"),
+        ("lex.tsv", "a[\t1\tstem\n",
+         ["synth", "--lexicon", "lex.tsv", "--sequences", "2", "--out-corpus", "c.txt",
+          "--out-annotations", "a.txt"],
+         "lex.tsv: sequence contains a bracket character"),
+    ], ids=["tango-params-value", "sst-params-value", "table-orders", "corpus-tab",
+            "train-unseen", "misaligned-pred", "lexicon-bracket"])
+    def test_refused_content_names_its_file(self, files, capsys, name, text, argv, message):
+        # what a file holds, refused where no line is known, still names the file
+        Path(name).write_text(text)
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err.splitlines()[-1]) == (2, "", f"error: {message}")
+        assert not any(Path(f).exists() for f in ("t.tab", "p.txt", "c.txt", "a.txt"))
+
 
 class TestRefusals:
     """Each refusal exits 2 with its message and writes nothing to stdout."""

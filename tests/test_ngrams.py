@@ -292,8 +292,14 @@ class TestDictGivenTable:
         assert buf.getvalue() == b""
 
     def test_repr_and_equality_with_other_types_key_nothing(self):
-        # a count that is not an int is refused when the dict is keyed, not here
-        table = NGramTable({2}, {"ab": 2.0}, 4)
+        # a count that is not an int is refused when the dict is keyed, as the table is made
+        with pytest.raises(ParameterError, match=re.escape("gram 'ab' has count 2.0, not an int")):
+            NGramTable({2}, {"ab": 2.0}, 4)
+        # so is a gram longer than the highest order, before any key step
+        with pytest.raises(ParameterError, match="^a gram of length 65 is longer than 64$"):
+            NGramTable({2}, {"a" * 65: 2}, 4)
+        assert NGramTable({2, 64}, {"ab": 2, "a" * 64: 3}, 4).counts == {"ab": 2, "a" * 64: 3}
+        table = NGramTable({2}, {"ab": 2}, 4)
         assert repr(table) == "NGramTable(orders=[2], entries=1, corpus_size=4)"
         assert repr(build_table(Corpus(["ABAB"]), {2, 3})) == (
             "NGramTable(orders=[2, 3], entries=1, corpus_size=4)")
@@ -403,48 +409,49 @@ class TestSaveLoad:
             NGramTable({2}, {"A\t": 2}, 4).save(buf)
         assert buf.getvalue() == b""
 
-    def rejected_before_writing(self, table, message):
+    def rejected_before_writing(self, message, orders, counts, size):
+        # refused when the table is made or when it is saved, before any byte is written
         buf = io.BytesIO()
         with pytest.raises(ParameterError, match=message):
-            table.save(buf)
+            NGramTable(orders, counts, size).save(buf)
         assert buf.getvalue() == b""
 
     def test_gram_of_undeclared_order_rejected_before_writing(self):
         # written without it, the file would load back as another table
-        self.rejected_before_writing(NGramTable({2}, {"ab": 3, "abc": 5}, 10),
-                                     r"order 3 is not of the orders \[2\]")
+        self.rejected_before_writing(r"order 3 is not of the orders \[2\]",
+                                     {2}, {"ab": 3, "abc": 5}, 10)
 
     def test_singleton_rejected_before_writing(self):
         # the loader rejects stored counts below 2 at their line
         with pytest.raises(FormatError, match=r">= 2 \(line 4\)"):
             NGramTable.load(io.BytesIO(b"tango-ngrams v1\ncorpus_size 10\norders 2\n2\t1\tab\n"))
-        self.rejected_before_writing(NGramTable({2}, {"ab": 1}, 10),
-                                     "gram 'ab' has count 1, below 2")
+        self.rejected_before_writing("gram 'ab' has count 1, below 2", {2}, {"ab": 1}, 10)
 
     def test_negative_corpus_size_rejected_before_writing(self):
-        self.rejected_before_writing(NGramTable({2}, {"ab": 3}, -1),
-                                     "corpus_size must be >= 0, got -1")
+        self.rejected_before_writing("corpus_size must be >= 0, got -1", {2}, {"ab": 3}, -1)
 
     @pytest.mark.parametrize("orders", [set(), {1, 2}])
     def test_declared_order_below_two_rejected_before_writing(self, orders):
-        self.rejected_before_writing(NGramTable(orders, {}, 4), "declared orders")
+        self.rejected_before_writing("declared orders", orders, {}, 4)
 
     def test_non_integer_declared_order_rejected_before_writing(self):
         # written as "orders 2.0", which the loader refuses at line 3
         self.rejected_before_writing(
-            NGramTable({2.0}, {"ab": 2}, 2),
-            re.escape("declared orders must be one or more integers >= 2, got [2.0]"))
+            re.escape("declared orders must be one or more integers >= 2, got [2.0]"),
+            {2.0}, {"ab": 2}, 2)
 
     @pytest.mark.parametrize("count", [3.0, "3", True])
     def test_count_that_is_not_an_int_rejected_before_writing(self, count):
         # a float was written as 3.0, which the loader refuses
-        self.rejected_before_writing(NGramTable({2}, {"ab": 3, "cd": count}, 9),
-                                     re.escape(f"gram 'cd' has count {count!r}, not an int"))
+        self.rejected_before_writing(re.escape(f"gram 'cd' has count {count!r}, not an int"),
+                                     {2}, {"ab": 3, "cd": count}, 9)
 
     @pytest.mark.parametrize("count", [10**18, 2**63, 10**30])
     def test_count_over_eighteen_digits_rejected_before_writing(self, count):
-        self.rejected_before_writing(NGramTable({2}, {"ab": 5, "cd": count}, 9),
-                                     f"gram 'cd' has count {count}, over 18 digits")
+        # 10**18 fits an int64, so save refuses it; 2**63 and 10**30 are refused as
+        # the table is made
+        self.rejected_before_writing(f"gram 'cd' has count {count}, over 18 digits",
+                                     {2}, {"ab": 5, "cd": count}, 9)
 
     def test_highest_order_round_trips(self):
         table = build_table(Corpus(["ab" * 40]), {2, 64})

@@ -9,16 +9,18 @@ f-string formatter, the line reader's error places, the code point range
 filter against a per-character loop, the sst grid against the
 four-bound rule and every setting of the six-threshold rule,
 annotation parse/serialize round trips, the annotation bracket views
-against a plain loop, sequence scores against the bracket oracle, and
-parameter file round trips."""
+against a plain loop, sequence scores against the bracket oracle,
+parameter file round trips, and the CLI on edited copies of valid input
+files."""
 
 import functools
 import io
 import math
 import random
+import re
 import tempfile
 from collections import Counter
-from contextlib import redirect_stderr
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import product
 from pathlib import Path
 from unittest import mock
@@ -1019,3 +1021,85 @@ def test_synth_draws_match_choices_oracle_across_chunks(instance, chunk_words):
     # the next at every kind of stream word (word count, stem, flag, suffix)
     with mock.patch.object(synth, "_CHUNK_WORDS", chunk_words):
         test_synth_draws_match_choices_oracle.hypothesis.inner_test(instance)
+
+
+DATA = Path(__file__).parent / "data"
+
+# each CLI run's arguments: {name} is an input file of that name, {out} and {grid} its outputs
+CLI_RUNS = {
+    "synth": "synth --lexicon {lexicon} --sequences 4 --out-corpus {out} --out-annotations {grid}",
+    "build-index": "build-index --corpus {corpus} --out {out} --bigrams-out {grid}",
+    "train tango": "train --train {gold} --index {table} --criterion word-f --out {out} "
+                   "--grid-out {grid}",
+    "train sst": "train --algorithm sst --train {gold} --stats {stats} --criterion word-f "
+                 "--out {out} --grid-out {grid}",
+    "segment tango": "segment --input {input} --index {table} --params {tango_params} --out {out}",
+    "segment sst": "segment --algorithm sst --input {input} --stats {stats} "
+                   "--params {sst_params} --out {out}",
+    "evaluate": "evaluate --pred {pred} --gold {gold}",
+}
+CLI_INSERTS = [b"\t", b"\n", b"\r", b"|", b"[", b"]", b"=", b",", b" ", b"-", b"0", b"9" * 19,
+               b"\xff", b"\xc3", b"nan", b"1e400", "\u3042".encode()]
+
+
+@functools.cache
+def cli_inputs() -> "dict[str, bytes]":
+    """Valid input files of every CLI run, by name; the predictions are the gold's words."""
+    files = {name: (DATA / f"toy_{name}{suffix}").read_bytes()
+             for name, suffix in [("lexicon", ".tsv"), ("corpus", ".txt"), ("gold", ".txt"),
+                                  ("input", ".txt")]}
+    files["tango_params"] = (DATA / "toy_params.txt").read_bytes()
+    gold = read_lines(io.BytesIO(files["gold"]), parse_annotation)
+    files["pred"] = "".join(serialize_flat(a.word_segmentation) + "\n" for a in gold).encode()
+    with tempfile.TemporaryDirectory() as tmp, redirect_stderr(io.StringIO()):
+        d = Path(tmp)
+        (d / "corpus").write_bytes(files["corpus"])
+        (d / "gold").write_bytes(files["gold"])
+        assert main(["build-index", "--corpus", str(d / "corpus"), "--out", str(d / "table"),
+                     "--bigrams-out", str(d / "stats")]) == 0
+        assert main(["train", "--algorithm", "sst", "--train", str(d / "gold"), "--stats",
+                     str(d / "stats"), "--criterion", "word-f", "--out", str(d / "sst")]) == 0
+        for name, path in (("table", "table"), ("stats", "stats"), ("sst_params", "sst")):
+            files[name] = (d / path).read_bytes()
+    return files
+
+
+@st.composite
+def edited_files(draw, data: bytes):
+    """data with up to three edits: bytes deleted, a byte replaced, a separator,
+    bracket, digit run, bad UTF-8 or odd number inserted, or a digit run
+    replaced by another number."""
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(data)))
+        kind = draw(st.sampled_from(["delete", "replace", "insert", "number"]))
+        runs = [m.span() for m in re.finditer(rb"[0-9]+", data)]
+        if kind == "delete":
+            data = data[:i] + data[i + draw(st.integers(1, 8)) :]
+        elif kind == "replace":
+            data = data[:i] + bytes([draw(st.integers(0, 255))]) + data[i + 1 :]
+        elif kind == "insert" or not runs:
+            data = data[:i] + draw(st.sampled_from(CLI_INSERTS)) + data[i:]
+        else:
+            a, b = draw(st.sampled_from(runs))
+            data = data[:a] + str(draw(st.integers(0, 1000) | st.just(999999))).encode() + data[b:]
+    return data
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(CLI_RUNS)), st.data())
+def test_no_edited_cli_input_ends_in_a_traceback(run, data):
+    # exit 0, or exit 2 with one error line naming an input file and no output file left
+    args = CLI_RUNS[run].split()
+    names = [a[1:-1] for a in args if a.startswith("{") and a not in ("{out}", "{grid}")]
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: str(Path(tmp, name)) for name in (*names, "out", "grid")}
+        for name in names:
+            Path(paths[name]).write_bytes(data.draw(edited_files(cli_inputs()[name]), label=name))
+        err = io.StringIO()
+        with redirect_stderr(err), redirect_stdout(io.StringIO()):
+            code = main([a.format_map(paths) for a in args])
+        assert code in (0, 2)
+        if code == 2:
+            [error] = [line for line in err.getvalue().splitlines() if line.startswith("error: ")]
+            assert any(paths[name] in error for name in names), error
+            assert not any(Path(paths[out]).exists() for out in ("out", "grid"))

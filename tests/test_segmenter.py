@@ -38,20 +38,20 @@ class TestOrderVote:
     def test_separator_location_unanimous(self, toy_table):
         # ABCD and WXYZ each seen 9 times, straddling 4-grams unseen
         assert vote_profile("ABCDWXYZ", {4}, toy_table).votes[3] == 1.0
-        affirmative, comparisons = _gap_counts("ABCDWXYZ", (4,), toy_table)
-        assert (affirmative[0][3], comparisons[0][3]) == (6, 6)
+        affirmative, plan = _gap_counts("ABCDWXYZ", (4,), toy_table)
+        assert (affirmative[0][3], plan.comparisons[0][3]) == (6, 6)
 
     def test_edge_gap_uses_existing_grams_only(self):
         table = build_table(Corpus(["BCBC", "ABX"]), {2})
         # at gap 1 of ABCD only the right 2-gram exists; one comparison
-        affirmative, comparisons = _gap_counts("ABCD", (2,), table)
-        assert comparisons[0][0] == 1
+        affirmative, plan = _gap_counts("ABCD", (2,), table)
+        assert plan.comparisons[0][0] == 1
         assert affirmative[0][0] == int(table.count("BC") > table.count("AB"))
 
     def test_no_pairs_returns_zero(self):
         table = NGramTable({2}, {}, 0)
-        affirmative, comparisons = _gap_counts("AB", (2,), table)
-        assert (affirmative.tolist(), comparisons.tolist()) == ([[0]], [[0]])
+        affirmative, plan = _gap_counts("AB", (2,), table)
+        assert (affirmative.tolist(), plan.comparisons.tolist()) == ([[0]], [[0]])
         assert vote_profile("AB", {2}, table).votes == [0.0]
 
     def test_unsupported_order(self, toy_table):
@@ -325,9 +325,10 @@ class TestOrderSetRule:
     @pytest.mark.parametrize("orders", [[2, 65], [40000, 2]])
     def test_orders_above_the_bound_refused(self, toy_table, orders):
         message = f"orders must all be <= 64, got {sorted(orders)}"
-        for refuse in (lambda: TangoParams(orders, 0.5),
-                       lambda: build_table(Corpus(["ab" * 200]), orders),
-                       lambda: vote_profile("ABAB", orders, toy_table)):
+        for prefix, refuse in (("", lambda: TangoParams(orders, 0.5)),
+                               ("", lambda: build_table(Corpus(["ab" * 200]), orders)),
+                               ("", lambda: vote_profile("ABAB", orders, toy_table)),
+                               ("declared ", lambda: NGramTable(orders, {"ab": 2}, 4))):
             with pytest.raises(ParameterError) as exc:
                 refuse()
-            assert str(exc.value) == message
+            assert str(exc.value) == prefix + message

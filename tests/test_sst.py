@@ -92,7 +92,8 @@ class TestDts:
     def test_symmetric_context_is_zero(self):
         # all three conditionals 0.6 with equal variances: both numerators vanish
         stats = BigramStats.from_corpus(["ABCD"] * 3 + ["BADC"] * 2)
-        assert stats.p_cond("B", "A") == stats.p_cond("C", "B") == stats.p_cond("D", "C")
+        conditional = stats.transition("B", "A")
+        assert conditional == stats.transition("C", "B") == stats.transition("D", "C")
         result = dts_terms(stats, "A", "B", "C", "D")
         assert result.value == 0.0
         assert not result.left_degenerate and not result.right_degenerate
@@ -147,6 +148,17 @@ class TestDts:
         with pytest.raises(UndefinedStatisticError):
             dts_terms(stats, "A", "Z", "B", "A")
 
+    @pytest.mark.parametrize("estimator", ["mle", "ele"])
+    @pytest.mark.parametrize("counts", [
+        "total_chars 0\n1\t2\tA\n1\t2\tB\n2\t2\tAB\n",  # two characters in none
+        "total_chars 4\n1\t2\tA\n1\t2\tB\n2\t9\tAB\n",  # AB more often than A
+    ], ids=["no-characters", "bigram-above-its-character"])
+    def test_counts_no_corpus_gives_are_no_probability(self, counts, estimator):
+        # once a division by zero, or the root of a negative variance, under MLE
+        stats = load_stats(io.StringIO("tango-bigrams v1\n" + counts), estimator)
+        with pytest.raises(UndefinedStatisticError, match="^a count of [29] in [024] is no prob"):
+            sst_segment("ABABAB", SstParams(5.0, (0.0,) * 4, estimator), stats)
+
 
 @pytest.mark.parametrize("estimator", ["mle", "ele"])
 @pytest.mark.parametrize("seed", range(5))
@@ -165,13 +177,13 @@ def test_estimates_equal_naive_oracle_exactly(estimator, seed):
     assert {x + y for x, y in pairs} - set(naive.bi)
     assert [stats.p_char(x) for x in seen] == [naive.p(x) for x in seen]
     assert [stats.p_pair(x, y) for x, y in pairs] == [naive.p_pair(x, y) for x, y in pairs]
-    assert [stats.p_cond(y, x) for x, y in pairs] == [naive.p_cond(y, x) for x, y in pairs]
-    assert [stats.var_cond(y, x) for x, y in pairs] == [naive.var_cond(y, x) for x, y in pairs]
+    assert [stats.transition(y, x) for x, y in pairs] == [
+        (naive.p_cond(y, x), naive.var_cond(y, x)) for x, y in pairs]
     if estimator == "ele":
         # an unseen character still has estimates under ELE
         assert stats.p_char("Z") == naive.p("Z")
         assert stats.p_pair("Z", seen[0]) == naive.p_pair("Z", seen[0])
-        assert stats.p_cond(seen[0], "Z") == naive.p_cond(seen[0], "Z")
+        assert stats.transition(seen[0], "Z") == (naive.p_cond(seen[0], "Z"), math.inf)
 
 
 @pytest.mark.parametrize("estimator", ["mle", "ele"])

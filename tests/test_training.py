@@ -153,7 +153,7 @@ class TestTrainTango:
         def no_votes(*args):
             raise AssertionError("votes computed")
 
-        monkeypatch.setattr(training, "_order_votes", no_votes)
+        monkeypatch.setattr(training, "_gap_counts", no_votes)
         with pytest.raises(ParameterError) as exc:
             train_tango(train_anns, table, "word-f", use_local_max=False, use_threshold=False)
         assert str(exc.value) == "at least one boundary condition must be enabled"
