@@ -22,20 +22,19 @@ from .annotations import (
     serialize_flat,
 )
 from .errors import (AlignmentError, Error, FormatError, ParameterError, UndefinedStatisticError,
-                     naming)
+                     UnsupportedOrderError, naming)
 from .metrics import format_report, machine_lines, score_set
 from .ngrams import (
     STATS,
     TABLE,
-    Corpus,
     NGramTable,
     _code_blocks,
+    _read_corpus,
     _walk,
     codepoint_range_filter,
     order_set,
     read_int_list,
     read_lines,
-    read_source,
     write_counts,
     write_to,
 )
@@ -94,13 +93,15 @@ def cmd_build_index(args) -> int:
     # a bad option fails before the corpus is read
     orders = _parse_orders(args.orders) if args.out else None
     char_filter = codepoint_range_filter(args.filter_range) if args.filter_range else None
-    corpus = Corpus.from_text(read_source(args.corpus), char_filter)
-    if not corpus.sequences:
+    # no string per line: the text and its code array are freed before the walk
+    ranks, alphabet, lengths = _read_corpus(args.corpus, char_filter)
+    if not len(lengths):
         raise FormatError("no sequences extracted", path=args.corpus)
-    size = corpus.total_chars
+    size = len(ranks)
     print(f"corpus_size {size}", file=sys.stderr)
     with naming(args.corpus):  # a character the table file cannot store
-        table, stats = _code_blocks(*_walk(corpus.sequences, orders, stats=bool(args.bigrams_out)))
+        walked = _walk(ranks, alphabet, lengths, orders, stats=bool(args.bigrams_out))
+    table, stats = _code_blocks(ranks, alphabet, *walked)
     if table is not None:
         for n, (_, counts) in table.items():
             print(f"order {n}: {len(counts)} distinct grams", file=sys.stderr)
@@ -179,8 +180,9 @@ def cmd_train(args) -> int:
     if not train_set:
         raise FormatError("no annotations found", path=args.train)
     if args.algorithm == "tango":
-        result = train_tango(train_set, NGramTable.load(args.index), args.criterion,
-                             not args.no_local_max, not args.no_threshold)
+        with naming(args.index, UnsupportedOrderError):  # as segment names the table
+            result = train_tango(train_set, NGramTable.load(args.index), args.criterion,
+                                 not args.no_local_max, not args.no_threshold)
         write_params = write_tango_params
         orders = ",".join(map(str, result.params.sorted_orders))
         described = f"N={{{orders}}} t={result.params.threshold:g}"

@@ -9,7 +9,10 @@ unigram/bigram counts of the sst baseline; ``_walk``, its one entry for
 ``build_table``, ``BigramStats.from_corpus`` and ``build-index``, checks
 the input, counts both in one walk and prunes the table.  The engine works
 on the joined corpus as numpy arrays, each character its dense rank in the
-corpus alphabet.  A walk step packs the dense id of each window's counted
+corpus alphabet, and the sequences' lengths: ``_rank_sequences`` makes them
+of the library's lists, and ``_read_corpus`` of ``build-index``'s file,
+whose lines ``_split_codes`` splits from one code array, with no string
+per line.  A walk step packs the dense id of each window's counted
 prefix, the ranks of as many next characters as fit and the window's start
 position into one int64 key, and one sort run-length encodes every order of
 the step into counts: orders 1-6 of the 1 MB acceptance corpus in one step,
@@ -30,7 +33,8 @@ the walk and a table slices from its rows, for the count-file writer (so
 ``_block_dict`` makes of blocks.
 
 Every file format of the package is read and written here once: lines
-(``split_lines``, ``read_lines``), files (``read_source``, ``write_to``),
+(``split_lines``, ``read_lines``; ``_split_codes`` is split_lines' rule
+on a code array), files (``read_source``, ``write_to``),
 integer lists (``read_int_list``), ``key=value`` files (``read_key_values``,
 ``float_text``) and count files (``write_counts``, ``read_counts``) of two
 layouts, ``TABLE`` for the pruned table, declaring its orders, and ``STATS``
@@ -386,6 +390,41 @@ def read_counts(source, layout: CountFile) -> "tuple[int, frozenset[int], _Count
     return size, orders, counts
 
 
+def _split_codes(text: str) -> "tuple[np.ndarray, np.ndarray]":
+    """extract_sequences(text) as arrays: the UTF-32 codes of its non-empty
+    lines, joined, and each line's length.  Lines break at "\\n", a "\\r"
+    before one dropped, as split_lines breaks them, with no string per line."""
+    codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), np.uint32)
+    nl = np.flatnonzero(codes == 10)
+    cr = codes.take(nl - 1, mode="clip") == 13  # a newline at 0 reads itself
+    keep = codes != 10
+    keep[nl[cr] - 1] = False
+    codes = codes[keep]
+    # each line's end among the kept codes: less the newlines and CRs before it
+    ends = nl - np.arange(len(nl)) - np.cumsum(cr)
+    lengths = np.diff(ends, prepend=0, append=len(codes))
+    return codes, lengths[lengths > 0]
+
+
+def _rank_sequences(sequences: Sequence[str]) -> tuple:
+    """(ranks, alphabet, lengths) of sequences joined: each character's rank
+    from 1 (_rank_codes), the alphabet and each sequence's length."""
+    codes = np.frombuffer("".join(sequences).encode("utf-32-le", "surrogatepass"), np.uint32)
+    lengths = np.fromiter(map(len, sequences), np.int64, len(sequences))
+    return *_rank_codes(codes, int(codes.max(initial=0)) + 1), lengths
+
+
+def _read_corpus(source, char_filter: "re.Pattern | None" = None) -> tuple:
+    """_rank_sequences of extract_sequences(read_source(source), char_filter),
+    lines split by _split_codes; the text, its codes and a filter's runs are
+    freed on return, before any walk over the ranks."""
+    text = read_source(source)
+    if char_filter is not None:
+        return _rank_sequences(char_filter.findall(text))
+    codes, lengths = _split_codes(text)
+    return *_rank_codes(codes, int(codes.max(initial=0)) + 1), lengths
+
+
 def extract_sequences(text: "str | bytes", char_filter: "re.Pattern | None" = None) -> list[str]:
     """Split raw text into the character sequences to be indexed.
 
@@ -630,14 +669,16 @@ def _run_starts(keys: np.ndarray) -> np.ndarray:
     return starts
 
 
-def _count_windows(sequences: Sequence[str], min_counts: "dict[int, int]") -> tuple:
+def _count_windows(ranks: np.ndarray, alphabet: np.ndarray, lengths: np.ndarray,
+                   min_counts: "dict[int, int]") -> dict:
     """Count the order-n windows of every sequence, for each order n of min_counts.
 
-    Returns (ranks, alphabet, kept): each corpus character's rank from 1
-    (_rank_codes), the alphabet, and per order n ascending ``(starts,
-    counts)``, where the grams seen at least ``min_counts[n]`` times start in
-    the joined corpus, in string order.  Windows never cross sequence
-    boundaries, and sequences may hold any code point, separators included.
+    The corpus comes as _rank_sequences gives it: each character's rank from
+    1 in the alphabet, the sequences joined, and each sequence's length.
+    Returns per order n ascending ``(starts, counts)``, where the grams seen at
+    least ``min_counts[n]`` times start in the joined corpus, in string order.
+    Windows never cross sequence boundaries, and sequences may hold any code
+    point, separators included.
 
     A rank takes b bits, 0 for "past the sequence end".  Each step of the
     walk appends the ranks of each window's next s characters to the id of
@@ -647,20 +688,20 @@ def _count_windows(sequences: Sequence[str], min_counts: "dict[int, int]") -> tu
     position of a run of equal keys gives the gram).  After d characters, one
     pass finds the runs of equal keys; a shorter order n's runs start at the
     heads whose key leaves the one before above bit b*(d+s-n), and a run counts
-    where its head has n characters left.  Only the keys, positions, ranks and
-    characters left are as long as the corpus.  Among windows with more
-    characters left, each kept key's dense rank is the next step's id.  A step
-    packs s = (_KEY_BITS - id bits - p) // b characters; only where none fits
-    (past about 47M characters at 12-bit ranks) does it argsort bare keys.
+    where its head has n characters left.  The arrays as long as the corpus
+    are the given ranks and, made here, the int64 keys, the positions in the
+    smallest signed type that holds them and the characters left in one byte;
+    between steps the next step's int64 ids replace the keys.  lengths holds
+    one entry a sequence.  Among windows with more characters left, each kept
+    key's dense rank is the next step's id.  A step packs s = (_KEY_BITS - id
+    bits - p) // b characters; only where none fits (past about 47M
+    characters at 12-bit ranks) does it argsort bare keys.
     """
     top = max(min_counts)
-    codes = np.frombuffer("".join(sequences).encode("utf-32-le", "surrogatepass"), np.uint32)
-    ranks, alphabet = _rank_codes(codes, int(codes.max(initial=0)) + 1)
-    del codes
     m, bits = len(ranks), (len(alphabet) - 1).bit_length()
     # characters left in its sequence from each position on, capped at top: the nearest end wins
     left = np.full(m, top, np.min_scalar_type(top))
-    ends = np.cumsum(np.fromiter(map(len, sequences), np.int64, len(sequences)))
+    ends = np.cumsum(lengths)
     for d in range(top - 1, 0, -1):
         left[ends[ends >= d] - d] = d
     # Start position and prefix id of each window, in the sorted order of the
@@ -716,7 +757,7 @@ def _count_windows(sequences: Sequence[str], min_counts: "dict[int, int]") -> tu
         ids = np.cumsum(_run_starts(keys), dtype=np.int64)
         del keys
         ids -= 1
-    return ranks, alphabet, out
+    return out
 
 
 def _gram_ranks(ranks: np.ndarray, starts: np.ndarray, n: int, width: int) -> np.ndarray:
@@ -733,10 +774,10 @@ def _code_blocks(ranks: np.ndarray, alphabet: np.ndarray, *walked: "dict | None"
                            for n, (at, c) in kept.items()} for kept in walked)
 
 
-def _walk(sequences: Sequence[str], table_orders: "Iterable[int] | None" = None,
-          stats: bool = False) -> tuple:
-    """_count_windows' ranks and alphabet, and the kept windows of the table
-    of table_orders and of the bigram stats, each None when not asked for.
+def _walk(ranks: np.ndarray, alphabet: np.ndarray, lengths: np.ndarray,
+          table_orders: "Iterable[int] | None" = None, stats: bool = False) -> tuple:
+    """The kept windows of the table of table_orders and of the bigram stats,
+    each None when not asked for, of a corpus as _count_windows takes it.
 
     The table's orders follow order_set and its corpus must hold no tab,
     newline or CR, which its file cannot store; the stats need at least one
@@ -746,19 +787,19 @@ def _walk(sequences: Sequence[str], table_orders: "Iterable[int] | None" = None,
     if table_orders is not None:
         table_orders = order_set(table_orders)
         walk = {**dict.fromkeys(table_orders, 2), **walk}
-    if stats and not any(sequences):
-        raise ParameterError("corpus contains no characters")
-    ranks, alphabet, kept = _count_windows(sequences, walk)
-    table = None
-    if table_orders is not None:
-        for bad in "\t\n\r":
+        for bad in "\t\n\r":  # refused from the alphabet, before the walk
             if ord(bad) in alphabet[1:]:
                 raise ParameterError(
                     f"corpus sequence contains {bad!r}; the table format cannot store it")
+    if stats and not len(ranks):
+        raise ParameterError("corpus contains no characters")
+    kept = _count_windows(ranks, alphabet, lengths, walk)
+    table = None
+    if table_orders is not None:
         table = {n: kept[n] for n in table_orders}
         if stats and 2 in table:  # the stats' order 2 kept singletons
             table[2] = tuple(column[kept[2][1] >= 2] for column in kept[2])
-    return ranks, alphabet, table, {n: kept[n] for n in (1, 2)} if stats else None
+    return table, {n: kept[n] for n in (1, 2)} if stats else None
 
 
 def build_table(corpus: Corpus, orders: Iterable[int]) -> NGramTable:
@@ -768,7 +809,8 @@ def build_table(corpus: Corpus, orders: Iterable[int]) -> NGramTable:
     contain tab or newline characters (they would corrupt the serialized
     format); such corpora are rejected.
     """
-    ranks, alphabet, table, _ = _walk(corpus.sequences, orders)
+    ranks, alphabet, lengths = _rank_sequences(corpus.sequences)
+    table, _ = _walk(ranks, alphabet, lengths, orders)
     order = np.repeat(list(table), [len(c) for _, c in table.values()])
     rows = np.concatenate([_gram_ranks(ranks, at, n, max(table)) for n, (at, _) in table.items()])
     used = np.r_[True, np.bincount(rows.ravel(), minlength=len(alphabet))[1:] > 0]

@@ -42,7 +42,9 @@ from .ngrams import (
     Corpus,
     _block_dict,
     _code_blocks,
+    _code_text,
     _dict_counts,
+    _rank_sequences,
     _walk,
     float_text,
     read_counts,
@@ -122,9 +124,10 @@ class BigramStats:
     @classmethod
     def from_corpus(cls, corpus: "Corpus | Iterable[str]", estimator: str = "mle") -> "BigramStats":
         sequences = corpus.sequences if isinstance(corpus, Corpus) else list(corpus)
-        _, blocks = _code_blocks(*_walk(sequences, stats=True))
+        ranks, alphabet, lengths = _rank_sequences(sequences)
+        _, blocks = _code_blocks(ranks, alphabet, *_walk(ranks, alphabet, lengths, stats=True))
         unigrams, bigrams = (Counter(_block_dict({n: blocks[n]})) for n in (1, 2))
-        return cls(unigrams, bigrams, sum(map(len, sequences)), estimator)
+        return cls(unigrams, bigrams, len(ranks), estimator)
 
     def using(self, estimator: str) -> "BigramStats":
         """Same counts under a different estimator (counts are shared)."""
@@ -306,7 +309,23 @@ def save_stats(stats: BigramStats, destination) -> int:
 
 
 def load_stats(source, estimator: str = "mle") -> BigramStats:
+    """The statistics of a file save_stats wrote; FormatError naming it for
+    counts no corpus gives: a character counted more than total_chars times,
+    or a bigram more often than one of its characters.  The estimator is
+    checked first."""
+    _require_estimator(estimator)
     total, _, counts = read_counts(source, STATS)
+    one, value = counts.order == 1, counts.value[: len(counts)]
+    char = np.zeros(len(counts.alphabet), np.int64)  # each rank's count, 0 for the pad's
+    char[counts.ranks[one, 0]] = value[one]
+    most = np.where(one, total, np.minimum(*char[counts.ranks.T]))  # a file's grams take 2 slots
+    if (value > most).any():
+        i = int(np.argmax(value > most))
+        gram = _code_text(counts.alphabet[counts.ranks[i, : counts.order[i]]])
+        bound = f"total_chars {total}" if one[i] else f"its characters' least count {most[i]}"
+        # entry i is on line i + 3, after the header and total_chars lines
+        raise FormatError(f"{gram!r} has count {value[i]}, above {bound}", line=i + 3,
+                          path=source)
     blocks = counts.blocks()  # the orders the file holds entries of
     unigrams, bigrams = (Counter(_block_dict({n: blocks[n]} if n in blocks else {}))
                          for n in (1, 2))

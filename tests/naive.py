@@ -307,6 +307,20 @@ def naive_read_counts(text, header, size_key, orders=None, min_count=1):
     return size, orders, counts
 
 
+def naive_stats_refusal(size, counts):
+    """(line, message) of the first entry of a stats file read by
+    naive_read_counts whose count no corpus gives, or None: a character
+    counted more than size times, or a bigram more often than one of its
+    characters.  Entries start on line 3."""
+    for lineno, (gram, cnt) in enumerate(counts.items(), start=3):
+        if len(gram) == 1 and cnt > size:
+            return lineno, f"{gram!r} has count {cnt}, above total_chars {size}"
+        least = min(counts.get(ch, 0) for ch in gram)
+        if len(gram) == 2 and cnt > least:
+            return lineno, f"{gram!r} has count {cnt}, above its characters' least count {least}"
+    return None
+
+
 def naive_runs(text, ranges):
     """The maximal runs of characters whose code point lies in one of the
     inclusive (lo, hi) ranges, one character at a time."""

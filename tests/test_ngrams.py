@@ -27,7 +27,7 @@ from tangoseg import (
     write_tango_params,
 )
 from tangoseg.ngrams import (
-    TABLE, _block_dict, _code_blocks, _count_windows, split_lines, write_counts)
+    TABLE, _block_dict, _code_blocks, _count_windows, _rank_sequences, split_lines, write_counts)
 from tangoseg.training import GridView
 
 from naive import naive_counts
@@ -185,7 +185,9 @@ class TestBuildTable:
         text = "".join(sequences)
         assert len(set(text)) == 3000 and (len(text) - 1).bit_length() == 12
         orders = range(1, 9)
-        (blocks,) = _code_blocks(*_count_windows(sequences, dict.fromkeys(orders, 1)))
+        ranks, alphabet, lengths = _rank_sequences(sequences)
+        kept = _count_windows(ranks, alphabet, lengths, dict.fromkeys(orders, 1))
+        (blocks,) = _code_blocks(ranks, alphabet, kept)
         for n in orders:
             assert _block_dict({n: blocks[n]}) == naive_counts(sequences, n), n
         table = build_table(Corpus(sequences), range(2, 9))
@@ -200,7 +202,7 @@ class TestBuildTable:
                                     target_chars=200_000, seed=11)
         tracemalloc.start()
         try:
-            _count_windows(corpus, {1: 1, 2: 1, 3: 2, 4: 2, 5: 2, 6: 2})
+            _count_windows(*_rank_sequences(corpus), {1: 1, 2: 1, 3: 2, 4: 2, 5: 2, 6: 2})
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -150,12 +150,14 @@ class TestDts:
 
     @pytest.mark.parametrize("estimator", ["mle", "ele"])
     @pytest.mark.parametrize("counts", [
-        "total_chars 0\n1\t2\tA\n1\t2\tB\n2\t2\tAB\n",  # two characters in none
-        "total_chars 4\n1\t2\tA\n1\t2\tB\n2\t9\tAB\n",  # AB more often than A
+        ({"A": 2, "B": 2}, {"AB": 2}, 0),  # two characters in none
+        ({"A": 2, "B": 2}, {"AB": 9}, 4),  # AB more often than A
     ], ids=["no-characters", "bigram-above-its-character"])
     def test_counts_no_corpus_gives_are_no_probability(self, counts, estimator):
-        # once a division by zero, or the root of a negative variance, under MLE
-        stats = load_stats(io.StringIO("tango-bigrams v1\n" + counts), estimator)
+        # once a division by zero, or the root of a negative variance, under MLE;
+        # load_stats refuses such a file, so the counts are given to the constructor
+        unigrams, bigrams, total = counts
+        stats = BigramStats(Counter(unigrams), Counter(bigrams), total, estimator)
         with pytest.raises(UndefinedStatisticError, match="^a count of [29] in [024] is no prob"):
             sst_segment("ABABAB", SstParams(5.0, (0.0,) * 4, estimator), stats)
 
